@@ -2,8 +2,17 @@
 
 Subcommands mirror the pipeline stages (synth, ingest, wordcount,
 extract-features, select-features, tune, evaluate, llm-compare) plus
-run-all, which chains them under one config. Logs go to stderr; artifacts
-go to files only.
+run-all, which chains them under one config. Each subcommand builds a
+PipelineConfig from its options and calls the stage function run-all
+calls, so chained subcommands write the artifacts run-all writes:
+
+* tune reads the relevance filter's report (--selection) and tunes on the
+  selected features; --rfecv-report also runs RFECV on the winner;
+* evaluate needs the RFECV report, takes its seed from the leaderboard's
+  winner (a different --seed is an error), and --save-best saves the
+  leaderboard's CV winner refitted on the train split.
+
+Logs go to stderr; artifacts go to files only.
 """
 
 from __future__ import annotations
@@ -12,241 +21,108 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .featselect import filter_select, rfecv
-from .ingest import IngestConfig, ingest_tables, load_csv
-from .learners import (
-    DEFAULT_SEARCH_SPACES,
-    ModelKind,
-    load_model,
-    save_model,
-    train,
+from .ingest import IngestConfig
+from .learners import load_model
+from .llm import EndpointConfig
+from .pipeline import (
+    PipelineConfig,
+    PipelineError,
+    compare_cases,
+    read_winner,
+    run_pipeline,
+    stage_evaluate,
+    stage_extract_features,
+    stage_rfecv,
+    stage_select_features,
+    stage_synth,
+    stage_tune,
+    stage_wordcount,
 )
-from .llm import (
-    EndpointConfig,
-    TEMPLATE_DEFAULT,
-    build_prompt,
-    compare,
-    prompt_values_from_vector,
-    query_many,
-    transcript_verdicts,
-)
-from .pipeline import PipelineConfig, PipelineError, feature_rows_to_dataset, run_pipeline
-from .records import (
-    FeatureVector,
-    Label,
-    read_jsonl,
-    record_from_dict,
-    record_to_dict,
-    to_feature_vector,
-    write_jsonl,
-)
-from .synthgen import GeneratorConfig, default_config, generate
-from .textfeat import default_lexicons, extract_features, load_lexicon_file, note_tokens, word_count
-from .tuning import CvSpec, SearchSpec, evaluate_all, search, split_train_test, write_metrics_csv, write_roc_csv
+from .records import read_jsonl
+from .synthgen import GeneratorConfig
 
 log = logging.getLogger("rescue_triage")
 
 
-def _lexicons(path):
-    return load_lexicon_file(path) if path else default_lexicons()
+def _json_file(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _read_feature_rows(path):
-    return list(read_jsonl(path))
+def _config(args, base: PipelineConfig | None = None, **fields) -> PipelineConfig:
+    """base (default: the pipeline defaults) with the given fields and --seed applied."""
+    if args.seed is not None:
+        fields["seed"] = args.seed
+    return replace(base or PipelineConfig(), **fields)
 
 
-def _seed(args) -> int:
-    return 42 if args.seed is None else args.seed
+def _done(result) -> int:
+    artifacts, extra = result
+    log.info("wrote %s %s", ", ".join(map(str, artifacts)), extra)
+    return 0
 
 
 def _cmd_synth(args) -> int:
-    if args.config:
-        cfg = GeneratorConfig.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    else:
-        cfg = default_config(seed=_seed(args))
-    records = generate(cfg)
-    write_jsonl(args.out, records, record_to_dict)
-    if args.truth:
-        with open(args.truth, "w", encoding="utf-8") as fh:
-            fh.write("case_id,label\n")
-            for r in records:
-                fh.write(f"{r.case_id},{r.label.value}\n")
-    log.info("wrote %d records to %s", len(records), args.out)
-    return 0
+    generator = GeneratorConfig.from_dict(_json_file(args.config)) if args.config else None
+    return _done(stage_synth(_config(args, generator=generator), args.out, args.truth))
 
 
 def _cmd_ingest(args) -> int:
-    if args.config:
-        cfg = IngestConfig.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    else:
-        cfg = IngestConfig()
+    ingest = IngestConfig.from_dict(_json_file(args.config)) if args.config else IngestConfig()
     if args.key_column:
-        d = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-        d["key_column"] = args.key_column
-        cfg = IngestConfig(**d)
-    tables = [load_csv(p, delimiter=args.delimiter) for p in args.csvs]
-    records, errors = ingest_tables(tables, cfg)
-    for idx, err in errors:
-        log.warning("row %d rejected: %s", idx, err)
-    write_jsonl(args.out, records, record_to_dict)
-    log.info("wrote %d records (%d rejected) to %s", len(records), len(errors), args.out)
-    return 0
+        ingest = replace(ingest, key_column=args.key_column)
+    cfg = _config(args, input_csvs=tuple(args.csvs), ingest=ingest)
+    return _done(stage_synth(cfg, args.out, delimiter=args.delimiter))
 
 
 def _cmd_wordcount(args) -> int:
-    _, lex = _lexicons(args.lexicon)
-    records = [record_from_dict(d) for d in read_jsonl(args.input)]
-    counts = word_count([note_tokens(r.notes) for r in records], lex, min_count=args.min_count)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("word,count\n")
-        for w, c in counts.items():
-            fh.write(f"{w},{c}\n")
-    log.info("wrote %d words to %s", len(counts), args.out)
-    return 0
+    cfg = _config(args, lexicon_path=args.lexicon, min_count=args.min_count)
+    return _done(stage_wordcount(cfg, args.input, args.out))
 
 
 def _cmd_extract(args) -> int:
-    categories, lex = _lexicons(args.lexicon)
-    rows = []
-    skipped = 0
-    for d in read_jsonl(args.input):
-        r = record_from_dict(d)
-        if r.vitals is None or not r.vitals.complete:
-            skipped += 1
-            continue
-        tf = extract_features(r, categories, lex)
-        fv = to_feature_vector(r.vitals, tf)
-        rows.append({"case_id": r.case_id, "label": r.label.value, "features": fv.to_dict()})
-    write_jsonl(args.out, rows)
-    log.info("wrote %d feature rows (%d skipped) to %s", len(rows), skipped, args.out)
-    return 0
+    return _done(stage_extract_features(_config(args, lexicon_path=args.lexicon), args.input, args.out))
 
 
 def _cmd_select(args) -> int:
-    rows = _read_feature_rows(args.input)
-    psy = [FeatureVector.from_dict(r["features"]) for r in rows if r["label"] == Label.PSYCHIATRIC.value]
-    non = [FeatureVector.from_dict(r["features"]) for r in rows if r["label"] == Label.NON_PSYCHIATRIC.value]
-    report = filter_select(psy, non, threshold=args.threshold)
-    Path(args.report).write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
-    log.info("selected %s", list(report.selected))
-    return 0
+    return _done(stage_select_features(_config(args, filter_threshold=args.threshold), args.input, args.report))
 
 
 def _cmd_tune(args) -> int:
-    rows = [r for r in _read_feature_rows(args.input) if r["label"] != Label.UNKNOWN.value]
-    data = feature_rows_to_dataset(rows)
-    train_set, _ = split_train_test(data, args.split, _seed(args), args.stratified)
-    cv = CvSpec(folds=args.folds, stratified=args.stratified, seed=_seed(args))
-    per_kind = {}
-    for kind in ModelKind:
-        spec = SearchSpec(args.mode, DEFAULT_SEARCH_SPACES[kind], args.budget, _seed(args))
-        per_kind[kind] = search(kind, spec, cv, train_set, model_seed=_seed(args))
-        top = per_kind[kind].leaderboard[0]
-        log.info("%s: cv accuracy %.4f with %s", kind.value, top.mean_score, top.spec.hyperparameters)
-    winner_kind = max(per_kind, key=lambda k: per_kind[k].leaderboard[0].mean_score)
-    winner = per_kind[winner_kind].best
-    payload = {
-        "winner": {
-            "spec": winner.to_dict(),
-            "cv_accuracy": per_kind[winner_kind].leaderboard[0].mean_score,
-        },
-        "per_kind": {
-            k.value: [
-                {
-                    "hyperparameters": e.spec.hyperparameters,
-                    "mean_accuracy": e.mean_score,
-                    "fold_accuracies": list(e.fold_scores),
-                }
-                for e in per_kind[k].leaderboard
-            ]
-            for k in per_kind
-        },
-    }
-    Path(args.out).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    cfg = _config(
+        args, search_mode=args.mode, search_budget=args.budget, cv_folds=args.folds,
+        rfecv_folds=args.folds, stratified=args.stratified, split_ratio=args.split,
+    )
+    _done(stage_tune(cfg, args.input, args.selection, args.out))
     if args.rfecv_report:
-        result = rfecv(train_set, winner, CvSpec(folds=args.folds, stratified=args.stratified, seed=_seed(args)))
-        Path(args.rfecv_report).write_text(json.dumps(result.to_dict(), indent=2), encoding="utf-8")
-        log.info("rfecv kept %s", list(result.best_features))
+        _done(stage_rfecv(cfg, args.input, args.selection, args.out, args.rfecv_report))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    rows = [r for r in _read_feature_rows(args.input) if r["label"] != Label.UNKNOWN.value]
-    data = feature_rows_to_dataset(rows)
-    leaderboard = json.loads(Path(args.leaderboard).read_text(encoding="utf-8"))
-    if args.rfecv_report:
-        subset = json.loads(Path(args.rfecv_report).read_text(encoding="utf-8"))["best_features"]
-        data = data.select(subset)
-    specs = []
-    from .learners import ModelSpec
-
-    for kind_name, entries in leaderboard["per_kind"].items():
-        specs.append(ModelSpec(ModelKind(kind_name), entries[0]["hyperparameters"], seed=_seed(args)))
-    eval_rows = evaluate_all(specs, data, args.split, _seed(args), args.stratified)
-    write_metrics_csv(eval_rows, args.out)
-    if args.roc_dir:
-        roc_dir = Path(args.roc_dir)
-        roc_dir.mkdir(parents=True, exist_ok=True)
-        for row in eval_rows:
-            if row.report is not None:
-                write_roc_csv(row.report.roc_points, roc_dir / f"roc_{row.name.replace('-', '').lower()}.csv")
-    if args.save_best:
-        best = next(r for r in eval_rows if r.report is not None)
-        train_set, _ = split_train_test(data, args.split, _seed(args), args.stratified)
-        save_model(
-            train(best.spec, train_set.X, train_set.y, feature_names=data.feature_names),
-            args.save_best,
-        )
-    log.info("wrote %s", args.out)
-    return 0
+    cfg = _config(
+        args, seed=read_winner(args.leaderboard).seed, split_ratio=args.split, stratified=args.stratified
+    )
+    return _done(stage_evaluate(
+        cfg, args.input, args.leaderboard, args.rfecv_report, args.out, args.roc_dir, args.save_best
+    ))
 
 
 def _cmd_llm_compare(args) -> int:
-    rows = _read_feature_rows(args.cases)
-    if args.limit:
-        rows = rows[: args.limit]
-    model = load_model(args.ml_model)
-    vectors = [FeatureVector.from_dict(r["features"]) for r in rows]
-    names = list(model.feature_names) if model.feature_names else (
-        list(rows[0]["features"].keys()) if rows else []
-    )
-    X = np.array([[r["features"][n] for n in names] for r in rows])
-    if model.arity != len(names):
-        raise SystemExit("feature arity mismatch between cases and model; regenerate features")
-    ml_preds = [int(p) for p in np.atleast_1d(model.predict(X))]
-    prompts = [build_prompt(prompt_values_from_vector(v), TEMPLATE_DEFAULT) for v in vectors]
     if args.stub:
-        canned = json.loads(Path(args.stub).read_text(encoding="utf-8"))
-        verdicts = transcript_verdicts([str(t) for t in canned][: len(prompts)])
+        cfg = _config(args, llm_mode="transcript", llm_transcript=args.stub)
     else:
-        cfg = EndpointConfig.from_env(base_url=args.endpoint) if args.endpoint else EndpointConfig.from_env()
-        verdicts = query_many(prompts, cfg, max_in_flight=args.in_flight)
-    report = compare(ml_preds, verdicts, [r["case_id"] for r in rows])
-    payload = report.to_dict()
-    payload["prompts"] = prompts
-    Path(args.out).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    log.info("agreement %.3f (%d mismatches)", report.agreement_rate, report.mismatch_count)
-    return 0
+        endpoint = EndpointConfig.from_env(base_url=args.endpoint) if args.endpoint else EndpointConfig.from_env()
+        cfg = _config(args, llm_mode="endpoint", llm_endpoint=endpoint)
+    rows = list(read_jsonl(args.cases))[: args.limit or None]
+    return _done(compare_cases(cfg, rows, load_model(args.ml_model), args.out, max_in_flight=args.in_flight))
 
 
 def _cmd_run_all(args) -> int:
-    if args.config:
-        cfg = PipelineConfig.from_file(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out_dir:
-            overrides["out_dir"] = args.out_dir
-        if overrides:
-            d = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-            d.update(overrides)
-            cfg = PipelineConfig(**d)
-    else:
-        cfg = PipelineConfig(seed=args.seed if args.seed is not None else 42, out_dir=args.out_dir or "out")
+    base = PipelineConfig.from_file(args.config) if args.config else None
+    cfg = _config(args, base, **({"out_dir": args.out_dir} if args.out_dir else {}))
     manifest = run_pipeline(cfg)
     ok = all(s["status"] in ("ok", "skipped") for s in manifest["stages"])
     log.info("pipeline %s; manifest at %s/manifest.json", "ok" if ok else "failed", cfg.out_dir)
@@ -294,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="grid/random hyperparameter search with CV")
     p.add_argument("--in", dest="input", required=True)
+    p.add_argument("--selection", required=True, help="select-features report naming the text features to use")
     p.add_argument("--mode", choices=["grid", "random"], default="grid")
     p.add_argument("--budget", type=int, default=20)
     p.add_argument("--folds", type=int, default=5)
@@ -306,12 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="test-split metrics table per tuned model")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--leaderboard", required=True)
-    p.add_argument("--rfecv-report", default=None)
+    p.add_argument("--rfecv-report", required=True, help="RFECV report naming the feature subset")
     p.add_argument("--split", type=float, default=0.8)
     p.add_argument("--stratified", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", required=True)
     p.add_argument("--roc-dir", default=None)
-    p.add_argument("--save-best", default=None)
+    p.add_argument("--save-best", default=None, help="save the leaderboard's CV winner here")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("llm-compare", help="zero-shot LLM verdicts vs model predictions")

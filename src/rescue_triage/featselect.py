@@ -19,7 +19,7 @@ import numpy as np
 
 from .learners import ModelSpec, train
 from .records import Dataset, FeatureVector, RelevanceScore, TEXT_FEATURE_NAMES
-from .tuning import CvSpec, DegenerateFolds, make_folds, scalar_metric
+from .tuning import CvSpec, fold_pairs, scalar_metric
 
 log = logging.getLogger(__name__)
 
@@ -142,12 +142,7 @@ def rfecv(
     """
     if len(data.feature_names) < 2:
         raise ValueError("rfecv needs at least 2 features")
-    folds = make_folds(data.y, cv)
-    for i, val_idx in enumerate(folds):
-        mask = np.ones(len(data), dtype=bool)
-        mask[val_idx] = False
-        if len(np.unique(data.y[mask])) < 2:
-            raise DegenerateFolds(f"fold {i}: training side has a single class")
+    folds = fold_pairs(data.y, cv)
 
     features = list(data.feature_names)
     steps: list[RfecvStep] = []
@@ -156,10 +151,7 @@ def rfecv(
         sub = data.select(features)
         fold_scores = []
         drops = np.zeros(len(features))
-        for fi, val_idx in enumerate(folds):
-            mask = np.ones(len(sub), dtype=bool)
-            mask[val_idx] = False
-            train_idx = np.flatnonzero(mask)
+        for fi, (train_idx, val_idx) in enumerate(folds):
             model = train(model_spec, sub.X[train_idx], sub.y[train_idx])
             Xv = sub.X[val_idx]
             yv = sub.y[val_idx]

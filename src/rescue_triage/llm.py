@@ -19,6 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import requests
 
+from .metrics import LengthMismatch
 from .records import FeatureVector
 
 DEFAULT_INSTRUCTION = (
@@ -230,10 +231,6 @@ def query_many(prompts: Sequence[str], cfg: EndpointConfig, max_in_flight: int =
 def transcript_verdicts(transcript: Sequence[str]) -> list[LlmVerdict]:
     """Turn canned response texts into verdicts (offline stub path)."""
     return [LlmVerdict(raw_response=t, verdict=parse_verdict(t)) for t in transcript]
-
-
-class LengthMismatch(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

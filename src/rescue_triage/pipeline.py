@@ -1,11 +1,13 @@
 """End-to-end pipeline: corpus -> features -> selection -> tuning -> report.
 
 Stages run in the fixed order synth/ingest, wordcount, extract-features,
-select-features, tune, rfecv, evaluate, llm-compare. Every stage writes its
-artifacts as plain files under the output directory so any stage can be
-rerun in isolation; a run manifest records seeds, versions and artifact
-hashes. A failing stage halts the run with its name while earlier artifacts
-stay on disk.
+select-features, tune, rfecv, evaluate, llm-compare. Each stage is one
+function (``stage_<name>``) that reads its input artifacts and writes its
+own as plain files, so any stage can be rerun in isolation; the CLI
+subcommands call the same functions. run_pipeline chains them under the
+output directory and keeps a run manifest of seeds, versions, per-stage
+timings and artifact hashes. A failing stage halts the run with its name
+while earlier artifacts stay on disk.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .featselect import filter_select, rfecv
 from .ingest import IngestConfig, ingest_tables, load_csv
-from .learners import DEFAULT_SEARCH_SPACES, ModelKind, save_model, train
+from .learners import DEFAULT_SEARCH_SPACES, ModelKind, ModelSpec, load_model, save_model, train
 from .llm import (
     EndpointConfig,
     TEMPLATE_DEFAULT,
@@ -32,10 +36,13 @@ from .llm import (
     transcript_verdicts,
 )
 from .records import (
+    FEATURE_ORDER,
     Dataset,
     FeatureVector,
     Label,
     check_unique_case_ids,
+    read_jsonl,
+    record_from_dict,
     record_to_dict,
     to_feature_vector,
     write_jsonl,
@@ -162,6 +169,31 @@ def feature_rows_to_dataset(rows: list[dict]) -> Dataset:
     return Dataset.from_vectors(vectors, labels, [r["case_id"] for r in rows])
 
 
+def _read_json(path: str | Path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _write_json(path: str | Path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+
+
+def _labeled_rows(features_path: str | Path) -> list[dict]:
+    return [r for r in read_jsonl(features_path) if r["label"] != Label.UNKNOWN.value]
+
+
+def _train_split(cfg: PipelineConfig, features_path, selection_path) -> Dataset:
+    """Train split over the vitals plus the text features the filter selected."""
+    names = list(VITAL_FEATURE_NAMES) + _read_json(selection_path)["selected"]
+    data = feature_rows_to_dataset(_labeled_rows(features_path)).select(names)
+    train_set, _ = split_train_test(data, cfg.split_ratio, cfg.seed, cfg.stratified)
+    return train_set
+
+
+def read_winner(leaderboard_path: str | Path) -> ModelSpec:
+    """The CV winner's spec from a leaderboard written by stage_tune."""
+    return ModelSpec.from_dict(_read_json(leaderboard_path)["winner"]["spec"])
+
+
 def _stub_response(fv: FeatureVector) -> str:
     """Canned deterministic responder used when no model endpoint exists.
 
@@ -171,12 +203,203 @@ def _stub_response(fv: FeatureVector) -> str:
     return "true" if any(f == 1.0 for f in flags) else "false"
 
 
+# Stage functions. Each takes the config plus artifact paths, writes its
+# artifacts and returns (artifacts written, manifest extras). run_pipeline
+# and the CLI subcommands both call them.
+
+
+def stage_synth(cfg: PipelineConfig, corpus_path, truth_path=None, delimiter: str = ","):
+    """Generate the synthetic corpus, or ingest cfg.input_csvs when set."""
+    if cfg.input_csvs:
+        tables = [load_csv(p, delimiter=delimiter) for p in cfg.input_csvs]
+        records, row_errors = ingest_tables(tables, cfg.ingest or IngestConfig())
+        for idx, err in row_errors:
+            log.warning("ingest: dropped row %d: %s", idx, err)
+    else:
+        records = generate(cfg.generator or default_config(seed=cfg.seed))
+    check_unique_case_ids(records)
+    write_jsonl(corpus_path, records, record_to_dict)
+    artifacts = [Path(corpus_path)]
+    if truth_path is not None:
+        with open(truth_path, "w", encoding="utf-8") as fh:
+            fh.write("case_id,label\n")
+            for r in records:
+                fh.write(f"{r.case_id},{r.label.value}\n")
+        artifacts.append(Path(truth_path))
+    return artifacts, {"records": len(records), "mode": "csv" if cfg.input_csvs else "synthetic"}
+
+
+def stage_wordcount(cfg: PipelineConfig, corpus_path, counts_path):
+    _, lexicons = _load_lexicons(cfg)
+    corpus_tokens = [note_tokens(r.notes) for r in read_jsonl(corpus_path, record_from_dict)]
+    counts = word_count(corpus_tokens, lexicons, min_count=cfg.min_count)
+    with open(counts_path, "w", encoding="utf-8") as fh:
+        fh.write("word,count\n")
+        for w, c in counts.items():
+            fh.write(f"{w},{c}\n")
+    return [Path(counts_path)], {"words": len(counts)}
+
+
+def stage_extract_features(cfg: PipelineConfig, corpus_path, features_path):
+    """Keyword features plus vitals per case; cases with incomplete vitals are skipped."""
+    categories, lexicons = _load_lexicons(cfg)
+    rows = []
+    skipped = 0
+    for r in read_jsonl(corpus_path, record_from_dict):
+        if r.vitals is None or not r.vitals.complete:
+            skipped += 1
+            continue
+        fv = to_feature_vector(r.vitals, extract_features(r, categories, lexicons))
+        rows.append({"case_id": r.case_id, "label": r.label.value, "features": fv.to_dict()})
+    write_jsonl(features_path, rows)
+    return [Path(features_path)], {"rows": len(rows), "skipped": skipped}
+
+
+def stage_select_features(cfg: PipelineConfig, features_path, selection_path):
+    rows = _labeled_rows(features_path)
+    psy = [FeatureVector.from_dict(r["features"]) for r in rows if r["label"] == Label.PSYCHIATRIC.value]
+    non = [FeatureVector.from_dict(r["features"]) for r in rows if r["label"] == Label.NON_PSYCHIATRIC.value]
+    report = filter_select(psy, non, threshold=cfg.filter_threshold)
+    _write_json(selection_path, report.to_dict())
+    return [Path(selection_path)], {"selected": list(report.selected)}
+
+
+def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_path):
+    """Hyperparameter search per model kind on the train split's selected features."""
+    train_set = _train_split(cfg, features_path, selection_path)
+    cv = CvSpec(folds=cfg.cv_folds, stratified=cfg.stratified, seed=cfg.seed)
+    per_kind = {}
+    for kind in ModelKind:
+        spec = SearchSpec(cfg.search_mode, DEFAULT_SEARCH_SPACES[kind], cfg.search_budget, cfg.seed)
+        per_kind[kind] = search(kind, spec, cv, train_set, model_seed=cfg.seed)
+    winner_kind = max(per_kind, key=lambda k: per_kind[k].leaderboard[0].mean_score)
+    winner = per_kind[winner_kind].best
+    payload = {
+        "winner": {"spec": winner.to_dict(), "cv_accuracy": per_kind[winner_kind].leaderboard[0].mean_score},
+        "per_kind": {
+            k.value: [
+                {
+                    "hyperparameters": e.spec.hyperparameters,
+                    "mean_accuracy": e.mean_score,
+                    "fold_accuracies": list(e.fold_scores),
+                }
+                for e in per_kind[k].leaderboard
+            ]
+            for k in per_kind
+        },
+    }
+    _write_json(leaderboard_path, payload)
+    return [Path(leaderboard_path)], {"winner": winner.to_dict()}
+
+
+def stage_rfecv(cfg: PipelineConfig, features_path, selection_path, leaderboard_path, rfecv_path):
+    """RFECV on the tuned winner over the same train split as stage_tune."""
+    train_set = _train_split(cfg, features_path, selection_path)
+    cv = CvSpec(folds=cfg.rfecv_folds, stratified=cfg.stratified, seed=cfg.seed)
+    rfe = rfecv(train_set, read_winner(leaderboard_path), cv)
+    _write_json(rfecv_path, rfe.to_dict())
+    return [Path(rfecv_path)], {"best_features": list(rfe.best_features)}
+
+
+def stage_evaluate(
+    cfg: PipelineConfig, features_path, leaderboard_path, rfecv_path, table_path, roc_dir=None, best_model_path=None
+):
+    """Every kind's tuned spec on the held-out test split of the RFECV subset.
+
+    Writes the metrics table, optionally one ROC curve per model and the CV
+    winner refitted on the train split. The seed is the leaderboard's; a
+    config seed that differs from it is an error.
+    """
+    board = _read_json(leaderboard_path)
+    winner = ModelSpec.from_dict(board["winner"]["spec"])
+    if cfg.seed != winner.seed:
+        raise ValueError(f"seed {cfg.seed} differs from the leaderboard's seed {winner.seed}")
+    final = feature_rows_to_dataset(_labeled_rows(features_path)).select(_read_json(rfecv_path)["best_features"])
+    specs = [
+        ModelSpec(ModelKind(k), entries[0]["hyperparameters"], seed=winner.seed)
+        for k, entries in board["per_kind"].items()
+    ]
+    eval_rows = evaluate_all(specs, final, cfg.split_ratio, cfg.seed, cfg.stratified)
+    write_metrics_csv(eval_rows, table_path)
+    artifacts = [Path(table_path)]
+    roc_paths = []
+    if roc_dir is not None:
+        Path(roc_dir).mkdir(parents=True, exist_ok=True)
+        for row in eval_rows:
+            if row.report is not None:
+                p = Path(roc_dir) / f"roc_{row.name.replace('-', '').lower()}.csv"
+                write_roc_csv(row.report.roc_points, p)
+                roc_paths.append(p)
+    if best_model_path is not None:
+        final_train, _ = split_train_test(final, cfg.split_ratio, cfg.seed, cfg.stratified)
+        save_model(train(winner, final_train.X, final_train.y, feature_names=final.feature_names), best_model_path)
+        artifacts.append(Path(best_model_path))
+    return artifacts + roc_paths, {}
+
+
+def stage_llm_compare(cfg: PipelineConfig, features_path, model_path, agreement_path):
+    """Zero-shot comparison on a class-balanced sample of the test split."""
+    rows = _labeled_rows(features_path)
+    _, test_set = split_train_test(feature_rows_to_dataset(rows), cfg.split_ratio, cfg.seed, cfg.stratified)
+    picked = _pick_llm_cases(test_set, cfg.llm_cases)
+    by_id = {r["case_id"]: r for r in rows}
+    cases = [by_id[test_set.case_ids[i]] for i in picked]
+    refs = [int(test_set.y[i]) for i in picked]
+    return compare_cases(cfg, cases, load_model(model_path), agreement_path, reference_labels=refs)
+
+
+def compare_cases(cfg: PipelineConfig, rows, model, agreement_path, reference_labels=None, max_in_flight: int = 1):
+    """Prompt the LLM (per cfg.llm_mode) and the model on feature rows; write
+    the per-case agreement payload with the prompts."""
+    vectors = [FeatureVector.from_dict(r["features"]) for r in rows]
+    prompts = [build_prompt(prompt_values_from_vector(v), TEMPLATE_DEFAULT) for v in vectors]
+    names = model.feature_names or FEATURE_ORDER
+    ml_preds = [int(model.predict(np.array([r["features"][n] for n in names]))) for r in rows]
+    if cfg.llm_mode == "stub":
+        verdicts = transcript_verdicts([_stub_response(v) for v in vectors])
+    elif cfg.llm_mode == "transcript":
+        canned = _read_json(cfg.llm_transcript)
+        verdicts = transcript_verdicts([str(t) for t in canned][: len(prompts)])
+    else:
+        verdicts = query_many(prompts, cfg.llm_endpoint, max_in_flight=max_in_flight)
+    agreement = compare(ml_preds, verdicts, [r["case_id"] for r in rows], reference_labels=reference_labels)
+    payload = agreement.to_dict()
+    payload["prompts"] = prompts
+    _write_json(agreement_path, payload)
+    return [Path(agreement_path)], {"mismatches": agreement.mismatch_count}
+
+
+def _pick_llm_cases(test_set: Dataset, n_cases: int) -> list[int]:
+    """First half positives, then negatives, by test-set order."""
+    pos = [i for i in range(len(test_set)) if test_set.y[i] == 1]
+    neg = [i for i in range(len(test_set)) if test_set.y[i] == 0]
+    half = n_cases // 2
+    return pos[:half] + neg[: n_cases - half]
+
+
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute all stages; returns the manifest dict (also written to disk)."""
     validate_config(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "roc").mkdir(exist_ok=True)
+    corpus, features, selection, leaderboard, rfecv_report, best_model = (
+        out / f for f in (
+            "corpus.jsonl", "features.jsonl", "selection_report.json",
+            "leaderboard.json", "rfecv_report.json", "best_model.json",
+        )
+    )
+    steps = {
+        "synth": lambda: stage_synth(cfg, corpus, out / "truth.csv"),
+        "wordcount": lambda: stage_wordcount(cfg, corpus, out / "word_counts.csv"),
+        "extract_features": lambda: stage_extract_features(cfg, corpus, features),
+        "select_features": lambda: stage_select_features(cfg, features, selection),
+        "tune": lambda: stage_tune(cfg, features, selection, leaderboard),
+        "rfecv": lambda: stage_rfecv(cfg, features, selection, leaderboard, rfecv_report),
+        "evaluate": lambda: stage_evaluate(
+            cfg, features, leaderboard, rfecv_report, out / "metrics_table.csv", out / "roc", best_model
+        ),
+        "llm_compare": lambda: stage_llm_compare(cfg, features, best_model, out / "llm_agreement.json"),
+    }
 
     # config, seeds and input hashes make the run reproducible from the manifest
     manifest: dict = {
@@ -187,7 +410,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "stages": [],
         "artifacts": {},
     }
-    manifest_path = out / "manifest.json"
 
     def finish_stage(name: str, status: str, artifacts: list[Path], t0: float, **extra):
         entry = {
@@ -200,189 +422,17 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         manifest["stages"].append(entry)
         for p in artifacts:
             manifest["artifacts"][str(p.relative_to(out))] = _sha256(p)
-        manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+        _write_json(out / "manifest.json", manifest)
 
-    def fail(name: str, exc: Exception, t0: float) -> PipelineError:
-        finish_stage(name, "failed", [], t0, error=str(exc))
-        return PipelineError(name, str(exc))
-
-    categories, lexicons = _load_lexicons(cfg)
-
-    # stage 1: synth (or ingest of raw CSVs)
-    t0 = time.perf_counter()
-    corpus_path = out / "corpus.jsonl"
-    truth_path = out / "truth.csv"
-    try:
-        if cfg.input_csvs:
-            tables = [load_csv(p) for p in cfg.input_csvs]
-            records, row_errors = ingest_tables(tables, cfg.ingest or IngestConfig())
-            for idx, err in row_errors:
-                log.warning("ingest: dropped row %d: %s", idx, err)
-        else:
-            gen_cfg = cfg.generator or default_config(seed=cfg.seed)
-            records = generate(gen_cfg)
-        check_unique_case_ids(records)
-        write_jsonl(corpus_path, records, record_to_dict)
-        with open(truth_path, "w", encoding="utf-8") as fh:
-            fh.write("case_id,label\n")
-            for r in records:
-                fh.write(f"{r.case_id},{r.label.value}\n")
-    except Exception as exc:
-        raise fail("synth", exc, t0)
-    finish_stage(
-        "synth", "ok", [corpus_path, truth_path], t0,
-        records=len(records), mode="csv" if cfg.input_csvs else "synthetic",
-    )
-
-    # stage 2: wordcount
-    t0 = time.perf_counter()
-    wc_path = out / "word_counts.csv"
-    try:
-        corpus_tokens = [note_tokens(r.notes) for r in records]
-        counts = word_count(corpus_tokens, lexicons, min_count=cfg.min_count)
-        with open(wc_path, "w", encoding="utf-8") as fh:
-            fh.write("word,count\n")
-            for w, c in counts.items():
-                fh.write(f"{w},{c}\n")
-    except Exception as exc:
-        raise fail("wordcount", exc, t0)
-    finish_stage("wordcount", "ok", [wc_path], t0, words=len(counts))
-
-    # stage 3: extract features
-    t0 = time.perf_counter()
-    features_path = out / "features.jsonl"
-    try:
-        rows = []
-        skipped = 0
-        for r in records:
-            if r.vitals is None or not r.vitals.complete:
-                skipped += 1
-                continue
-            tf = extract_features(r, categories, lexicons)
-            fv = to_feature_vector(r.vitals, tf)
-            rows.append({"case_id": r.case_id, "label": r.label.value, "features": fv.to_dict()})
-        write_jsonl(features_path, rows)
-    except Exception as exc:
-        raise fail("extract_features", exc, t0)
-    finish_stage("extract_features", "ok", [features_path], t0, rows=len(rows), skipped=skipped)
-
-    # stage 4: filter selection
-    t0 = time.perf_counter()
-    selection_path = out / "selection_report.json"
-    try:
-        labeled = [r for r in rows if r["label"] != Label.UNKNOWN.value]
-        psy = [FeatureVector.from_dict(r["features"]) for r in labeled if r["label"] == Label.PSYCHIATRIC.value]
-        non = [FeatureVector.from_dict(r["features"]) for r in labeled if r["label"] == Label.NON_PSYCHIATRIC.value]
-        report = filter_select(psy, non, threshold=cfg.filter_threshold)
-        selection_path.write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
-        model_features = list(VITAL_FEATURE_NAMES) + list(report.selected)
-    except Exception as exc:
-        raise fail("select_features", exc, t0)
-    finish_stage("select_features", "ok", [selection_path], t0, selected=list(report.selected))
-
-    # shared split for tune, rfecv and evaluate
-    data = feature_rows_to_dataset(labeled).select(model_features)
-    train_set, test_set = split_train_test(data, cfg.split_ratio, cfg.seed, cfg.stratified)
-    cv = CvSpec(folds=cfg.cv_folds, stratified=cfg.stratified, seed=cfg.seed)
-
-    # stage 5: hyperparameter search per model kind
-    t0 = time.perf_counter()
-    leaderboard_path = out / "leaderboard.json"
-    try:
-        per_kind = {}
-        for kind in ModelKind:
-            spec = SearchSpec(cfg.search_mode, DEFAULT_SEARCH_SPACES[kind], cfg.search_budget, cfg.seed)
-            per_kind[kind] = search(kind, spec, cv, train_set, model_seed=cfg.seed)
-        winner_kind = max(per_kind, key=lambda k: per_kind[k].leaderboard[0].mean_score)
-        winner = per_kind[winner_kind].best
-        payload = {
-            "winner": {"spec": winner.to_dict(), "cv_accuracy": per_kind[winner_kind].leaderboard[0].mean_score},
-            "per_kind": {
-                k.value: [
-                    {
-                        "hyperparameters": e.spec.hyperparameters,
-                        "mean_accuracy": e.mean_score,
-                        "fold_accuracies": list(e.fold_scores),
-                    }
-                    for e in per_kind[k].leaderboard
-                ]
-                for k in per_kind
-            },
-        }
-        leaderboard_path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    except Exception as exc:
-        raise fail("tune", exc, t0)
-    finish_stage("tune", "ok", [leaderboard_path], t0, winner=winner.to_dict())
-
-    # stage 6: RFECV on the tuned winner
-    t0 = time.perf_counter()
-    rfecv_path = out / "rfecv_report.json"
-    try:
-        rfe = rfecv(train_set, winner, CvSpec(folds=cfg.rfecv_folds, stratified=cfg.stratified, seed=cfg.seed))
-        rfecv_path.write_text(json.dumps(rfe.to_dict(), indent=2), encoding="utf-8")
-    except Exception as exc:
-        raise fail("rfecv", exc, t0)
-    finish_stage("rfecv", "ok", [rfecv_path], t0, best_features=list(rfe.best_features))
-
-    # stage 7: evaluate every kind's tuned spec on the held-out test split
-    t0 = time.perf_counter()
-    table_path = out / "metrics_table.csv"
-    best_model_path = out / "best_model.json"
-    try:
-        final = data.select(rfe.best_features)
-        specs = [per_kind[k].best for k in ModelKind]
-        eval_rows = evaluate_all(specs, final, cfg.split_ratio, cfg.seed, cfg.stratified)
-        write_metrics_csv(eval_rows, table_path)
-        roc_paths = []
-        for row in eval_rows:
-            if row.report is not None:
-                p = out / "roc" / f"roc_{row.name.replace('-', '').lower()}.csv"
-                write_roc_csv(row.report.roc_points, p)
-                roc_paths.append(p)
-        final_train, _ = split_train_test(final, cfg.split_ratio, cfg.seed, cfg.stratified)
-        best_model = train(winner, final_train.X, final_train.y, feature_names=final.feature_names)
-        save_model(best_model, best_model_path)
-    except Exception as exc:
-        raise fail("evaluate", exc, t0)
-    finish_stage("evaluate", "ok", [table_path, best_model_path, *roc_paths], t0)
-
-    # stage 8: zero-shot comparison on a small case sample
-    t0 = time.perf_counter()
-    llm_path = out / "llm_agreement.json"
-    if cfg.llm_mode == "off":
-        finish_stage("llm_compare", "skipped", [], t0)
-    else:
+    for name in STAGES:
+        t0 = time.perf_counter()
+        if name == "llm_compare" and cfg.llm_mode == "off":
+            finish_stage(name, "skipped", [], t0)
+            continue
         try:
-            test_cases = _pick_llm_cases(test_set, cfg.llm_cases)
-            # rebuild full vectors for the sampled ids so prompts show all keys
-            by_id = {r["case_id"]: FeatureVector.from_dict(r["features"]) for r in labeled}
-            row_of = {cid: i for i, cid in enumerate(final.case_ids)}
-            ids = [test_set.case_ids[i] for i in test_cases]
-            vectors = [by_id[i] for i in ids]
-            prompts = [build_prompt(prompt_values_from_vector(v), TEMPLATE_DEFAULT) for v in vectors]
-            ml_preds = [int(best_model.predict(final.X[row_of[i]])) for i in ids]
-            if cfg.llm_mode == "stub":
-                verdicts = transcript_verdicts([_stub_response(v) for v in vectors])
-            elif cfg.llm_mode == "transcript":
-                canned = json.loads(Path(cfg.llm_transcript).read_text(encoding="utf-8"))
-                verdicts = transcript_verdicts([str(t) for t in canned][: len(prompts)])
-            else:
-                verdicts = query_many(prompts, cfg.llm_endpoint, max_in_flight=1)
-            refs = [int(test_set.y[i]) for i in test_cases]
-            agreement = compare(ml_preds, verdicts, ids, reference_labels=refs)
-            payload = agreement.to_dict()
-            payload["prompts"] = prompts
-            llm_path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+            artifacts, extra = steps[name]()
         except Exception as exc:
-            raise fail("llm_compare", exc, t0)
-        finish_stage("llm_compare", "ok", [llm_path], t0, mismatches=agreement.mismatch_count)
-
+            finish_stage(name, "failed", [], t0, error=str(exc))
+            raise PipelineError(name, str(exc)) from exc
+        finish_stage(name, "ok", artifacts, t0, **extra)
     return manifest
-
-
-def _pick_llm_cases(test_set: Dataset, n_cases: int) -> list[int]:
-    """First half positives, then negatives, by test-set order."""
-    pos = [i for i in range(len(test_set)) if test_set.y[i] == 1]
-    neg = [i for i in range(len(test_set)) if test_set.y[i] == 0]
-    half = n_cases // 2
-    return pos[:half] + neg[: n_cases - half]

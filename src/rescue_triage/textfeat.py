@@ -69,7 +69,6 @@ class Lexicons:
     stop_words: frozenset[str] = frozenset()
     negation_words: frozenset[str] = frozenset()
     negation_window: int = 3
-    stem_suffixes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.negation_window < 1:
@@ -121,13 +120,6 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _stem(token: str, suffixes: tuple[str, ...]) -> str:
-    for suf in suffixes:
-        if token.endswith(suf) and len(token) > len(suf) + 2:
-            return token[: -len(suf)]
-    return token
-
-
 def word_count(corpus: Iterable[Sequence[str]], lex: Lexicons, min_count: int = 50) -> dict[str, int]:
     """Count non-stop-word tokens across the corpus.
 
@@ -170,9 +162,6 @@ def match_category(tokens: Sequence[str], cat: KeywordCategory, lex: Lexicons) -
     the scan: a later unnegated occurrence still matches.
     """
     pairs = [(kw, tuple(kw.split())) for kw in cat.keywords]
-    if lex.stem_suffixes:
-        tokens = [_stem(t, lex.stem_suffixes) if t != BOUNDARY else t for t in tokens]
-        pairs = [(kw, tuple(_stem(t, lex.stem_suffixes) for t in seq)) for kw, seq in pairs]
     pairs.sort(key=lambda p: len(p[1]), reverse=True)
     n = len(tokens)
     for i in range(n):

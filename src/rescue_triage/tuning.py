@@ -125,6 +125,22 @@ def make_folds(y: np.ndarray, cv: CvSpec) -> list[np.ndarray]:
     return folds
 
 
+def fold_pairs(y: np.ndarray, cv: CvSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train_idx, val_idx) per fold of make_folds.
+
+    Raises DegenerateFolds when a fold's training side lacks both classes.
+    """
+    pairs = []
+    for i, val_idx in enumerate(make_folds(y, cv)):
+        train_mask = np.ones(len(y), dtype=bool)
+        train_mask[val_idx] = False
+        train_idx = np.flatnonzero(train_mask)
+        if len(np.unique(y[train_idx])) < 2:
+            raise DegenerateFolds(f"fold {i}: training side has a single class")
+        pairs.append((train_idx, val_idx))
+    return pairs
+
+
 def scalar_metric(name: str, y_true, y_pred, scores=None) -> float:
     if name == "auc":
         if scores is None:
@@ -151,16 +167,9 @@ def cross_validate(
 
     Raises DegenerateFolds when a fold's training side lacks both classes.
     """
-    folds = make_folds(data.y, cv)
     scores = []
-    for i, val_idx in enumerate(folds):
-        train_mask = np.ones(len(data), dtype=bool)
-        train_mask[val_idx] = False
-        train_idx = np.flatnonzero(train_mask)
-        y_train = data.y[train_idx]
-        if len(np.unique(y_train)) < 2:
-            raise DegenerateFolds(f"fold {i}: training side has a single class")
-        model = train(spec, data.X[train_idx], y_train)
+    for train_idx, val_idx in fold_pairs(data.y, cv):
+        model = train(spec, data.X[train_idx], data.y[train_idx])
         s = model.score(data.X[val_idx])
         y_pred = (np.asarray(s) >= model.decision_threshold).astype(int)
         scores.append(scalar_metric(metric, data.y[val_idx], y_pred, scores=s))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -120,6 +121,7 @@ class TestStageCommands:
 
     def test_tune_evaluate_and_llm_compare(self, work):
         assert main(["--seed", "11", "tune", "--in", str(work / "features.jsonl"),
+                     "--selection", str(work / "sel.json"),
                      "--mode", "grid", "--folds", "2",
                      "--out", str(work / "leaderboard.json"),
                      "--rfecv-report", str(work / "rfecv.json")]) == 0
@@ -176,3 +178,62 @@ class TestStageCommands:
         assert k1["vitals"]["systolic_bp"] == 130.0  # first-seen reading wins
         k3 = next(r for r in rows if r["case_id"] == "k3")
         assert k3["vitals"]["respiratory_rate"] > 0  # negative scrubbed then imputed
+
+
+@pytest.fixture(scope="module")
+def chained(tmp_path_factory):
+    """run-all and the chained stage subcommands on one config whose relevance
+    filter rejects text features; returns (run-all dir, manifest, chain dir)."""
+    base = tmp_path_factory.mktemp("chained")
+    run_dir, chain = base / "run", base / "chain"
+    cfg_dict = {**small_pipeline_dict(run_dir), "filter_threshold": 5.0}
+    (base / "pipeline.json").write_text(json.dumps(cfg_dict))
+    assert main(["--config", str(base / "pipeline.json"), "run-all"]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+
+    chain.mkdir()
+    (base / "gen.json").write_text(json.dumps(cfg_dict["generator"]))
+    c = {name: str(chain / name) for name in (
+        "corpus.jsonl", "truth.csv", "word_counts.csv", "features.jsonl", "selection_report.json",
+        "leaderboard.json", "rfecv_report.json", "metrics_table.csv", "roc", "best_model.json",
+    )}
+    steps = [
+        ["--config", str(base / "gen.json"), "synth", "--out", c["corpus.jsonl"], "--truth", c["truth.csv"]],
+        ["wordcount", "--in", c["corpus.jsonl"], "--out", c["word_counts.csv"]],
+        ["extract-features", "--in", c["corpus.jsonl"], "--out", c["features.jsonl"]],
+        ["select-features", "--in", c["features.jsonl"], "--threshold", "5.0",
+         "--report", c["selection_report.json"]],
+        ["--seed", "7", "tune", "--in", c["features.jsonl"], "--selection", c["selection_report.json"],
+         "--folds", "2", "--out", c["leaderboard.json"], "--rfecv-report", c["rfecv_report.json"]],
+        ["evaluate", "--in", c["features.jsonl"], "--leaderboard", c["leaderboard.json"],
+         "--rfecv-report", c["rfecv_report.json"], "--out", c["metrics_table.csv"],
+         "--roc-dir", c["roc"], "--save-best", c["best_model.json"]],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    return run_dir, manifest, chain
+
+
+class TestChainedSubcommands:
+    def test_filter_rejects_a_text_feature(self, chained):
+        run_dir, _, _ = chained
+        rejected = json.loads((run_dir / "selection_report.json").read_text())["rejected"]
+        assert rejected
+        first_step = json.loads((run_dir / "rfecv_report.json").read_text())["steps"][0]["features"]
+        assert not set(rejected) & set(first_step)
+
+    def test_chain_matches_run_all_artifacts(self, chained):
+        run_dir, manifest, chain = chained
+        compared = {rel: digest for rel, digest in manifest["artifacts"].items() if rel != "llm_agreement.json"}
+        assert {"best_model.json", "leaderboard.json", "rfecv_report.json"} <= set(compared)
+        for rel, digest in compared.items():
+            assert hashlib.sha256((chain / rel).read_bytes()).hexdigest() == digest, rel
+
+    def test_evaluate_rejects_a_seed_other_than_the_leaderboards(self, chained, tmp_path, caplog):
+        _, _, chain = chained
+        argv = ["--seed", "8", "evaluate", "--in", str(chain / "features.jsonl"),
+                "--leaderboard", str(chain / "leaderboard.json"),
+                "--rfecv-report", str(chain / "rfecv_report.json"), "--out", str(tmp_path / "table.csv")]
+        assert main(argv) != 0
+        assert "seed 8" in caplog.text and "seed 7" in caplog.text
+        assert not (tmp_path / "table.csv").exists()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rescue_triage import metrics
 from rescue_triage.llm import (
     EndpointConfig,
     LengthMismatch,
@@ -142,6 +143,9 @@ class TestCompare:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             compare([True], [])
+
+    def test_length_mismatch_is_the_metrics_class(self):
+        assert LengthMismatch is metrics.LengthMismatch
 
     def test_reference_labels_carried_through(self):
         report = compare([True, False], [Verdict.TRUE, Verdict.TRUE],

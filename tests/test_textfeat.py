@@ -174,11 +174,6 @@ class TestLexicons:
         with pytest.raises(LexiconError):
             parse_lexicon_text("[bogus]\nx\n")
 
-    def test_optional_suffix_stripping(self):
-        lex = Lexicons(negation_words=frozenset({"not"}), stem_suffixes=("s",))
-        cat = KeywordCategory("intoxication", ("pills",))
-        assert match_category(tokenize("many pill today"), cat, lex) is not None
-
 
 class TestNoteTokens:
     def test_boundary_inserted_between_notes(self):

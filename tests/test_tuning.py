@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rescue_triage.featselect import rfecv
 from rescue_triage.learners import ModelKind, ModelSpec, train
 from rescue_triage.records import Dataset
 from rescue_triage.tuning import (
@@ -11,6 +12,7 @@ from rescue_triage.tuning import (
     SearchSpec,
     cross_validate,
     evaluate_all,
+    fold_pairs,
     make_folds,
     search,
     split_train_test,
@@ -80,6 +82,14 @@ class TestFolds:
         for f in folds:
             assert 0 < int(y[f].sum()) < len(f)
 
+    def test_fold_pairs_complement_make_folds(self):
+        data = dataset(n=53)
+        cv = CvSpec(folds=5, seed=2)
+        pairs = fold_pairs(data.y, cv)
+        for (train_idx, val_idx), fold in zip(pairs, make_folds(data.y, cv)):
+            assert np.array_equal(val_idx, fold)
+            assert np.array_equal(np.sort(np.concatenate([train_idx, val_idx])), np.arange(53))
+
 
 class TestCrossValidate:
     def test_learnable_fixture_scores_one(self):
@@ -106,8 +116,11 @@ class TestCrossValidate:
         # the fold holding the lone positive leaves a single-class train side
         y = np.array([1, 0, 0, 0])
         data = Dataset(np.arange(8.0).reshape(4, 2), y, ("a", "b"))
-        with pytest.raises(DegenerateFolds):
-            cross_validate(ModelSpec(ModelKind.NB), data, CvSpec(folds=2, stratified=False, seed=3))
+        cv = CvSpec(folds=2, stratified=False, seed=3)
+        with pytest.raises(DegenerateFolds, match="single class"):
+            cross_validate(ModelSpec(ModelKind.NB), data, cv)
+        with pytest.raises(DegenerateFolds, match="single class"):
+            rfecv(data, ModelSpec(ModelKind.NB), cv)
 
 
 class TestSearch:
