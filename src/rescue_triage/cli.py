@@ -46,6 +46,10 @@ from .synthgen import GeneratorConfig
 
 log = logging.getLogger("rescue_triage")
 
+# --config is a generator file for synth, an ingest file for ingest and a
+# pipeline file for run-all; the stage subcommands take options only
+_READS_CONFIG = ("synth", "ingest", "run-all")
+
 
 def _json_file(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -133,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rescue-triage", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="global seed override")
     parser.add_argument("--out-dir", default=None, help="artifact directory (run-all)")
-    parser.add_argument("--config", default=None, help="config file for the chosen command")
+    parser.add_argument("--config", default=None, help="config file for synth, ingest or run-all")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -214,6 +218,9 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    if args.config and args.command not in _READS_CONFIG:
+        log.error("%s does not read --config; give its settings as options", args.command)
+        return 2
     try:
         return args.func(args)
     except PipelineError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .learners import ModelSpec, train
 from .records import Dataset, FeatureVector, RelevanceScore, TEXT_FEATURE_NAMES
-from .tuning import CvSpec, fold_pairs, scalar_metric
+from .tuning import CvSpec, fold_accuracy, fold_pairs
 
 log = logging.getLogger(__name__)
 
@@ -126,18 +126,13 @@ class RfecvResult:
         }
 
 
-def rfecv(
-    data: Dataset,
-    model_spec: ModelSpec,
-    cv: CvSpec,
-    metric: str = "accuracy",
-) -> RfecvResult:
+def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec) -> RfecvResult:
     """Recursive feature elimination driven by permutation importance.
 
     At each subset size the model is trained per fold; a feature's
-    importance is the mean drop in the fold metric when its validation
+    importance is the mean drop in fold accuracy when its validation
     column is permuted. The least important feature is removed until one
-    remains. Returns the subset with the best mean CV metric (ties go to
+    remains. Returns the subset with the best mean CV accuracy (ties go to
     the smaller subset). Fold layout stays fixed across subset sizes.
     """
     if len(data.feature_names) < 2:
@@ -155,8 +150,7 @@ def rfecv(
             model = train(model_spec, sub.X[train_idx], sub.y[train_idx])
             Xv = sub.X[val_idx]
             yv = sub.y[val_idx]
-            s = np.asarray(model.score(Xv))
-            base = scalar_metric(metric, yv, (s >= model.decision_threshold).astype(int), scores=s)
+            base = fold_accuracy(model, Xv, yv)
             fold_scores.append(base)
             for j, name in enumerate(features):
                 rng = np.random.default_rng(
@@ -164,11 +158,7 @@ def rfecv(
                 )
                 Xp = Xv.copy()
                 Xp[:, j] = Xv[rng.permutation(len(Xv)), j]
-                sp = np.asarray(model.score(Xp))
-                permuted = scalar_metric(
-                    metric, yv, (sp >= model.decision_threshold).astype(int), scores=sp
-                )
-                drops[j] += base - permuted
+                drops[j] += base - fold_accuracy(model, Xp, yv)
         steps.append(RfecvStep(tuple(features), float(np.mean(fold_scores)), tuple(fold_scores)))
         if len(features) == 1:
             break

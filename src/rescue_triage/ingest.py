@@ -18,11 +18,11 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .records import Label, RescueRecord, RecordValidationError, validate_record
+from .records import RescueRecord, RecordValidationError, validate_record
 
 log = logging.getLogger(__name__)
 
@@ -67,9 +67,6 @@ class Table:
 
     columns: list[str]
     rows: list[dict]
-
-    def column_values(self, name: str) -> list:
-        return [row.get(name) for row in self.rows]
 
     def copy(self) -> "Table":
         return Table(list(self.columns), [dict(r) for r in self.rows])
@@ -422,23 +419,6 @@ def table_to_records(table: Table, cfg: IngestConfig) -> tuple[list[RescueRecord
         except RecordValidationError as err:
             errors.append((i, err))
     return records, errors
-
-
-def label_and_split(records: Iterable[RescueRecord]) -> tuple[list[RescueRecord], list[RescueRecord], int]:
-    """Partition records by label; Unknown records are excluded and counted."""
-    psychiatric: list[RescueRecord] = []
-    non_psychiatric: list[RescueRecord] = []
-    excluded = 0
-    for rec in records:
-        if rec.label == Label.PSYCHIATRIC:
-            psychiatric.append(rec)
-        elif rec.label == Label.NON_PSYCHIATRIC:
-            non_psychiatric.append(rec)
-        else:
-            excluded += 1
-    if excluded:
-        log.info("excluded %d records without a usable label", excluded)
-    return psychiatric, non_psychiatric, excluded
 
 
 def ingest_tables(tables: Sequence[Table], cfg: IngestConfig) -> tuple[list[RescueRecord], list[tuple[int, RecordValidationError]]]:

@@ -1,9 +1,20 @@
-"""Histogram-based decision trees (classification and second-order regression).
+"""Histogram-based decision trees: one depth-first grower, two split criteria.
 
 Continuous features are quantized once per fit into at most ``n_bins``
 ordered bins; split search then reduces to bin-count cumsums, which keeps
 desk-scale forests fast without native code. Stored thresholds are in
 original feature units; a sample goes left when value < threshold.
+
+``_grow`` owns everything the two tree kinds share: the node stack and the
+DFS pre-order node ids, parent/child links, the depth cap, the per-feature
+scan for the best gain, the partition and the flat ``TreeArrays``. A
+criterion supplies the rest:
+
+* ``_Gini`` (random forest): class counts, the positive-class fraction as
+  leaf value, a ``min_samples_leaf`` floor, and Gini gain over a fresh
+  sample of ``max_features`` features at each node that may split;
+* ``_SecondOrder`` (boosting): gradient/hessian sums, the leaf weight
+  -G / (H + lambda), and the second-order gain over every feature.
 """
 
 from __future__ import annotations
@@ -83,180 +94,135 @@ def bin_columns(X: np.ndarray, n_bins: int) -> tuple[np.ndarray, list[np.ndarray
 _EPS_GAIN = 1e-12
 
 
-def grow_classification_tree(
-    codes: np.ndarray,
-    y: np.ndarray,
-    edges: list[np.ndarray],
-    max_depth: int,
-    min_samples_leaf: int,
-    max_features: int,
-    rng: np.random.Generator,
-) -> TreeArrays:
-    """Greedy Gini tree over binned features with per-node feature subsampling.
+class _Gini:
+    """Gini impurity split criterion with a leaf-size floor."""
 
-    A node becomes a leaf when it is pure, too small, at max depth, or when
-    none of the sampled features yields a positive-gain split. Leaf value is
-    the positive-class fraction.
+    def __init__(self, y, min_samples_leaf, max_features, rng):
+        self.y, self.min_samples_leaf, self.max_features, self.rng = y, min_samples_leaf, max_features, rng
+
+    def node(self, idx):
+        yi = self.y[idx]
+        k, pos = len(idx), int(yi.sum())
+        return k, yi, pos, 1.0 - (pos / k) ** 2 - ((k - pos) / k) ** 2
+
+    def value(self, node) -> float:
+        k, _, pos, _ = node
+        return pos / k
+
+    def split_features(self, node, d: int):
+        """Features to scan; none when the node is pure or too small."""
+        k, _, pos, _ = node
+        if k < 2 * self.min_samples_leaf or pos == 0 or pos == k:
+            return ()
+        return self.rng.choice(d, size=min(self.max_features, d), replace=False)
+
+    def gain(self, node, c: np.ndarray, nb: int):
+        """(best gain, its bin) over the cuts of one feature's codes ``c``."""
+        k, yi, pos, parent_gini = node
+        # negative and positive counts per bin in one pass
+        both = np.bincount(c + nb * yi, minlength=2 * nb)
+        nl = np.cumsum(both[:nb] + both[nb:])[:-1]
+        pl = np.cumsum(both[nb:])[:-1]
+        nr = k - nl
+        pr = pos - pl
+        gl = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+        gr = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+        cost = (nl * gl + nr * gr) / k
+        cost[(nl < self.min_samples_leaf) | (nr < self.min_samples_leaf)] = np.inf
+        ci = int(np.argmin(cost))
+        return parent_gini - cost[ci], ci
+
+
+class _SecondOrder:
+    """Second-order (Newton) regression criterion with an L2 leaf penalty."""
+
+    def __init__(self, grad, hess, reg_lambda):
+        self.grad, self.hess, self.reg_lambda = grad, hess, reg_lambda
+
+    def node(self, idx):
+        gi, hi = self.grad[idx], self.hess[idx]
+        G, H = float(gi.sum()), float(hi.sum())
+        return len(idx), gi, hi, G, H, G * G / (H + self.reg_lambda)
+
+    def value(self, node) -> float:
+        _, _, _, G, H, _ = node
+        return -G / (H + self.reg_lambda)
+
+    def split_features(self, node, d: int):
+        return range(d) if node[0] >= 2 else ()
+
+    def gain(self, node, c: np.ndarray, nb: int):
+        k, gi, hi, G, H, parent_term = node
+        lam = self.reg_lambda
+        gl = np.cumsum(np.bincount(c, weights=gi, minlength=nb))[:-1]
+        hl = np.cumsum(np.bincount(c, weights=hi, minlength=nb))[:-1]
+        nl = np.cumsum(np.bincount(c, minlength=nb))[:-1]
+        gr = G - gl
+        hr = H - hl
+        gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_term)
+        gain[(nl < 1) | (nl > k - 1)] = -np.inf
+        ci = int(np.argmax(gain))
+        return gain[ci], ci
+
+
+def _grow(codes: np.ndarray, edges: list[np.ndarray], max_depth: int, crit) -> TreeArrays:
+    """Greedy depth-first tree; node ids are in DFS pre-order, left first.
+
+    ``crit`` supplies ``node(idx)`` (the node's statistics), ``value(node)``,
+    ``split_features(node, d)`` and ``gain(node, codes, n_bins)`` -> (gain,
+    bin). A node becomes a leaf at max depth, when the criterion offers no
+    features to scan, or when no cut gains more than ``_EPS_GAIN``.
     """
     n, d = codes.shape
-    n_bins = np.array([len(e) + 1 for e in edges], dtype=np.int64)
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
+    n_bins = [len(e) + 1 for e in edges]
+    rows: list[list] = []  # per node: feature, threshold, left, right, value
     stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(n), 0, -1, False)]
-    while stack:
-        idx, depth, parent, is_right = stack.pop()
-        node_id = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        k = len(idx)
-        yi = y[idx]
-        pos = int(yi.sum())
-        value.append(pos / k)
-        if parent >= 0:
-            if is_right:
-                right[parent] = node_id
-            else:
-                left[parent] = node_id
-
-        if depth >= max_depth or k < 2 * min_samples_leaf or pos == 0 or pos == k:
-            continue
-
-        cand = rng.choice(d, size=min(max_features, d), replace=False)
-        parent_gini = 1.0 - (pos / k) ** 2 - ((k - pos) / k) ** 2
-        best_gain = _EPS_GAIN
-        best_f = -1
-        best_code = -1
-        for f in cand:
-            nb = int(n_bins[f])
-            if nb < 2:
+    # masked cuts may divide by zero; they are never chosen
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while stack:
+            idx, depth, parent, is_right = stack.pop()
+            node_id = len(rows)
+            if parent >= 0:
+                rows[parent][3 if is_right else 2] = node_id
+            node = crit.node(idx)
+            rows.append([-1, 0.0, -1, -1, crit.value(node)])
+            if depth >= max_depth:
                 continue
-            c = codes[idx, f]
-            # negative and positive counts per bin in one pass
-            both = np.bincount(c + nb * yi, minlength=2 * nb)
-            cnt = both[:nb] + both[nb:]
-            pcnt = both[nb:]
-            nl = np.cumsum(cnt)[:-1]
-            pl = np.cumsum(pcnt)[:-1]
-            nr = k - nl
-            ok = (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
-            if not ok.any():
+
+            best_gain, best_f, best_code = _EPS_GAIN, -1, -1
+            for f in crit.split_features(node, d):
+                if n_bins[f] < 2:
+                    continue
+                gain, code = crit.gain(node, codes[idx, f], n_bins[f])
+                if gain > best_gain:
+                    best_gain, best_f, best_code = gain, int(f), code
+            if best_f < 0:
                 continue
-            pr = pos - pl
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gl = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-                gr = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-                cost = (nl * gl + nr * gr) / k
-            cost[~ok] = np.inf
-            ci = int(np.argmin(cost))
-            gain = parent_gini - cost[ci]
-            if np.isfinite(cost[ci]) and gain > best_gain:
-                best_gain, best_f, best_code = gain, int(f), ci
-        if best_f < 0:
-            continue
 
-        feature[node_id] = best_f
-        threshold[node_id] = float(edges[best_f][best_code])
-        mask = codes[idx, best_f] <= best_code
-        # push left last so it is grown first (ids in DFS pre-order)
-        stack.append((idx[~mask], depth + 1, node_id, True))
-        stack.append((idx[mask], depth + 1, node_id, False))
+            rows[node_id][:2] = best_f, float(edges[best_f][best_code])
+            mask = codes[idx, best_f] <= best_code
+            # push left last so it is grown first (ids in DFS pre-order)
+            stack.append((idx[~mask], depth + 1, node_id, True))
+            stack.append((idx[mask], depth + 1, node_id, False))
 
-    return TreeArrays(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
-    )
+    feature, threshold, left, right, value = zip(*rows)
+    i32, f64 = np.int32, np.float64
+    return TreeArrays(np.asarray(feature, i32), np.asarray(threshold, f64),
+                      np.asarray(left, i32), np.asarray(right, i32), np.asarray(value, f64))
+
+
+def grow_classification_tree(
+    codes: np.ndarray, y: np.ndarray, edges: list[np.ndarray], max_depth: int,
+    min_samples_leaf: int, max_features: int, rng: np.random.Generator,
+) -> TreeArrays:
+    """Gini tree with per-node feature subsampling; leaves hold the
+    positive-class fraction."""
+    return _grow(codes, edges, max_depth, _Gini(y, min_samples_leaf, max_features, rng))
 
 
 def grow_second_order_tree(
-    codes: np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    edges: list[np.ndarray],
-    max_depth: int,
-    reg_lambda: float,
+    codes: np.ndarray, grad: np.ndarray, hess: np.ndarray, edges: list[np.ndarray],
+    max_depth: int, reg_lambda: float,
 ) -> TreeArrays:
-    """Regression tree on gradient/hessian sums with second-order leaf weights.
-
-    Split gain is the standard half-sum of squared gradient ratios minus the
-    parent term; leaf weight is -G / (H + lambda). All features are scanned.
-    """
-    n, d = codes.shape
-    n_bins = np.array([len(e) + 1 for e in edges], dtype=np.int64)
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(n), 0, -1, False)]
-    while stack:
-        idx, depth, parent, is_right = stack.pop()
-        node_id = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        G = float(grad[idx].sum())
-        H = float(hess[idx].sum())
-        value.append(-G / (H + reg_lambda))
-        if parent >= 0:
-            if is_right:
-                right[parent] = node_id
-            else:
-                left[parent] = node_id
-
-        if depth >= max_depth or len(idx) < 2:
-            continue
-
-        parent_term = G * G / (H + reg_lambda)
-        best_gain = _EPS_GAIN
-        best_f = -1
-        best_code = -1
-        for f in range(d):
-            nb = int(n_bins[f])
-            if nb < 2:
-                continue
-            c = codes[idx, f]
-            gsum = np.bincount(c, weights=grad[idx], minlength=nb)
-            hsum = np.bincount(c, weights=hess[idx], minlength=nb)
-            gl = np.cumsum(gsum)[:-1]
-            hl = np.cumsum(hsum)[:-1]
-            cnt = np.bincount(c, minlength=nb)
-            nl = np.cumsum(cnt)[:-1]
-            ok = (nl >= 1) & (nl <= len(idx) - 1)
-            if not ok.any():
-                continue
-            gr = G - gl
-            hr = H - hl
-            gain = 0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent_term)
-            gain[~ok] = -np.inf
-            ci = int(np.argmax(gain))
-            if gain[ci] > best_gain:
-                best_gain, best_f, best_code = float(gain[ci]), int(f), ci
-        if best_f < 0:
-            continue
-
-        feature[node_id] = best_f
-        threshold[node_id] = float(edges[best_f][best_code])
-        mask = codes[idx, best_f] <= best_code
-        stack.append((idx[~mask], depth + 1, node_id, True))
-        stack.append((idx[mask], depth + 1, node_id, False))
-
-    return TreeArrays(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
-    )
+    """Regression tree on gradient/hessian sums; leaves hold -G / (H + lambda)."""
+    return _grow(codes, edges, max_depth, _SecondOrder(grad, hess, reg_lambda))

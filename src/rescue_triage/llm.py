@@ -105,9 +105,9 @@ def build_prompt(features: Mapping[str, object], template: PromptTemplate = TEMP
     return "\n".join(lines) + "\n\n" + template.instruction
 
 
-def prompt_values_from_vector(fv: FeatureVector, include_preillness: bool = False) -> dict:
-    """Map a FeatureVector onto the prompt display keys."""
-    values = {
+def prompt_values_from_vector(fv: FeatureVector) -> dict:
+    """Map a FeatureVector onto the display keys of TEMPLATE_DEFAULT."""
+    return {
         KEY_SYSTOLIC_BP: fv.systolic_bp,
         KEY_RESPIRATORY_RATE: fv.respiratory_rate,
         KEY_CIRCULATION: int(fv.circulation_normal),
@@ -118,9 +118,6 @@ def prompt_values_from_vector(fv: FeatureVector, include_preillness: bool = Fals
         KEY_ALCOHOLIC: bool(fv.alcoholism),
         KEY_INTOXICATION: bool(fv.intoxication),
     }
-    if include_preillness:
-        values[KEY_PREILLNESS] = bool(fv.preillness)
-    return values
 
 
 class Verdict(Enum):

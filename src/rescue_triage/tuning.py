@@ -54,10 +54,10 @@ class CvSpec:
 class SearchSpec:
     """Grid or random exploration of a hyperparameter space.
 
-    Space values are lists of candidates; random mode additionally accepts
-    {"low": a, "high": b} (optionally {"log": true}) for continuous draws.
-    Random sampling over a fully discrete space is without replacement, so a
-    budget covering the whole space visits exactly the grid.
+    Space values are lists of candidates. Grid mode visits every combination;
+    random mode visits a seeded sample of ``budget`` combinations of that
+    grid, drawn without replacement, so a budget covering the whole space
+    visits exactly the grid (in a seeded order).
     """
 
     mode: str = "grid"
@@ -141,17 +141,9 @@ def fold_pairs(y: np.ndarray, cv: CvSpec) -> list[tuple[np.ndarray, np.ndarray]]
     return pairs
 
 
-def scalar_metric(name: str, y_true, y_pred, scores=None) -> float:
-    if name == "auc":
-        if scores is None:
-            raise ValueError("auc needs scores")
-        auc, _ = _metrics.roc_auc(y_true, scores)
-        return auc
-    report = _metrics.metrics(_metrics.confusion(y_true, y_pred))
-    value = report.scalar_dict().get(name)
-    if value is None:
-        raise ValueError(f"metric {name!r} undefined on this fold")
-    return value
+def fold_accuracy(model, X: np.ndarray, y: np.ndarray) -> float:
+    """Accuracy of the model's hard predictions on one validation fold."""
+    return _metrics.metrics(_metrics.confusion(y, model.predict(X))).accuracy
 
 
 @dataclass(frozen=True)
@@ -160,19 +152,15 @@ class CvResult:
     mean: float
 
 
-def cross_validate(
-    spec: ModelSpec, data: Dataset, cv: CvSpec, metric: str = "accuracy"
-) -> CvResult:
-    """Train on k-1 folds, evaluate on the held-out one, average the metric.
+def cross_validate(spec: ModelSpec, data: Dataset, cv: CvSpec) -> CvResult:
+    """Train on k-1 folds, evaluate on the held-out one, average the accuracy.
 
     Raises DegenerateFolds when a fold's training side lacks both classes.
     """
     scores = []
     for train_idx, val_idx in fold_pairs(data.y, cv):
         model = train(spec, data.X[train_idx], data.y[train_idx])
-        s = model.score(data.X[val_idx])
-        y_pred = (np.asarray(s) >= model.decision_threshold).astype(int)
-        scores.append(scalar_metric(metric, data.y[val_idx], y_pred, scores=s))
+        scores.append(fold_accuracy(model, data.X[val_idx], data.y[val_idx]))
     return CvResult(tuple(scores), float(np.mean(scores)))
 
 
@@ -192,34 +180,12 @@ def _enumerate_grid(space: dict) -> list[dict]:
 def _draw_candidates(search: SearchSpec) -> list[dict]:
     if not search.space:
         raise EmptySpace("empty hyperparameter space")
+    grid = _enumerate_grid(search.space)
     if search.mode == "grid":
-        return _enumerate_grid(search.space)
-
+        return grid
     rng = np.random.default_rng([search.seed & 0xFFFFFFFF, 7003])
-    discrete = all(isinstance(v, (list, tuple)) for v in search.space.values())
-    if discrete:
-        grid = _enumerate_grid(search.space)
-        take = min(search.budget, len(grid))
-        order = rng.permutation(len(grid))[:take]
-        return [grid[i] for i in order]
-    candidates = []
-    names = sorted(search.space)
-    for _ in range(search.budget):
-        combo = {}
-        for name in names:
-            values = search.space[name]
-            if isinstance(values, (list, tuple)):
-                combo[name] = values[int(rng.integers(0, len(values)))]
-            elif isinstance(values, dict):
-                low, high = values["low"], values["high"]
-                if values.get("log"):
-                    combo[name] = float(np.exp(rng.uniform(np.log(low), np.log(high))))
-                else:
-                    combo[name] = float(rng.uniform(low, high))
-            else:
-                raise ValueError(f"bad space entry for {name!r}")
-        candidates.append(combo)
-    return candidates
+    order = rng.permutation(len(grid))[: min(search.budget, len(grid))]
+    return [grid[i] for i in order]
 
 
 @dataclass(frozen=True)
@@ -240,10 +206,9 @@ def search(
     search_spec: SearchSpec,
     cv: CvSpec,
     data: Dataset,
-    metric: str = "accuracy",
     model_seed: int = 0,
 ) -> SearchResult:
-    """Evaluate every candidate by mean CV metric and return the winner.
+    """Evaluate every candidate by mean CV accuracy and return the winner.
 
     Ties resolve to the earliest candidate in enumeration order.
     """
@@ -251,7 +216,7 @@ def search(
     entries = []
     for params in candidates:
         spec = ModelSpec(kind, params, seed=model_seed)
-        result = cross_validate(spec, data, cv, metric)
+        result = cross_validate(spec, data, cv)
         entries.append(LeaderboardEntry(spec, result.mean, result.fold_scores))
     ranked = sorted(range(len(entries)), key=lambda i: (-entries[i].mean_score, i))
     leaderboard = tuple(entries[i] for i in ranked)

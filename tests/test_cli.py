@@ -119,6 +119,14 @@ class TestStageCommands:
             "preillness", "intoxication", "alcoholism", "mental_abnormality", "psychiatric_symptoms"
         }
 
+    def test_config_rejected_by_stage_subcommand(self, work, caplog):
+        cfg = work / "pipeline.json"
+        cfg.write_text(json.dumps({"filter_threshold": 100.0}))
+        assert main(["--config", str(cfg), "select-features", "--in", str(work / "features.jsonl"),
+                     "--report", str(work / "sel_config.json")]) == 2
+        assert not (work / "sel_config.json").exists()
+        assert "select-features" in caplog.text
+
     def test_tune_evaluate_and_llm_compare(self, work):
         assert main(["--seed", "11", "tune", "--in", str(work / "features.jsonl"),
                      "--selection", str(work / "sel.json"),

@@ -10,13 +10,12 @@ from rescue_triage.ingest import (
     impute,
     ingest_tables,
     iqr_filter,
-    label_and_split,
     merge_cases,
     reduce_columns,
     scrub_cells,
     type_cells,
 )
-from rescue_triage.records import Label, RescueRecord
+from rescue_triage.records import Label
 
 
 def table(columns, *rows):
@@ -188,27 +187,6 @@ class TestScrubAndType:
         t = table(["case_id", "pulse"], ["a", "FALSE"], ["b", "true"], ["c", "nonsense"])
         out = type_cells(t, CFG)
         assert [r["pulse"] for r in out.rows] == [False, True, None]
-
-
-class TestLabelAndSplit:
-    def test_partition_counts_match_generator(self):
-        from rescue_triage.synthgen import default_config, generate
-
-        cfg = default_config(n_psychiatric=40, n_nonpsychiatric=25, seed=5)
-        records = generate(cfg)
-        psy, non, excluded = label_and_split(records)
-        assert len(psy) == 40
-        assert len(non) == 25
-        assert excluded == 0
-
-    def test_all_unknown_excluded(self):
-        records = [RescueRecord(case_id=f"c{i}") for i in range(4)]
-        psy, non, excluded = label_and_split(records)
-        assert psy == [] and non == []
-        assert excluded == 4
-
-    def test_empty_input(self):
-        assert label_and_split([]) == ([], [], 0)
 
 
 class TestConfig:

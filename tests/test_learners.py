@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -215,6 +216,63 @@ class TestBoosting:
             model = train(ModelSpec(ModelKind.XGB, {"n_rounds": 60, "learning_rate": lr}), X, y)
             losses = model.state["train_loss"]
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def _golden_matrix():
+    """Seeded rows mixing binary, small-integer and continuous columns."""
+    rng = np.random.default_rng(31)
+    n = 150
+    binary = rng.integers(0, 2, n).astype(float)
+    small = rng.integers(0, 5, n).astype(float)
+    cont = rng.normal(size=n)
+    skew = rng.exponential(2.0, n)
+    logit = 1.2 * binary - 0.6 * small + 1.5 * cont + 0.3 * skew + rng.normal(0.0, 1.0, n)
+    return np.column_stack([binary, small, cont, skew]), (logit > 0).astype(np.int64)
+
+
+# (kind, hyperparameters, sha256 of the saved-model JSON), recorded from the
+# tree growers before they were merged into one; any change to a split,
+# threshold or leaf value shows
+GOLDEN_TREES = [
+    (ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 1, "n_bins": 2},
+     "cf9a338ed56c8309e50edf48f95605d18b36c49b0eaa36692f70cfe019ea8193"),
+    (ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 1, "n_bins": 32},
+     "59388c8af7bef5b9d96e0d117da2a3839ce3aaa718e7492841600d5b70cbd3ad"),
+    (ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 3, "n_bins": 2},
+     "34cbaeb28339dce6b119a809604ceb74078913e8f45a77548ccaf9124db74b76"),
+    (ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 3, "n_bins": 32},
+     "aa2a6587d2bed9a898057c3d2b5ea5c3343061a74857e09e0c8b86be87f16938"),
+    (ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 1, "n_bins": 2},
+     "7b687e84aae26e8fc702c43aba92e6354f1bc69e0e89a9c7e221e208b85868f1"),
+    (ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 1, "n_bins": 32},
+     "c85ce71a3e733bc303f19043820fb43026120a82ff73ece65b7110052b280878"),
+    (ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 3, "n_bins": 2},
+     "31a2399e04babe09074eeff03372bf633d4491c07ee792e569e27d3f0f9e597a"),
+    (ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 3, "n_bins": 32},
+     "3e21429c1d66a8e40be94b1c551b650dcc5baab4f365259ab41230f7224b5654"),
+    (ModelKind.XGB, {"n_rounds": 0, "max_depth": 1},
+     "300d44e7aa86720eb5a5cf21d22942e4d2acf6380de3d7cf298279da846da6db"),
+    (ModelKind.XGB, {"n_rounds": 0, "max_depth": 3},
+     "fe78ed5df8b2bd5332e0eb38330fa3ce445c8e6207859f901cbb2e3d4a0d8926"),
+    (ModelKind.XGB, {"n_rounds": 20, "max_depth": 1},
+     "7d6483a19a6a0fbbdabfe645f682b3fa14013e20b8b1918dc00c22f66b7343a6"),
+    (ModelKind.XGB, {"n_rounds": 20, "max_depth": 3},
+     "9d23a07ed07f5a9ea48c0b93a6afaaa5e5b235c90e97fe8830f1df905429c46c"),
+    (ModelKind.XGB, {"n_rounds": 20, "max_depth": 3, "reg_lambda": 0.0, "n_bins": 4},
+     "aa964de455dba79ea91a8428a96c62059e9692d9fff1870d1ee0ab2aa12968bd"),
+]
+
+
+class TestGoldenTrees:
+    @pytest.mark.parametrize(
+        "kind,params,digest",
+        GOLDEN_TREES,
+        ids=["-".join([k.value, *(f"{n}={v}" for n, v in p.items())]) for k, p, _ in GOLDEN_TREES],
+    )
+    def test_saved_model_hash(self, kind, params, digest):
+        X, y = _golden_matrix()
+        model = train(ModelSpec(kind, params, seed=5), X, y)
+        assert hashlib.sha256(json.dumps(model_to_dict(model)).encode()).hexdigest() == digest
 
 
 class TestMlp:
