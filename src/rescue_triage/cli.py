@@ -4,13 +4,17 @@ Subcommands mirror the pipeline stages (synth, ingest, wordcount,
 extract-features, select-features, tune, evaluate, llm-compare) plus
 run-all, which chains them under one config. Each subcommand builds a
 PipelineConfig from its options and calls the stage function run-all
-calls, so chained subcommands write the artifacts run-all writes:
+calls, so chained subcommands write the artifacts run-all writes. An
+option left out keeps PipelineConfig's default; config files load
+strictly (unknown or missing keys and wrong types exit 2, naming the key).
 
 * tune reads the relevance filter's report (--selection) and tunes on the
   selected features; --rfecv-report also runs RFECV on the winner;
 * evaluate needs the RFECV report, takes its seed from the leaderboard's
   winner (a different --seed is an error), and --save-best saves the
-  leaderboard's CV winner refitted on the train split.
+  leaderboard's CV winner refitted on the train split;
+* llm-compare samples --limit cases from the test split like run-all and
+  takes its seed from the model file (a different --seed is an error).
 
 Logs go to stderr; artifacts go to files only.
 """
@@ -30,18 +34,17 @@ from .llm import EndpointConfig
 from .pipeline import (
     PipelineConfig,
     PipelineError,
-    compare_cases,
     read_winner,
     run_pipeline,
     stage_evaluate,
     stage_extract_features,
+    stage_llm_compare,
     stage_rfecv,
     stage_select_features,
     stage_synth,
     stage_tune,
     stage_wordcount,
 )
-from .records import read_jsonl
 from .synthgen import GeneratorConfig
 
 log = logging.getLogger("rescue_triage")
@@ -56,10 +59,11 @@ def _json_file(path):
 
 
 def _config(args, base: PipelineConfig | None = None, **fields) -> PipelineConfig:
-    """base (default: the pipeline defaults) with the given fields and --seed applied."""
+    """base (default: the pipeline defaults) with the given fields and --seed
+    applied; options left unset (None) keep PipelineConfig's defaults."""
     if args.seed is not None:
         fields["seed"] = args.seed
-    return replace(base or PipelineConfig(), **fields)
+    return replace(base or PipelineConfig(), **{k: v for k, v in fields.items() if v is not None})
 
 
 def _done(result) -> int:
@@ -116,17 +120,18 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_llm_compare(args) -> int:
     if args.stub:
-        cfg = _config(args, llm_mode="transcript", llm_transcript=args.stub)
+        llm = {"llm_mode": "transcript", "llm_transcript": args.stub}
     else:
         endpoint = EndpointConfig.from_env(base_url=args.endpoint) if args.endpoint else EndpointConfig.from_env()
-        cfg = _config(args, llm_mode="endpoint", llm_endpoint=endpoint)
-    rows = list(read_jsonl(args.cases))[: args.limit or None]
-    return _done(compare_cases(cfg, rows, load_model(args.ml_model), args.out, max_in_flight=args.in_flight))
+        llm = {"llm_mode": "endpoint", "llm_endpoint": endpoint}
+    cfg = _config(args, seed=load_model(args.ml_model).spec.seed, llm_cases=args.limit,
+                  split_ratio=args.split, stratified=args.stratified, **llm)
+    return _done(stage_llm_compare(cfg, args.cases, args.ml_model, args.out, max_in_flight=args.in_flight))
 
 
 def _cmd_run_all(args) -> int:
     base = PipelineConfig.from_file(args.config) if args.config else None
-    cfg = _config(args, base, **({"out_dir": args.out_dir} if args.out_dir else {}))
+    cfg = _config(args, base, out_dir=args.out_dir)
     manifest = run_pipeline(cfg)
     ok = all(s["status"] in ("ok", "skipped") for s in manifest["stages"])
     log.info("pipeline %s; manifest at %s/manifest.json", "ok" if ok else "failed", cfg.out_dir)
@@ -156,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wordcount", help="frequency count over note tokens")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--lexicon", default=None)
-    p.add_argument("--min-count", type=int, default=50)
+    p.add_argument("--min-count", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_wordcount)
 
@@ -168,18 +173,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-features", help="relevance filter over text features")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--threshold", type=float, default=3.0)
+    p.add_argument("--threshold", type=float)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("tune", help="grid/random hyperparameter search with CV")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--selection", required=True, help="select-features report naming the text features to use")
-    p.add_argument("--mode", choices=["grid", "random"], default="grid")
-    p.add_argument("--budget", type=int, default=20)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--stratified", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--split", type=float, default=0.8)
+    p.add_argument("--mode", choices=["grid", "random"])
+    p.add_argument("--budget", type=int)
+    p.add_argument("--folds", type=int)
+    p.add_argument("--stratified", action=argparse.BooleanOptionalAction)
+    p.add_argument("--split", type=float)
     p.add_argument("--out", required=True)
     p.add_argument("--rfecv-report", default=None, help="also run RFECV on the winner")
     p.set_defaults(func=_cmd_tune)
@@ -188,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--leaderboard", required=True)
     p.add_argument("--rfecv-report", required=True, help="RFECV report naming the feature subset")
-    p.add_argument("--split", type=float, default=0.8)
-    p.add_argument("--stratified", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--split", type=float)
+    p.add_argument("--stratified", action=argparse.BooleanOptionalAction)
     p.add_argument("--out", required=True)
     p.add_argument("--roc-dir", default=None)
     p.add_argument("--save-best", default=None, help="save the leaderboard's CV winner here")
@@ -200,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ml-model", required=True)
     p.add_argument("--endpoint", default=None)
     p.add_argument("--stub", default=None, help="canned transcript JSON instead of a live endpoint")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=int, help="number of test-split cases (llm_cases)")
+    p.add_argument("--split", type=float)
+    p.add_argument("--stratified", action=argparse.BooleanOptionalAction)
     p.add_argument("--in-flight", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_llm_compare)

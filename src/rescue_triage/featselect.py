@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .learners import ModelSpec, train
-from .records import Dataset, FeatureVector, RelevanceScore, TEXT_FEATURE_NAMES
+from .records import Dataset, FeatureVector, RelevanceScore, TEXT_FEATURE_NAMES, rng_from
 from .tuning import CvSpec, fold_accuracy, fold_pairs
 
 log = logging.getLogger(__name__)
@@ -108,22 +108,8 @@ class RfecvStep:
 @dataclass(frozen=True)
 class RfecvResult:
     best_features: tuple[str, ...]
-    steps: tuple[RfecvStep, ...]
     elimination_order: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "best_features": list(self.best_features),
-            "elimination_order": list(self.elimination_order),
-            "steps": [
-                {
-                    "features": list(s.features),
-                    "mean_score": s.mean_score,
-                    "fold_scores": list(s.fold_scores),
-                }
-                for s in self.steps
-            ],
-        }
+    steps: tuple[RfecvStep, ...]
 
 
 def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec) -> RfecvResult:
@@ -153,9 +139,7 @@ def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec) -> RfecvResult:
             base = fold_accuracy(model, Xv, yv)
             fold_scores.append(base)
             for j, name in enumerate(features):
-                rng = np.random.default_rng(
-                    [cv.seed & 0xFFFFFFFF, 7004, len(features), fi, j]
-                )
+                rng = rng_from(cv.seed, 7004, len(features), fi, j)
                 Xp = Xv.copy()
                 Xp[:, j] = Xv[rng.permutation(len(Xv)), j]
                 drops[j] += base - fold_accuracy(model, Xp, yv)
@@ -172,4 +156,4 @@ def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec) -> RfecvResult:
         del features[weakest]
 
     best = max(steps, key=lambda s: (s.mean_score, -len(s.features)))
-    return RfecvResult(best.features, tuple(steps), tuple(eliminated))
+    return RfecvResult(best.features, tuple(eliminated), tuple(steps))

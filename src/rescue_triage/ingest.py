@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .records import RescueRecord, RecordValidationError, validate_record
+from .records import RescueRecord, RecordValidationError, from_dict, validate_record
 
 log = logging.getLogger(__name__)
 
@@ -85,15 +85,15 @@ class IngestConfig:
 
     key_column: str = "case_id"
     drop_columns: tuple[str, ...] = ()
-    column_types: dict = field(default_factory=dict)
+    column_types: dict[str, str] = field(default_factory=dict)
     iqr_multiplier: float = 1.5
     negative_forbidden_columns: tuple[str, ...] = ("systolic_bp", "respiratory_rate", "pulse_rate")
-    circulation_normalization: dict = field(
+    circulation_normalization: dict[str, int] = field(
         default_factory=lambda: {"normal": 1, "abnormal": 0, "1": 1, "0": 0, "3": 0}
     )
-    aliases: dict = field(default_factory=dict)
+    aliases: dict[str, str] = field(default_factory=dict)
     # column mapping used when converting the merged table to RescueRecords
-    vital_columns: dict = field(
+    vital_columns: dict[str, str] = field(
         default_factory=lambda: {
             "systolic_bp": "systolic_bp",
             "respiratory_rate": "respiratory_rate",
@@ -104,7 +104,7 @@ class IngestConfig:
     )
     note_columns: tuple[str, ...] = ("notes",)
     label_column: str = "label"
-    label_map: dict = field(
+    label_map: dict[str, str] = field(
         default_factory=lambda: {
             "psychiatric": "psychiatric",
             "psych": "psychiatric",
@@ -129,11 +129,7 @@ class IngestConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IngestConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise IngestError(f"unknown ingest config keys: {sorted(unknown)}")
-        return cls(**d)
+        return from_dict(cls, d, IngestError)
 
 
 def load_csv(path: str | Path, delimiter: str = ",") -> Table:

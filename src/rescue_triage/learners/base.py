@@ -17,6 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
+from ..records import rng_from  # noqa: F401 - the learners import it from here
+
 
 class ModelKind(Enum):
     SVM = "SVM"
@@ -252,11 +254,6 @@ def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def rng_from(seed: int, *stream: int) -> np.random.Generator:
-    """Deterministic generator for (seed, task-id...) streams."""
-    return np.random.default_rng([int(seed) & 0xFFFFFFFF, *[int(s) & 0xFFFFFFFF for s in stream]])
 
 
 def check_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

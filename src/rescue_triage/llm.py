@@ -219,8 +219,6 @@ def query(prompt: str, cfg: EndpointConfig) -> LlmVerdict:
 
 def query_many(prompts: Sequence[str], cfg: EndpointConfig, max_in_flight: int = 1) -> list[LlmVerdict]:
     """Query independent prompts, preserving order, with an in-flight cap."""
-    if max_in_flight <= 1:
-        return [query(p, cfg) for p in prompts]
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(lambda p: query(p, cfg), prompts))
 

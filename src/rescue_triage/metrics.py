@@ -6,7 +6,7 @@ not-a-value), never silently coerced to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -118,14 +118,5 @@ def evaluate_predictions(y_true, y_pred, scores=None) -> MetricsReport:
     report = metrics(confusion(y_true, y_pred))
     if scores is not None:
         auc, points = roc_auc(y_true, scores)
-        report = MetricsReport(
-            accuracy=report.accuracy,
-            sensitivity=report.sensitivity,
-            specificity=report.specificity,
-            precision=report.precision,
-            f1=report.f1,
-            confusion=report.confusion,
-            auc=auc,
-            roc_points=tuple(points),
-        )
+        report = replace(report, auc=auc, roc_points=tuple(points))
     return report

@@ -16,11 +16,9 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from . import __version__
 from .featselect import filter_select, rfecv
@@ -41,6 +39,7 @@ from .records import (
     FeatureVector,
     Label,
     check_unique_case_ids,
+    from_dict,
     read_jsonl,
     record_from_dict,
     record_to_dict,
@@ -110,27 +109,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
-        if d.get("generator"):
-            d["generator"] = GeneratorConfig.from_dict(d["generator"])
-        if d.get("ingest"):
-            d["ingest"] = IngestConfig.from_dict(d["ingest"])
-        if d.get("llm_endpoint"):
-            d["llm_endpoint"] = EndpointConfig(**d["llm_endpoint"])
-        return cls(**d)
-
-    def to_dict(self) -> dict:
-        d = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        if self.generator is not None:
-            d["generator"] = self.generator.to_dict()
-        if self.ingest is not None:
-            d["ingest"] = {k: getattr(self.ingest, k) for k in self.ingest.__dataclass_fields__}
-        if self.llm_endpoint is not None:
-            d["llm_endpoint"] = {
-                k: getattr(self.llm_endpoint, k) for k in self.llm_endpoint.__dataclass_fields__
-            }
-        d["input_csvs"] = list(self.input_csvs)
-        return d
+        return from_dict(cls, d)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -297,7 +276,7 @@ def stage_rfecv(cfg: PipelineConfig, features_path, selection_path, leaderboard_
     train_set = _train_split(cfg, features_path, selection_path)
     cv = CvSpec(folds=cfg.rfecv_folds, stratified=cfg.stratified, seed=cfg.seed)
     rfe = rfecv(train_set, read_winner(leaderboard_path), cv)
-    _write_json(rfecv_path, rfe.to_dict())
+    _write_json(rfecv_path, asdict(rfe))
     return [Path(rfecv_path)], {"best_features": list(rfe.best_features)}
 
 
@@ -319,7 +298,8 @@ def stage_evaluate(
         ModelSpec(ModelKind(k), entries[0]["hyperparameters"], seed=winner.seed)
         for k, entries in board["per_kind"].items()
     ]
-    eval_rows = evaluate_all(specs, final, cfg.split_ratio, cfg.seed, cfg.stratified)
+    train_set, test_set = split_train_test(final, cfg.split_ratio, cfg.seed, cfg.stratified)
+    eval_rows = evaluate_all(specs, train_set, test_set)
     write_metrics_csv(eval_rows, table_path)
     artifacts = [Path(table_path)]
     roc_paths = []
@@ -331,30 +311,28 @@ def stage_evaluate(
                 write_roc_csv(row.report.roc_points, p)
                 roc_paths.append(p)
     if best_model_path is not None:
-        final_train, _ = split_train_test(final, cfg.split_ratio, cfg.seed, cfg.stratified)
-        save_model(train(winner, final_train.X, final_train.y, feature_names=final.feature_names), best_model_path)
+        save_model(train(winner, train_set.X, train_set.y, feature_names=final.feature_names), best_model_path)
         artifacts.append(Path(best_model_path))
     return artifacts + roc_paths, {}
 
 
-def stage_llm_compare(cfg: PipelineConfig, features_path, model_path, agreement_path):
-    """Zero-shot comparison on a class-balanced sample of the test split."""
-    rows = _labeled_rows(features_path)
-    _, test_set = split_train_test(feature_rows_to_dataset(rows), cfg.split_ratio, cfg.seed, cfg.stratified)
+def stage_llm_compare(cfg: PipelineConfig, features_path, model_path, agreement_path, max_in_flight: int = 1):
+    """Zero-shot comparison on a class-balanced sample of the test split.
+
+    Prompts the LLM (per cfg.llm_mode) and the model on each sampled case
+    and writes the per-case agreement payload with the prompts. The seed is
+    the model's; a config seed that differs from it is an error.
+    """
+    model = load_model(model_path)
+    if cfg.seed != model.spec.seed:
+        raise ValueError(f"seed {cfg.seed} differs from the model's seed {model.spec.seed}")
+    data = feature_rows_to_dataset(_labeled_rows(features_path))
+    _, test_set = split_train_test(data, cfg.split_ratio, cfg.seed, cfg.stratified)
     picked = _pick_llm_cases(test_set, cfg.llm_cases)
-    by_id = {r["case_id"]: r for r in rows}
-    cases = [by_id[test_set.case_ids[i]] for i in picked]
-    refs = [int(test_set.y[i]) for i in picked]
-    return compare_cases(cfg, cases, load_model(model_path), agreement_path, reference_labels=refs)
-
-
-def compare_cases(cfg: PipelineConfig, rows, model, agreement_path, reference_labels=None, max_in_flight: int = 1):
-    """Prompt the LLM (per cfg.llm_mode) and the model on feature rows; write
-    the per-case agreement payload with the prompts."""
-    vectors = [FeatureVector.from_dict(r["features"]) for r in rows]
+    vectors = [FeatureVector.from_array(test_set.X[i]) for i in picked]
     prompts = [build_prompt(prompt_values_from_vector(v), TEMPLATE_DEFAULT) for v in vectors]
-    names = model.feature_names or FEATURE_ORDER
-    ml_preds = [int(model.predict(np.array([r["features"][n] for n in names]))) for r in rows]
+    model_X = test_set.select(model.feature_names or FEATURE_ORDER).X
+    ml_preds = [int(model.predict(model_X[i])) for i in picked]
     if cfg.llm_mode == "stub":
         verdicts = transcript_verdicts([_stub_response(v) for v in vectors])
     elif cfg.llm_mode == "transcript":
@@ -362,7 +340,9 @@ def compare_cases(cfg: PipelineConfig, rows, model, agreement_path, reference_la
         verdicts = transcript_verdicts([str(t) for t in canned][: len(prompts)])
     else:
         verdicts = query_many(prompts, cfg.llm_endpoint, max_in_flight=max_in_flight)
-    agreement = compare(ml_preds, verdicts, [r["case_id"] for r in rows], reference_labels=reference_labels)
+    case_ids = [test_set.case_ids[i] for i in picked]
+    refs = [int(test_set.y[i]) for i in picked]
+    agreement = compare(ml_preds, verdicts, case_ids, reference_labels=refs)
     payload = agreement.to_dict()
     payload["prompts"] = prompts
     _write_json(agreement_path, payload)
@@ -405,7 +385,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     manifest: dict = {
         "package_version": __version__,
         "seed": cfg.seed,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "input_hashes": {p: _sha256(Path(p)) for p in cfg.input_csvs},
         "stages": [],
         "artifacts": {},

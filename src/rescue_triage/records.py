@@ -15,10 +15,11 @@ JSONL wire format (one UTF-8 JSON object per line):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
+from functools import cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -415,6 +416,11 @@ class Dataset:
         return Dataset(self.X[np.asarray(indices)], self.y[np.asarray(indices)], self.feature_names, ids)
 
 
+def rng_from(seed: int, *stream: int) -> np.random.Generator:
+    """Deterministic generator for (seed, task-id...) streams."""
+    return np.random.default_rng([int(seed) & 0xFFFFFFFF, *[int(s) & 0xFFFFFFFF for s in stream]])
+
+
 # ---------------------------------------------------------------------------
 # JSONL serialization
 
@@ -473,3 +479,72 @@ def read_jsonl(path: str | Path, from_dict: Callable = lambda x: x) -> Iterator:
             line = line.strip()
             if line:
                 yield from_dict(json.loads(line))
+
+
+# ---------------------------------------------------------------------------
+# Config loading
+
+
+class ConfigError(ValueError):
+    """A config object that does not match its dataclass's fields and types."""
+
+
+@cache
+def _schema(cls) -> tuple[dict, frozenset, frozenset]:
+    """(type hints, init field names, required field names) of a dataclass."""
+    init = [f for f in fields(cls) if f.init]
+    required = {f.name for f in init if f.default is MISSING and f.default_factory is MISSING}
+    return get_type_hints(cls), frozenset(f.name for f in init), frozenset(required)
+
+
+def from_dict(cls, d, error: type[ValueError] = ConfigError, path: str = ""):
+    """Build config dataclass cls from a JSON object, strictly.
+
+    Unknown and missing required keys fail; Optional, nested dataclass,
+    ``dict[str, X]`` and tuple fields are built recursively; scalars are
+    type-checked (a JSON bool only fills a bool, an integer fills a float
+    and is converted). Errors, including the class's own validation, are
+    raised as ``error`` and name the dotted key path.
+    """
+    path = path or cls.__name__
+    if not isinstance(d, Mapping):
+        raise error(f"{path}: expected an object, got {type(d).__name__}")
+    hints, names, required = _schema(cls)
+    if set(d) - names:
+        raise error(f"{path}: unknown keys {sorted(set(d) - names)}")
+    if required - set(d):
+        raise error(f"{path}: missing keys {sorted(required - set(d))}")
+    values = {k: _build(hints[k], v, error, f"{path}.{k}") for k, v in d.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
+def _build(hint, value, error: type[ValueError], path: str):
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        if value is None and type(None) in args:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _build(hint, value, error, path)
+    if is_dataclass(hint):
+        return from_dict(hint, value, error, path)
+    if hint is dict or origin is dict:
+        if not isinstance(value, Mapping):
+            raise error(f"{path}: expected an object, got {type(value).__name__}")
+        if not args:
+            return dict(value)
+        return {_build(args[0], k, error, path): _build(args[1], v, error, f"{path}.{k}") for k, v in value.items()}
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{path}: expected a list, got {type(value).__name__}")
+        types = [args[0]] * len(value) if args[1:] == (...,) else args
+        if len(types) != len(value):
+            raise error(f"{path}: expected {len(types)} items, got {len(value)}")
+        return tuple(_build(t, v, error, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
+    if hint is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+        return value
+    raise error(f"{path}: expected {hint.__name__}, got {type(value).__name__} {value!r}")

@@ -15,10 +15,10 @@ conditionally independent given the class, which the oracle relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 import numpy as np
 
-from .records import Label, RescueRecord, Vitals, TEXT_FEATURE_NAMES
+from .records import Label, RescueRecord, Vitals, TEXT_FEATURE_NAMES, from_dict, rng_from
 from .textfeat import default_lexicons
 
 PSY = "psychiatric"
@@ -56,31 +56,15 @@ class VitalsModel:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "systolic_bp": list(self.systolic_bp),
-            "respiratory_rate": list(self.respiratory_rate),
-            "gcs": list(self.gcs),
-            "circulation_normal_p": self.circulation_normal_p,
-            "pulse_rhythm_regular_p": self.pulse_rhythm_regular_p,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VitalsModel":
-        return cls(
-            systolic_bp=tuple(d["systolic_bp"]),
-            respiratory_rate=tuple(d["respiratory_rate"]),
-            gcs=tuple(d["gcs"]),
-            circulation_normal_p=d["circulation_normal_p"],
-            pulse_rhythm_regular_p=d["pulse_rhythm_regular_p"],
-        )
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
     n_psychiatric: int
     n_nonpsychiatric: int
-    vitals: dict = field(default_factory=dict)          # class -> VitalsModel
-    keyword_probs: dict = field(default_factory=dict)   # class -> {category: p}
+    vitals: dict[str, VitalsModel]                # class -> sampling model
+    keyword_probs: dict[str, dict[str, float]]    # class -> {category: p}
     negation_prob: float = 0.15
     noise_rate: float = 6.0
     seed: int = 42
@@ -102,27 +86,11 @@ class GeneratorConfig:
                     raise ValueError(f"keyword prob for {cat!r} must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "n_psychiatric": self.n_psychiatric,
-            "n_nonpsychiatric": self.n_nonpsychiatric,
-            "vitals": {cls: vm.to_dict() for cls, vm in self.vitals.items()},
-            "keyword_probs": {cls: dict(ps) for cls, ps in self.keyword_probs.items()},
-            "negation_prob": self.negation_prob,
-            "noise_rate": self.noise_rate,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
-        return cls(
-            n_psychiatric=int(d["n_psychiatric"]),
-            n_nonpsychiatric=int(d["n_nonpsychiatric"]),
-            vitals={k: VitalsModel.from_dict(v) for k, v in d["vitals"].items()},
-            keyword_probs={k: dict(v) for k, v in d["keyword_probs"].items()},
-            negation_prob=float(d.get("negation_prob", 0.15)),
-            noise_rate=float(d.get("noise_rate", 6.0)),
-            seed=int(d.get("seed", 42)),
-        )
+        return from_dict(cls, d)
 
 
 def default_config(n_psychiatric: int = 1073, n_nonpsychiatric: int = 920, seed: int = 42) -> GeneratorConfig:
@@ -211,7 +179,7 @@ def generate(cfg: GeneratorConfig) -> list[RescueRecord]:
     total = cfg.n_psychiatric + cfg.n_nonpsychiatric
     for i in range(total):
         cls = PSY if i < cfg.n_psychiatric else NON
-        rng = np.random.default_rng([cfg.seed & 0xFFFFFFFF, 11, i])
+        rng = rng_from(cfg.seed, 11, i)
         vm: VitalsModel = cfg.vitals[cls]
 
         vitals = Vitals(
@@ -305,7 +273,7 @@ def oracle_accuracy(cfg: GeneratorConfig, draws: int = 100_000, seed: int | None
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    rng = np.random.default_rng([(cfg.seed if seed is None else seed) & 0xFFFFFFFF, 13])
+    rng = rng_from(cfg.seed if seed is None else seed, 13)
     prior_psy = cfg.n_psychiatric / max(cfg.n_psychiatric + cfg.n_nonpsychiatric, 1)
 
     classes = (rng.random(draws) < prior_psy).astype(np.int64)  # 1 = psychiatric

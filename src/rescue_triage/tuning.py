@@ -20,7 +20,7 @@ import numpy as np
 
 from . import metrics as _metrics
 from .learners import ModelKind, ModelSpec, train
-from .records import Dataset
+from .records import Dataset, rng_from
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +82,7 @@ def split_train_test(
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
     n = len(data)
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, 7001])
+    rng = rng_from(seed, 7001)
     if stratified:
         train_idx: list[int] = []
         test_idx: list[int] = []
@@ -109,7 +109,7 @@ def make_folds(y: np.ndarray, cv: CvSpec) -> list[np.ndarray]:
     n = len(y)
     if cv.folds > n:
         raise ValueError(f"cannot make {cv.folds} folds from {n} rows")
-    rng = np.random.default_rng([cv.seed & 0xFFFFFFFF, 7002])
+    rng = rng_from(cv.seed, 7002)
     if cv.stratified:
         assignment = np.empty(n, dtype=np.int64)
         for cls in np.unique(y):
@@ -183,7 +183,7 @@ def _draw_candidates(search: SearchSpec) -> list[dict]:
     grid = _enumerate_grid(search.space)
     if search.mode == "grid":
         return grid
-    rng = np.random.default_rng([search.seed & 0xFFFFFFFF, 7003])
+    rng = rng_from(search.seed, 7003)
     order = rng.permutation(len(grid))[: min(search.budget, len(grid))]
     return [grid[i] for i in order]
 
@@ -231,21 +231,14 @@ class EvalRow:
     error: Optional[str] = None
 
 
-def evaluate_all(
-    specs: Sequence[ModelSpec],
-    data: Dataset,
-    split_ratio: float = 0.8,
-    split_seed: int = 0,
-    stratified: bool = True,
-) -> list[EvalRow]:
-    """Train each spec on the train split, evaluate on the held-out test.
+def evaluate_all(specs: Sequence[ModelSpec], train_set: Dataset, test_set: Dataset) -> list[EvalRow]:
+    """Train each spec on train_set, evaluate on the held-out test_set.
 
     Per-model failures become error rows instead of aborting the table.
     Rows are ordered by test accuracy descending.
     """
     if not specs:
         raise ValueError("need at least one model spec")
-    train_set, test_set = split_train_test(data, split_ratio, split_seed, stratified)
     rows: list[EvalRow] = []
     for spec in specs:
         name = spec.display_name

@@ -27,7 +27,7 @@ from rescue_triage.pipeline import PipelineConfig, run_pipeline
 from rescue_triage.records import ConfusionMatrix, Dataset
 from rescue_triage.synthgen import default_config, generate, oracle_accuracy
 from rescue_triage.textfeat import default_lexicons, match_category, tokenize
-from rescue_triage.tuning import evaluate_all, write_metrics_csv
+from rescue_triage.tuning import evaluate_all, split_train_test, write_metrics_csv
 
 from conftest import GOLDEN_PROMPT, REFERENCE_CASES, make_blobs
 
@@ -233,7 +233,7 @@ def test_learner_properties(tmp_path):
     data = Dataset.from_vectors(vectors, [r.label for r in records])
     specs = [ModelSpec(kind, seed=5) for kind in ModelKind]
     for attempt in ("one", "two"):
-        rows = evaluate_all(specs, data, 0.8, split_seed=5)
+        rows = evaluate_all(specs, *split_train_test(data, 0.8, 5))
         write_metrics_csv(rows, tmp_path / f"table_{attempt}.csv")
     assert (tmp_path / "table_one.csv").read_bytes() == (tmp_path / "table_two.csv").read_bytes()
 

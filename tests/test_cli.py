@@ -1,12 +1,15 @@
 import csv
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from rescue_triage.cli import main
-from rescue_triage.pipeline import PipelineConfig, PipelineError, run_pipeline, validate_config
+from rescue_triage.ingest import IngestConfig
+from rescue_triage.llm import EndpointConfig
+from rescue_triage.pipeline import PipelineConfig, PipelineError, run_pipeline, stage_select_features, validate_config
 from rescue_triage.synthgen import default_config
 
 
@@ -54,6 +57,11 @@ class TestRunAll:
         _, manifest = small_run
         assert manifest["seed"] == 7
         assert manifest["package_version"]
+
+    def test_manifest_config_reloads_into_the_run_config(self, small_run):
+        out_dir, _ = small_run
+        stored = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert PipelineConfig.from_dict(stored) == PipelineConfig.from_dict(small_pipeline_dict(out_dir))
 
     def test_rerun_same_config_identical_artifact_hashes(self, small_run, tmp_path):
         out_dir, manifest = small_run
@@ -204,7 +212,9 @@ def chained(tmp_path_factory):
     c = {name: str(chain / name) for name in (
         "corpus.jsonl", "truth.csv", "word_counts.csv", "features.jsonl", "selection_report.json",
         "leaderboard.json", "rfecv_report.json", "metrics_table.csv", "roc", "best_model.json",
+        "llm_agreement.json",
     )}
+    (base / "answers.json").write_text(json.dumps(["true", "false", "true", "false"]))
     steps = [
         ["--config", str(base / "gen.json"), "synth", "--out", c["corpus.jsonl"], "--truth", c["truth.csv"]],
         ["wordcount", "--in", c["corpus.jsonl"], "--out", c["word_counts.csv"]],
@@ -216,6 +226,8 @@ def chained(tmp_path_factory):
         ["evaluate", "--in", c["features.jsonl"], "--leaderboard", c["leaderboard.json"],
          "--rfecv-report", c["rfecv_report.json"], "--out", c["metrics_table.csv"],
          "--roc-dir", c["roc"], "--save-best", c["best_model.json"]],
+        ["llm-compare", "--cases", c["features.jsonl"], "--ml-model", c["best_model.json"],
+         "--stub", str(base / "answers.json"), "--limit", "4", "--out", c["llm_agreement.json"]],
     ]
     for argv in steps:
         assert main(argv) == 0, argv
@@ -245,3 +257,76 @@ class TestChainedSubcommands:
         assert main(argv) != 0
         assert "seed 8" in caplog.text and "seed 7" in caplog.text
         assert not (tmp_path / "table.csv").exists()
+
+    def test_llm_compare_samples_run_alls_test_cases(self, chained):
+        run_dir, _, chain = chained
+
+        def cases(path):
+            rows = json.loads(path.read_text())["rows"]
+            return [(r["case_id"], r["ml_prediction"], r.get("reference")) for r in rows]
+
+        assert len(cases(run_dir / "llm_agreement.json")) == 4
+        assert cases(chain / "llm_agreement.json") == cases(run_dir / "llm_agreement.json")
+
+    def test_llm_compare_rejects_a_seed_other_than_the_models(self, chained, tmp_path, caplog):
+        _, _, chain = chained
+        transcript = tmp_path / "answers.json"
+        transcript.write_text(json.dumps(["true"] * 4))
+        argv = ["--seed", "8", "llm-compare", "--cases", str(chain / "features.jsonl"),
+                "--ml-model", str(chain / "best_model.json"), "--stub", str(transcript),
+                "--out", str(tmp_path / "agree.json")]
+        assert main(argv) != 0
+        assert "seed 8" in caplog.text and "seed 7" in caplog.text
+        assert not (tmp_path / "agree.json").exists()
+
+    def test_integer_threshold_in_a_config_matches_select_features(self, chained, tmp_path):
+        _, _, chain = chained
+        (tmp_path / "pipeline.json").write_text(json.dumps({"filter_threshold": 5}))
+        cfg = PipelineConfig.from_file(tmp_path / "pipeline.json")
+        stage_select_features(cfg, chain / "features.jsonl", tmp_path / "from_config.json")
+        assert main(["select-features", "--in", str(chain / "features.jsonl"), "--threshold", "5",
+                     "--report", str(tmp_path / "from_cli.json")]) == 0
+        assert (tmp_path / "from_config.json").read_bytes() == (tmp_path / "from_cli.json").read_bytes()
+
+
+def _generator(drop=(), **extra):
+    gen = {k: v for k, v in default_config(60, 50, seed=11).to_dict().items() if k not in drop}
+    return {**gen, **extra}
+
+
+CONFIG_MISUSE = {
+    "generator_typo": ("synth", _generator(noise_rat=3.0), "GeneratorConfig: unknown keys ['noise_rat']"),
+    "nested_generator_typo": ("run-all", {"generator": _generator(negation_probability=0.2)},
+                              "PipelineConfig.generator: unknown keys ['negation_probability']"),
+    "string_bool": ("run-all", {"stratified": "false"}, "PipelineConfig.stratified: expected bool, got str"),
+    "unknown_key": ("run-all", {"cv_fold": 2}, "PipelineConfig: unknown keys ['cv_fold']"),
+    "endpoint_typo": ("run-all", {"llm_endpoint": {"url": "http://localhost:11434"}},
+                      "PipelineConfig.llm_endpoint: unknown keys ['url']"),
+    "generator_without_vitals": ("run-all", {"generator": _generator(drop=("vitals",))},
+                                 "PipelineConfig.generator: missing keys ['vitals']"),
+}
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("case", sorted(CONFIG_MISUSE))
+    def test_misuse_exits_2_naming_the_key_and_writes_nothing(self, case, tmp_path, caplog):
+        command, config, message = CONFIG_MISUSE[case]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        outputs = ["--out", str(tmp_path / "corpus.jsonl")] if command == "synth" else []
+        assert main(["--out-dir", str(tmp_path / "out"), "--config", str(cfg), command, *outputs]) == 2
+        assert message in caplog.text
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_config_round_trips_through_json(self):
+        cfg = PipelineConfig(
+            seed=3,
+            generator=default_config(60, 50, seed=3),
+            input_csvs=("a.csv", "b.csv"),
+            ingest=IngestConfig(key_column="id", drop_columns=("geo",), column_types={"gcs": "numeric"}),
+            filter_threshold=5.0,
+            stratified=False,
+            llm_mode="endpoint",
+            llm_endpoint=EndpointConfig(base_url="http://localhost:1", retries=0, options={"temperature": 0.0}),
+        )
+        assert PipelineConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg

@@ -181,7 +181,7 @@ class TestEvaluateAll:
             ModelSpec(ModelKind.KNN, {"k": 3}),
             ModelSpec(ModelKind.LR),
         ]
-        rows = evaluate_all(specs, data, 0.8, split_seed=1)
+        rows = evaluate_all(specs, *split_train_test(data, 0.8, 1))
         assert len(rows) == 3
         accs = [r.report.accuracy for r in rows]
         assert accs == sorted(accs, reverse=True)
@@ -200,7 +200,7 @@ class TestEvaluateAll:
             return real_train(spec, X, y)
 
         monkeypatch.setattr(tuning_module, "train", flaky)
-        rows = evaluate_all(specs, data, 0.8, split_seed=2)
+        rows = evaluate_all(specs, *split_train_test(data, 0.8, 2))
         assert {r.name for r in rows} == {"NB", "LR"}
         failed = next(r for r in rows if r.name == "LR")
         assert failed.report is None
@@ -208,7 +208,7 @@ class TestEvaluateAll:
 
     def test_csv_formatting(self, tmp_path):
         data = dataset(n=80, seed=9)
-        rows = evaluate_all([ModelSpec(ModelKind.NB)], data, 0.8, split_seed=3)
+        rows = evaluate_all([ModelSpec(ModelKind.NB)], *split_train_test(data, 0.8, 3))
         path = tmp_path / "table.csv"
         write_metrics_csv(rows, path)
         lines = path.read_text().strip().splitlines()
