@@ -8,13 +8,14 @@ validated RescueRecords and written as JSONL.
 
 Comma-joined cells: when merged rows disagree, all distinct values are kept
 joined by commas in first-seen order. Numeric typing later takes the first
-parseable part of such a cell (the earliest reading wins) and logs it.
+finite numeric part of such a cell (the earliest reading wins) and logs it.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,6 +124,9 @@ class IngestConfig:
             raise IngestError("iqr_multiplier must be > 0")
         if self.key_column in self.drop_columns:
             raise IngestError("key_column cannot be dropped")
+        unknown = {c: t for c, t in self.column_types.items() if t not in (NUMERIC, TEXT, BOOLEAN)}
+        if unknown:
+            raise IngestError(f"column_types: unknown types {unknown}; expected {NUMERIC}, {TEXT} or {BOOLEAN}")
         object.__setattr__(self, "drop_columns", tuple(self.drop_columns))
         object.__setattr__(self, "negative_forbidden_columns", tuple(self.negative_forbidden_columns))
         object.__setattr__(self, "note_columns", tuple(self.note_columns))
@@ -261,13 +265,12 @@ def iqr_filter(values: Sequence[float], multiplier: float = 1.5) -> IqrResult:
 
 def _first_numeric_part(cell: str) -> Optional[float]:
     for part in str(cell).split(","):
-        part = part.strip()
-        if not part:
-            continue
         try:
-            return float(part)
+            value = float(part)
         except ValueError:
             continue
+        if math.isfinite(value):
+            return value
     return None
 
 

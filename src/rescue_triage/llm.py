@@ -27,28 +27,18 @@ DEFAULT_INSTRUCTION = (
     "false if the patient can be diagnosed as psychiatric patient"
 )
 
-KEY_SYSTOLIC_BP = "Systolic Blood Pressure"
-KEY_RESPIRATORY_RATE = "Respiratory Rate"
-KEY_CIRCULATION = "Blood Circulation Normality"
-KEY_GCS = "GCS"
-KEY_PULSE_RHYTHM = "Pulse Rhythm"
-KEY_PREILLNESS = "Any Preillness"
-KEY_MENTAL = "Mental Sickness Possibility"
-KEY_PSYCHIATRIC = "Psychiatric Syndrom Presence"
-KEY_ALCOHOLIC = "Alcoholic Possibility"
-KEY_INTOXICATION = "Intoxication Possibility"
-
-_FULL_KEY_ORDER = (
-    KEY_SYSTOLIC_BP,
-    KEY_RESPIRATORY_RATE,
-    KEY_CIRCULATION,
-    KEY_GCS,
-    KEY_PULSE_RHYTHM,
-    KEY_PREILLNESS,
-    KEY_MENTAL,
-    KEY_PSYCHIATRIC,
-    KEY_ALCOHOLIC,
-    KEY_INTOXICATION,
+# (display key, FeatureVector field, display type), in prompt order
+PROMPT_FIELDS = (
+    ("Systolic Blood Pressure", "systolic_bp", float),
+    ("Respiratory Rate", "respiratory_rate", float),
+    ("Blood Circulation Normality", "circulation_normal", int),
+    ("GCS", "gcs", int),
+    ("Pulse Rhythm", "pulse_rhythm_regular", bool),
+    ("Any Preillness", "preillness", bool),
+    ("Mental Sickness Possibility", "mental_abnormality", bool),
+    ("Psychiatric Syndrom Presence", "psychiatric_symptoms", bool),
+    ("Alcoholic Possibility", "alcoholism", bool),
+    ("Intoxication Possibility", "intoxication", bool),
 )
 
 
@@ -77,8 +67,8 @@ class PromptTemplate:
 
 # ten-key variant as sampled, and the nine-key variant that drops the
 # preillness slot eliminated by feature selection
-TEMPLATE_WITH_PREILLNESS = PromptTemplate(_FULL_KEY_ORDER)
-TEMPLATE_DEFAULT = PromptTemplate(tuple(k for k in _FULL_KEY_ORDER if k != KEY_PREILLNESS))
+TEMPLATE_WITH_PREILLNESS = PromptTemplate(tuple(key for key, _, _ in PROMPT_FIELDS))
+TEMPLATE_DEFAULT = PromptTemplate(tuple(key for key, name, _ in PROMPT_FIELDS if name != "preillness"))
 
 
 def _render_value(value) -> str:
@@ -106,18 +96,8 @@ def build_prompt(features: Mapping[str, object], template: PromptTemplate = TEMP
 
 
 def prompt_values_from_vector(fv: FeatureVector) -> dict:
-    """Map a FeatureVector onto the display keys of TEMPLATE_DEFAULT."""
-    return {
-        KEY_SYSTOLIC_BP: fv.systolic_bp,
-        KEY_RESPIRATORY_RATE: fv.respiratory_rate,
-        KEY_CIRCULATION: int(fv.circulation_normal),
-        KEY_GCS: int(fv.gcs),
-        KEY_PULSE_RHYTHM: bool(fv.pulse_rhythm_regular),
-        KEY_MENTAL: bool(fv.mental_abnormality),
-        KEY_PSYCHIATRIC: bool(fv.psychiatric_symptoms),
-        KEY_ALCOHOLIC: bool(fv.alcoholism),
-        KEY_INTOXICATION: bool(fv.intoxication),
-    }
+    """Map a FeatureVector onto every display key of PROMPT_FIELDS."""
+    return {key: kind(getattr(fv, name)) for key, name, kind in PROMPT_FIELDS}
 
 
 class Verdict(Enum):

@@ -38,6 +38,7 @@ from .records import (
     Dataset,
     FeatureVector,
     Label,
+    TEXT_FEATURE_NAMES,
     check_unique_case_ids,
     from_dict,
     read_jsonl,
@@ -106,6 +107,19 @@ class PipelineConfig:
         object.__setattr__(self, "input_csvs", tuple(self.input_csvs))
         if self.llm_mode not in ("stub", "transcript", "endpoint", "off"):
             raise ValueError(f"unknown llm_mode {self.llm_mode!r}")
+        if not 0.0 < self.split_ratio < 1.0:
+            raise ValueError(f"split_ratio must lie strictly between 0 and 1, got {self.split_ratio!r}")
+        # the search and fold rules are tuning's; build its specs to apply them
+        for name, build in (
+            ("search_mode", lambda: SearchSpec(self.search_mode)),
+            ("search_budget", lambda: SearchSpec(self.search_mode, budget=self.search_budget)),
+            ("cv_folds", lambda: CvSpec(self.cv_folds)),
+            ("rfecv_folds", lambda: CvSpec(self.rfecv_folds)),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -160,12 +174,16 @@ def _labeled_rows(features_path: str | Path) -> list[dict]:
     return [r for r in read_jsonl(features_path) if r["label"] != Label.UNKNOWN.value]
 
 
-def _train_split(cfg: PipelineConfig, features_path, selection_path) -> Dataset:
-    """Train split over the vitals plus the text features the filter selected."""
-    names = list(VITAL_FEATURE_NAMES) + _read_json(selection_path)["selected"]
-    data = feature_rows_to_dataset(_labeled_rows(features_path)).select(names)
-    train_set, _ = split_train_test(data, cfg.split_ratio, cfg.seed, cfg.stratified)
-    return train_set
+def _split(cfg: PipelineConfig, features_path, names=None) -> tuple[Dataset, Dataset]:
+    """The config's train/test split of the labeled feature rows, restricted
+    to the named feature columns when names are given."""
+    data = feature_rows_to_dataset(_labeled_rows(features_path))
+    return split_train_test(data if names is None else data.select(names), cfg.split_ratio, cfg.seed, cfg.stratified)
+
+
+def _filter_features(selection_path) -> list[str]:
+    """The vitals plus the text features the relevance filter selected."""
+    return [*VITAL_FEATURE_NAMES, *_read_json(selection_path)["selected"]]
 
 
 def read_winner(leaderboard_path: str | Path) -> ModelSpec:
@@ -178,8 +196,7 @@ def _stub_response(fv: FeatureVector) -> str:
 
     A plumbing stand-in, not a model: answers true when any text flag is set.
     """
-    flags = (fv.preillness, fv.intoxication, fv.alcoholism, fv.mental_abnormality, fv.psychiatric_symptoms)
-    return "true" if any(f == 1.0 for f in flags) else "false"
+    return "true" if any(getattr(fv, n) == 1.0 for n in TEXT_FEATURE_NAMES) else "false"
 
 
 # Stage functions. Each takes the config plus artifact paths, writes its
@@ -245,7 +262,7 @@ def stage_select_features(cfg: PipelineConfig, features_path, selection_path):
 
 def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_path):
     """Hyperparameter search per model kind on the train split's selected features."""
-    train_set = _train_split(cfg, features_path, selection_path)
+    train_set, _ = _split(cfg, features_path, _filter_features(selection_path))
     cv = CvSpec(folds=cfg.cv_folds, stratified=cfg.stratified, seed=cfg.seed)
     per_kind = {}
     for kind in ModelKind:
@@ -273,7 +290,7 @@ def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_p
 
 def stage_rfecv(cfg: PipelineConfig, features_path, selection_path, leaderboard_path, rfecv_path):
     """RFECV on the tuned winner over the same train split as stage_tune."""
-    train_set = _train_split(cfg, features_path, selection_path)
+    train_set, _ = _split(cfg, features_path, _filter_features(selection_path))
     cv = CvSpec(folds=cfg.rfecv_folds, stratified=cfg.stratified, seed=cfg.seed)
     rfe = rfecv(train_set, read_winner(leaderboard_path), cv)
     _write_json(rfecv_path, asdict(rfe))
@@ -293,12 +310,11 @@ def stage_evaluate(
     winner = ModelSpec.from_dict(board["winner"]["spec"])
     if cfg.seed != winner.seed:
         raise ValueError(f"seed {cfg.seed} differs from the leaderboard's seed {winner.seed}")
-    final = feature_rows_to_dataset(_labeled_rows(features_path)).select(_read_json(rfecv_path)["best_features"])
     specs = [
         ModelSpec(ModelKind(k), entries[0]["hyperparameters"], seed=winner.seed)
         for k, entries in board["per_kind"].items()
     ]
-    train_set, test_set = split_train_test(final, cfg.split_ratio, cfg.seed, cfg.stratified)
+    train_set, test_set = _split(cfg, features_path, _read_json(rfecv_path)["best_features"])
     eval_rows = evaluate_all(specs, train_set, test_set)
     write_metrics_csv(eval_rows, table_path)
     artifacts = [Path(table_path)]
@@ -311,7 +327,7 @@ def stage_evaluate(
                 write_roc_csv(row.report.roc_points, p)
                 roc_paths.append(p)
     if best_model_path is not None:
-        save_model(train(winner, train_set.X, train_set.y, feature_names=final.feature_names), best_model_path)
+        save_model(train(winner, train_set.X, train_set.y, feature_names=train_set.feature_names), best_model_path)
         artifacts.append(Path(best_model_path))
     return artifacts + roc_paths, {}
 
@@ -326,8 +342,7 @@ def stage_llm_compare(cfg: PipelineConfig, features_path, model_path, agreement_
     model = load_model(model_path)
     if cfg.seed != model.spec.seed:
         raise ValueError(f"seed {cfg.seed} differs from the model's seed {model.spec.seed}")
-    data = feature_rows_to_dataset(_labeled_rows(features_path))
-    _, test_set = split_train_test(data, cfg.split_ratio, cfg.seed, cfg.stratified)
+    _, test_set = _split(cfg, features_path)
     picked = _pick_llm_cases(test_set, cfg.llm_cases)
     vectors = [FeatureVector.from_array(test_set.X[i]) for i in picked]
     prompts = [build_prompt(prompt_values_from_vector(v), TEMPLATE_DEFAULT) for v in vectors]

@@ -15,6 +15,7 @@ JSONL wire format (one UTF-8 JSON object per line):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cache
@@ -92,27 +93,27 @@ class MissingVitalError(ValueError):
         super().__init__(f"missing vitals: {', '.join(self.missing)}")
 
 
-class VitalsError(ValueError):
-    pass
+def _vital_issue(name: str, value) -> Optional[str]:
+    """The issue kind of one present vitals value, or None when it is valid.
 
-
-def _check_vital_field(name: str, value) -> None:
-    if name in ("systolic_bp", "respiratory_rate"):
-        if value <= 0:
-            raise VitalsError(f"{name} must be positive, got {value!r}")
-    elif name == "gcs":
-        if value != int(value):
-            raise VitalsError(f"gcs must be an integer, got {value!r}")
-        if not GCS_MIN <= value <= GCS_MAX:
-            raise VitalsError(f"gcs must lie in [{GCS_MIN}, {GCS_MAX}], got {value!r}")
+    Blood pressure and respiratory rate must be finite and positive; GCS must
+    be a finite integer in [GCS_MIN, GCS_MAX]; the two flags are not checked.
+    """
+    if name in BINARY_FEATURE_NAMES:
+        return None
+    if not math.isfinite(value) or (name == "gcs" and value != int(value)):
+        return BAD_VALUE
+    if name == "gcs":
+        return None if GCS_MIN <= value <= GCS_MAX else GCS_OUT_OF_RANGE
+    return NEGATIVE_VITAL if value <= 0 else None
 
 
 @dataclass(frozen=True)
 class Vitals:
     """Health vitals for one case. Fields are optional until imputation.
 
-    Present values are validated at construction: blood pressure and
-    respiratory rate must be positive, GCS must lie in [3, 15].
+    Present values are validated at construction by ``_vital_issue``; a bad
+    value raises RecordValidationError naming every offending field.
     """
 
     systolic_bp: Optional[float] = None
@@ -122,10 +123,14 @@ class Vitals:
     pulse_rhythm_regular: Optional[bool] = None
 
     def __post_init__(self):
+        issues = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None:
-                _check_vital_field(f.name, value)
+            kind = None if value is None else _vital_issue(f.name, value)
+            if kind:
+                issues.append(ValidationIssue(kind, f.name, value))
+        if issues:
+            raise RecordValidationError(issues)
 
     def missing_fields(self) -> list[str]:
         return [f.name for f in fields(self) if getattr(self, f.name) is None]
@@ -175,8 +180,8 @@ class TextFeatures:
 class FeatureVector:
     """The ten model-ready features, in the fixed FEATURE_ORDER encoding.
 
-    Boolean-derived entries must be exactly 0 or 1; serialization round-trips
-    bit-exactly through JSON.
+    Every entry must be finite and boolean-derived entries exactly 0 or 1;
+    serialization round-trips bit-exactly through JSON.
     """
 
     gcs: float
@@ -191,10 +196,13 @@ class FeatureVector:
     psychiatric_symptoms: float
 
     def __post_init__(self):
-        for name in BINARY_FEATURE_NAMES:
+        for name in FEATURE_ORDER:
             v = getattr(self, name)
-            if v not in (0.0, 1.0):
-                raise ValueError(f"{name} must be 0 or 1, got {v!r}")
+            if name in BINARY_FEATURE_NAMES:
+                if v not in (0.0, 1.0):
+                    raise ValueError(f"{name} must be 0 or 1, got {v!r}")
+            elif not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
 
     def to_array(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in FEATURE_ORDER], dtype=np.float64)
@@ -257,39 +265,14 @@ def validate_record(raw: Mapping[str, object]) -> RescueRecord:
     if not case_id:
         issues.append(ValidationIssue(EMPTY_CASE_ID, "case_id", raw.get("case_id")))
 
-    def numeric(field: str):
-        value = raw.get(field)
-        if value is None or value == "":
-            return None
+    def numeric(field: str, value):
         try:
             return float(value)
         except (TypeError, ValueError):
             issues.append(ValidationIssue(BAD_VALUE, field, value))
             return None
 
-    bp = numeric("systolic_bp")
-    if bp is not None and bp <= 0:
-        issues.append(ValidationIssue(NEGATIVE_VITAL, "systolic_bp", bp))
-        bp = None
-    rr = numeric("respiratory_rate")
-    if rr is not None and rr <= 0:
-        issues.append(ValidationIssue(NEGATIVE_VITAL, "respiratory_rate", rr))
-        rr = None
-
-    gcs_raw = numeric("gcs")
-    gcs: Optional[int] = None
-    if gcs_raw is not None:
-        if gcs_raw != int(gcs_raw):
-            issues.append(ValidationIssue(BAD_VALUE, "gcs", gcs_raw))
-        elif not GCS_MIN <= gcs_raw <= GCS_MAX:
-            issues.append(ValidationIssue(GCS_OUT_OF_RANGE, "gcs", gcs_raw))
-        else:
-            gcs = int(gcs_raw)
-
-    def flag(field: str) -> Optional[bool]:
-        value = raw.get(field)
-        if value is None or value == "":
-            return None
+    def flag(field: str, value) -> Optional[bool]:
         if isinstance(value, bool):
             return value
         if value in (0, 1, 0.0, 1.0):
@@ -299,8 +282,17 @@ def validate_record(raw: Mapping[str, object]) -> RescueRecord:
         issues.append(ValidationIssue(BAD_VALUE, field, value))
         return None
 
-    circulation = flag("circulation_normal")
-    pulse = flag("pulse_rhythm_regular")
+    vitals: dict = {}
+    for f in fields(Vitals):
+        value = raw.get(f.name)
+        if value is None or value == "":
+            continue
+        value = flag(f.name, value) if f.name in BINARY_FEATURE_NAMES else numeric(f.name, value)
+        kind = None if value is None else _vital_issue(f.name, value)
+        if kind:
+            issues.append(ValidationIssue(kind, f.name, value))
+        elif value is not None:
+            vitals[f.name] = int(value) if f.name == "gcs" else value
 
     notes_raw = raw.get("notes")
     if notes_raw is None:
@@ -325,17 +317,7 @@ def validate_record(raw: Mapping[str, object]) -> RescueRecord:
     if issues:
         raise RecordValidationError(issues, case_id)
 
-    vitals_values = dict(
-        systolic_bp=bp,
-        respiratory_rate=rr,
-        gcs=gcs,
-        circulation_normal=circulation,
-        pulse_rhythm_regular=pulse,
-    )
-    vitals = None
-    if any(v is not None for v in vitals_values.values()):
-        vitals = Vitals(**vitals_values)
-    return RescueRecord(case_id=case_id, vitals=vitals, notes=notes, label=label)
+    return RescueRecord(case_id=case_id, vitals=Vitals(**vitals) if vitals else None, notes=notes, label=label)
 
 
 def to_feature_vector(vitals: Vitals, text: TextFeatures) -> FeatureVector:
@@ -347,14 +329,9 @@ def to_feature_vector(vitals: Vitals, text: TextFeatures) -> FeatureVector:
     missing = vitals.missing_fields()
     if missing:
         raise MissingVitalError(missing)
-    bits = text.presence_bits()
     return FeatureVector(
-        gcs=float(vitals.gcs),
-        circulation_normal=1.0 if vitals.circulation_normal else 0.0,
-        systolic_bp=float(vitals.systolic_bp),
-        pulse_rhythm_regular=1.0 if vitals.pulse_rhythm_regular else 0.0,
-        respiratory_rate=float(vitals.respiratory_rate),
-        **dict(zip(TEXT_FEATURE_NAMES, bits)),
+        **{n: float(getattr(vitals, n)) for n in VITAL_FEATURE_NAMES},
+        **dict(zip(TEXT_FEATURE_NAMES, text.presence_bits())),
     )
 
 
@@ -426,15 +403,7 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
 
 
 def record_to_dict(rec: RescueRecord) -> dict:
-    vitals = None
-    if rec.vitals is not None:
-        vitals = {
-            "systolic_bp": rec.vitals.systolic_bp,
-            "respiratory_rate": rec.vitals.respiratory_rate,
-            "gcs": rec.vitals.gcs,
-            "circulation_normal": rec.vitals.circulation_normal,
-            "pulse_rhythm_regular": rec.vitals.pulse_rhythm_regular,
-        }
+    vitals = None if rec.vitals is None else {f.name: getattr(rec.vitals, f.name) for f in fields(Vitals)}
     return {
         "case_id": rec.case_id,
         "vitals": vitals,
@@ -444,22 +413,9 @@ def record_to_dict(rec: RescueRecord) -> dict:
 
 
 def record_from_dict(d: Mapping[str, object]) -> RescueRecord:
-    vitals = None
-    v = d.get("vitals")
-    if v is not None:
-        vitals = Vitals(
-            systolic_bp=v.get("systolic_bp"),
-            respiratory_rate=v.get("respiratory_rate"),
-            gcs=v.get("gcs"),
-            circulation_normal=v.get("circulation_normal"),
-            pulse_rhythm_regular=v.get("pulse_rhythm_regular"),
-        )
-    return RescueRecord(
-        case_id=str(d["case_id"]),
-        vitals=vitals,
-        notes=tuple(d.get("notes") or ()),
-        label=Label(d.get("label", "unknown")),
-    )
+    """Read one corpus.jsonl object by the rules of validate_record, with
+    the ``vitals`` object flattened into the row."""
+    return validate_record({**d, **(d.get("vitals") or {})})
 
 
 def write_jsonl(path: str | Path, items: Iterable, to_dict: Callable = lambda x: x) -> int:

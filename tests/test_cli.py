@@ -304,6 +304,11 @@ CONFIG_MISUSE = {
                       "PipelineConfig.llm_endpoint: unknown keys ['url']"),
     "generator_without_vitals": ("run-all", {"generator": _generator(drop=("vitals",))},
                                  "PipelineConfig.generator: missing keys ['vitals']"),
+    "search_mode_typo": ("run-all", {"search_mode": "grd"}, "PipelineConfig: search_mode: unknown search mode 'grd'"),
+    "one_cv_fold": ("run-all", {"cv_folds": 1}, "PipelineConfig: cv_folds: folds must be >= 2"),
+    "split_ratio_of_one": ("run-all", {"split_ratio": 1.0}, "PipelineConfig: split_ratio must lie strictly between 0 and 1"),
+    "column_type_typo": ("ingest", {"column_types": {"systolic_bp": "numerc", "gcs": "numeric"}},
+                         "IngestConfig: column_types: unknown types {'systolic_bp': 'numerc'}"),
 }
 
 
@@ -313,7 +318,11 @@ class TestStrictConfig:
         command, config, message = CONFIG_MISUSE[case]
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
-        outputs = ["--out", str(tmp_path / "corpus.jsonl")] if command == "synth" else []
+        outputs = {
+            "synth": ["--out", str(tmp_path / "corpus.jsonl")],
+            # the config is rejected before the (absent) export is read
+            "ingest": [str(tmp_path / "export.csv"), "--out", str(tmp_path / "corpus.jsonl")],
+        }.get(command, [])
         assert main(["--out-dir", str(tmp_path / "out"), "--config", str(cfg), command, *outputs]) == 2
         assert message in caplog.text
         assert list(tmp_path.iterdir()) == [cfg]

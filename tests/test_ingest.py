@@ -7,6 +7,7 @@ from rescue_triage.ingest import (
     MissingKeyColumn,
     Table,
     TooFewValues,
+    apply_iqr,
     impute,
     ingest_tables,
     iqr_filter,
@@ -176,6 +177,12 @@ class TestScrubAndType:
         t = table(["case_id", "bp"], ["a", "130,142"])
         out = type_cells(t, CFG)
         assert out.rows[0]["bp"] == 130.0
+
+    def test_non_finite_numeric_part_skipped(self):
+        t = table(["case_id", "bp"], ["a", "nan"], ["b", "inf,130"], ["c", "120"], ["d", "125"], ["e", "128"])
+        typed = type_cells(t, CFG)
+        assert [r["bp"] for r in typed.rows] == [None, 130.0, 120.0, 125.0, 128.0]
+        apply_iqr(typed, CFG)  # four finite values: the filter runs
 
     def test_circulation_normalization(self):
         cfg = IngestConfig(key_column="case_id")

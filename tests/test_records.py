@@ -1,10 +1,13 @@
 import json
+import logging
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rescue_triage.cli import main
 from rescue_triage.records import (
+    BAD_VALUE,
     EMPTY_CASE_ID,
     FEATURE_ORDER,
     GCS_OUT_OF_RANGE,
@@ -60,6 +63,18 @@ class TestVitals:
         assert Vitals(gcs=3).gcs == 3
         assert Vitals(gcs=15).gcs == 15
 
+    def test_non_finite_rejected_at_construction(self):
+        with pytest.raises(RecordValidationError) as err:
+            Vitals(systolic_bp=float("nan"))
+        assert {(i.kind, i.field) for i in err.value.issues} == {(BAD_VALUE, "systolic_bp")}
+
+    def test_every_bad_field_named(self):
+        with pytest.raises(RecordValidationError) as err:
+            Vitals(systolic_bp=-1.0, respiratory_rate=float("inf"), gcs=2)
+        assert {(i.kind, i.field) for i in err.value.issues} == {
+            (NEGATIVE_VITAL, "systolic_bp"), (BAD_VALUE, "respiratory_rate"), (GCS_OUT_OF_RANGE, "gcs")
+        }
+
 
 class TestValidateRecord:
     def test_valid_record(self):
@@ -100,6 +115,12 @@ class TestValidateRecord:
             with pytest.raises(RecordValidationError):
                 validate_record(raw)
 
+    @pytest.mark.parametrize("field, value", [("gcs", "nan"), ("gcs", "inf"), ("systolic_bp", "nan")])
+    def test_non_finite_vital_is_a_bad_value(self, field, value):
+        with pytest.raises(RecordValidationError) as err:
+            validate_record({"case_id": "a", field: value})
+        assert {(i.kind, i.field) for i in err.value.issues} == {(BAD_VALUE, field)}
+
     def test_unknown_label_permitted_prelabeling(self):
         rec = validate_record({"case_id": "a"})
         assert rec.label == Label.UNKNOWN
@@ -133,6 +154,11 @@ class TestFeatureVector:
     def test_bit_entries_validated(self):
         with pytest.raises(ValueError):
             FeatureVector.from_array([15, 0.5, 130, 0, 16, 0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entry_rejected(self, value):
+        with pytest.raises(ValueError, match="systolic_bp"):
+            FeatureVector.from_array([15, 1, value, 0, 16, 0, 0, 0, 0, 0])
 
     def test_fixed_order(self):
         fv, _, _ = REFERENCE_CASES["Test2"]
@@ -187,6 +213,26 @@ class TestSerialization:
         )
         back = record_from_dict(json.loads(json.dumps(record_to_dict(rec))))
         assert back == rec
+
+    def test_corpus_line_validated_like_an_ingest_row(self):
+        line = record_to_dict(validate_record({"case_id": "x9", "gcs": 12, "systolic_bp": 140}))
+        line["vitals"]["gcs"] = 2
+        with pytest.raises(RecordValidationError, match="x9") as err:
+            record_from_dict(line)
+        assert {(i.kind, i.field) for i in err.value.issues} == {(GCS_OUT_OF_RANGE, "gcs")}
+
+    def test_ingest_drops_a_row_with_infinite_gcs(self, tmp_path, caplog):
+        export = tmp_path / "export.csv"
+        export.write_text(
+            "case_id,systolic_bp,respiratory_rate,gcs,circulation,pulse_rhythm,notes,label\n"
+            "k1,130,16,15,normal,false,ruhig,psychiatric\n"
+            "k2,120,18,inf,abnormal,true,unruhig,non_psychiatric\n"
+        )
+        out = tmp_path / "corpus.jsonl"
+        with caplog.at_level(logging.WARNING):
+            assert main(["ingest", str(export), "--out", str(out)]) == 0
+        assert [json.loads(l)["case_id"] for l in out.read_text().splitlines()] == ["k1"]
+        assert "dropped row 1" in caplog.text and "'gcs' = inf" in caplog.text
 
     def test_duplicate_case_ids_detected(self):
         a = RescueRecord(case_id="a")
