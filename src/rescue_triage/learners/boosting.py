@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .base import stable_sigmoid
-from .tree import bin_columns, grow_second_order_tree
+from .tree import bin_columns, ensemble_values, grow_second_order_tree
 
 
 def _logloss(margin: np.ndarray, y: np.ndarray) -> float:
@@ -23,11 +23,12 @@ def _logloss(margin: np.ndarray, y: np.ndarray) -> float:
 
 def fit_xgb(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     lr = params["learning_rate"]
-    codes, edges = bin_columns(X, params["n_bins"])
+    bins = bin_columns(X, params["n_bins"])
     prior = float(np.clip(y.mean(), 1e-12, 1.0 - 1e-12))
     base = math.log(prior / (1.0 - prior))
 
     margin = np.full(len(y), base)
+    leaf_value = np.empty(len(y))  # each training row's leaf in the newest tree
     trees = []
     losses = [_logloss(margin, y)]
     for _ in range(params["n_rounds"]):
@@ -35,12 +36,13 @@ def fit_xgb(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
         grad = p - y
         hess = p * (1.0 - p)
         tree = grow_second_order_tree(
-            codes, grad, hess, edges,
+            bins, grad, hess,
             max_depth=params["max_depth"],
             reg_lambda=params["reg_lambda"],
+            row_value=leaf_value,
         )
         trees.append(tree)
-        margin = margin + lr * tree.predict_value(X)
+        margin = margin + lr * leaf_value
         losses.append(_logloss(margin, y))
     return {
         "trees": trees,
@@ -52,8 +54,8 @@ def fit_xgb(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
 
 def decision_margin(state: dict, X: np.ndarray) -> np.ndarray:
     margin = np.full(len(X), state["base_margin"])
-    for tree in state["trees"]:
-        margin += state["learning_rate"] * tree.predict_value(X)
+    for values in ensemble_values(state["trees"], X):  # added in tree order
+        margin += state["learning_rate"] * values
     return margin
 
 

@@ -8,38 +8,26 @@ import math
 import numpy as np
 
 from .base import rng_from
-from .tree import bin_columns, grow_classification_tree
+from .tree import bin_columns, ensemble_values, grow_forest
+from .tree import grow_classification_tree  # noqa: F401 - the one-tree entry point perfbench wraps here
 
 _TREE_STREAM = 101
 
 
 def fit_rf(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     n, d = X.shape
-    codes, edges = bin_columns(X, params["n_bins"])
+    bins = bin_columns(X, params["n_bins"])
     max_depth = params["max_depth"] if params["max_depth"] is not None else 2**31
     max_features = max(1, int(round(math.sqrt(d))))
     seed = int(rng.integers(0, 2**32))
 
-    trees = []
-    for t in range(params["n_trees"]):
-        tree_rng = rng_from(seed, _TREE_STREAM, t)
-        boot = tree_rng.integers(0, n, n)
-        trees.append(
-            grow_classification_tree(
-                codes[boot],
-                y[boot],
-                edges,
-                max_depth=max_depth,
-                min_samples_leaf=params["min_samples_leaf"],
-                max_features=max_features,
-                rng=tree_rng,
-            )
-        )
+    # each tree draws its bootstrap rows, then its feature samples, from its own stream
+    rngs = [rng_from(seed, _TREE_STREAM, t) for t in range(params["n_trees"])]
+    roots = (tree_rng.integers(0, n, n).astype(np.int32) for tree_rng in rngs)
+    trees = grow_forest(bins, y, roots, rngs, max_depth, params["min_samples_leaf"], max_features)
     return {"trees": trees}
 
 
 def score_rf(state: dict, X: np.ndarray) -> np.ndarray:
-    votes = np.zeros(len(X))
-    for tree in state["trees"]:
-        votes += tree.predict_value(X) >= 0.5
+    votes = (ensemble_values(state["trees"], X) >= 0.5).sum(axis=0)
     return votes / len(state["trees"])

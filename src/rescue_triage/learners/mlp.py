@@ -21,18 +21,14 @@ def init_params(d: int, hidden: int, rng: np.random.Generator) -> dict:
     }
 
 
-def loss_and_grads(params: dict, X: np.ndarray, y: np.ndarray) -> tuple[float, dict]:
-    """Mean cross-entropy and its analytic gradients (used for training and
-    for the finite-difference gradient check)."""
+def _scores_and_grads(params: dict, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Output scores and the analytic gradients of the mean cross-entropy."""
     W1, b1, w2, b2 = params["W1"], params["b1"], params["w2"], params["b2"]
     n = len(X)
     pre = X @ W1 + b1
     act = np.maximum(pre, 0.0)
     z = act @ w2 + b2
     p = stable_sigmoid(z)
-
-    eps = 1e-12
-    loss = float(-np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps)))
 
     dz = (p - y) / n
     dw2 = act.T @ dz
@@ -41,7 +37,16 @@ def loss_and_grads(params: dict, X: np.ndarray, y: np.ndarray) -> tuple[float, d
     dpre = dact * (pre > 0.0)
     dW1 = X.T @ dpre
     db1 = dpre.sum(axis=0)
-    return loss, {"W1": dW1, "b1": db1, "w2": dw2, "b2": db2}
+    return p, {"W1": dW1, "b1": db1, "w2": dw2, "b2": db2}
+
+
+def loss_and_grads(params: dict, X: np.ndarray, y: np.ndarray) -> tuple[float, dict]:
+    """Mean cross-entropy and its analytic gradients (for the
+    finite-difference gradient check; training needs only the gradients)."""
+    p, grads = _scores_and_grads(params, X, y)
+    eps = 1e-12
+    loss = float(-np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps)))
+    return loss, grads
 
 
 def fit_mlpc(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
@@ -53,7 +58,7 @@ def fit_mlpc(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
         perm = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = perm[start : start + batch_size]
-            _, grads = loss_and_grads(net, X[batch], y[batch])
+            _, grads = _scores_and_grads(net, X[batch], y[batch])
             net["W1"] = net["W1"] - lr * grads["W1"]
             net["b1"] = net["b1"] - lr * grads["b1"]
             net["w2"] = net["w2"] - lr * grads["w2"]

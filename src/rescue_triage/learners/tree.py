@@ -1,25 +1,36 @@
-"""Histogram-based decision trees: one depth-first grower, two split criteria.
+"""Histogram-based decision trees, grown and scored in batches.
 
 Continuous features are quantized once per fit into at most ``n_bins``
-ordered bins; split search then reduces to bin-count cumsums, which keeps
-desk-scale forests fast without native code. Stored thresholds are in
-original feature units; a sample goes left when value < threshold.
+ordered bins, so split search reduces to bin-count cumsums. Stored
+thresholds are in original feature units; a sample goes left when
+value < threshold, which for a training row is the same as code <= cut.
 
-``_grow`` owns everything the two tree kinds share: the node stack and the
-DFS pre-order node ids, parent/child links, the depth cap, the per-feature
-scan for the best gain, the partition and the flat ``TreeArrays``. A
-criterion supplies the rest:
+Split search runs no Python loop per node or feature: each grower collects
+nodes whose splits do not depend on each other and hands them to
+``_split_batch``. That takes one ``bincount`` per statistic over (node,
+feature slot, bin), cumsums along the bins and the criterion's score of
+every cut; ``_best_splits`` then picks per node the first best cut of each
+feature and the first best feature whose gain exceeds ``_EPS_GAIN``, and the
+batch's rows are partitioned in one stable sort. A batch holds at most
+``_BATCH_CELLS`` gathered codes and histogram cells.
 
-* ``_Gini`` (random forest): class counts, the positive-class fraction as
-  leaf value, a ``min_samples_leaf`` floor, and Gini gain over a fresh
-  sample of ``max_features`` features at each node that may split;
-* ``_SecondOrder`` (boosting): gradient/hessian sums, the leaf weight
-  -G / (H + lambda), and the second-order gain over every feature.
+* ``grow_forest`` (random forest) grows all trees of a forest in lockstep.
+  Each step pops one node from every tree's own depth-first stack, so every
+  tree draws its per-node ``rng.choice`` feature sample from its own stream
+  in the same pre-order as a tree grown alone. Gini cost with a
+  ``min_samples_leaf`` floor; nodes hold the positive-class fraction.
+* ``grow_second_order_tree`` (boosting) draws no random numbers, so it grows
+  one level at a time over every feature, then renumbers the nodes to
+  depth-first pre-order. Nodes hold -G / (H + lambda); node sums G and H are
+  ``ndarray.sum`` over the node's rows in row order.
+
+``ensemble_values`` walks all trees of an ensemble together when scoring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -32,20 +43,7 @@ class TreeArrays:
     threshold: np.ndarray  # float64, split point in original units
     left: np.ndarray      # int32 child ids
     right: np.ndarray
-    value: np.ndarray     # float64 leaf payload (class fraction or leaf weight)
-
-    def predict_value(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        node = np.zeros(len(X), dtype=np.int32)
-        active = self.feature[node] >= 0
-        while active.any():
-            idx = np.flatnonzero(active)
-            nd = node[idx]
-            go_left = X[idx, self.feature[nd]] < self.threshold[nd]
-            node[idx[go_left]] = self.left[nd[go_left]]
-            node[idx[~go_left]] = self.right[nd[~go_left]]
-            active = self.feature[node] >= 0
-        return self.value[node]
+    value: np.ndarray     # float64 node payload (class fraction or leaf weight)
 
     def to_dict(self) -> dict:
         return {
@@ -67,13 +65,21 @@ class TreeArrays:
         )
 
 
-def bin_columns(X: np.ndarray, n_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Quantize every column into ordered integer codes.
+@dataclass(frozen=True)
+class Bins:
+    """A fit's binned matrix: ``codes[i, f] <= c`` is equivalent to
+    ``X[i, f] < edges[f, c]`` for every cut c below ``n_bins[f] - 1``."""
 
-    Returns (codes, edges) where ``codes[i, j] <= c`` is equivalent to
-    ``X[i, j] < edges[j][c]``. Columns with few distinct values keep exact
-    midpoint edges, so binning loses nothing for binary or small-integer
-    features.
+    codes: np.ndarray   # (n, d) int32
+    n_bins: np.ndarray  # (d,) bins per feature; a feature with one bin never splits
+    edges: np.ndarray   # (d, max(2, max bins)) cut points, NaN-padded
+
+
+def bin_columns(X: np.ndarray, n_bins: int) -> Bins:
+    """Quantize every column into at most ``n_bins`` ordered integer codes.
+
+    Columns with few distinct values keep exact midpoint edges, so binning
+    loses nothing for binary or small-integer features.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -88,141 +94,275 @@ def bin_columns(X: np.ndarray, n_bins: int) -> tuple[np.ndarray, list[np.ndarray
             e = np.unique(qs)
         codes[:, j] = np.searchsorted(e, X[:, j], side="right")
         edges.append(e)
-    return codes, edges
+    bins = np.array([len(e) + 1 for e in edges])
+    padded = np.full((d, int(bins.max(initial=2))), np.nan)
+    for j, e in enumerate(edges):
+        padded[j, : len(e)] = e
+    return Bins(codes, bins, padded)
 
 
 _EPS_GAIN = 1e-12
+# cap on a batch's arrays, which bounds its memory: gathered codes (rows x
+# feature slots) plus histogram cells (nodes x slots x bins) of a split batch;
+# the nodes, and the (tree, row) pairs, of a scoring walk
+_BATCH_CELLS = 1 << 14
 
 
-class _Gini:
-    """Gini impurity split criterion with a leaf-size floor."""
-
-    def __init__(self, y, min_samples_leaf, max_features, rng):
-        self.y, self.min_samples_leaf, self.max_features, self.rng = y, min_samples_leaf, max_features, rng
-
-    def node(self, idx):
-        yi = self.y[idx]
-        k, pos = len(idx), int(yi.sum())
-        return k, yi, pos, 1.0 - (pos / k) ** 2 - ((k - pos) / k) ** 2
-
-    def value(self, node) -> float:
-        k, _, pos, _ = node
-        return pos / k
-
-    def split_features(self, node, d: int):
-        """Features to scan; none when the node is pure or too small."""
-        k, _, pos, _ = node
-        if k < 2 * self.min_samples_leaf or pos == 0 or pos == k:
-            return ()
-        return self.rng.choice(d, size=min(self.max_features, d), replace=False)
-
-    def gain(self, node, c: np.ndarray, nb: int):
-        """(best gain, its bin) over the cuts of one feature's codes ``c``."""
-        k, yi, pos, parent_gini = node
-        # negative and positive counts per bin in one pass
-        both = np.bincount(c + nb * yi, minlength=2 * nb)
-        nl = np.cumsum(both[:nb] + both[nb:])[:-1]
-        pl = np.cumsum(both[nb:])[:-1]
-        nr = k - nl
-        pr = pos - pl
-        gl = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-        gr = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-        cost = (nl * gl + nr * gr) / k
-        cost[(nl < self.min_samples_leaf) | (nr < self.min_samples_leaf)] = np.inf
-        ci = int(np.argmin(cost))
-        return parent_gini - cost[ci], ci
+def _batches(sizes: list[int], width: int, n_cells: int):
+    """[lo, hi) ranges of items, each counting (size + n_cells) * width, that
+    stay within ``_BATCH_CELLS``; a larger item goes alone."""
+    lo, used = 0, 0
+    for i, k in enumerate(sizes):
+        cells = (k + n_cells) * width
+        if i > lo and used + cells > _BATCH_CELLS:
+            yield lo, i
+            lo, used = i, 0
+        used += cells
+    yield lo, len(sizes)
 
 
-class _SecondOrder:
-    """Second-order (Newton) regression criterion with an L2 leaf penalty."""
+def _best_splits(score: np.ndarray, offset, usable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(slot, cut) of each node's best split; slot -1 where none gains enough.
 
-    def __init__(self, grad, hess, reg_lambda):
-        self.grad, self.hess, self.reg_lambda = grad, hess, reg_lambda
-
-    def node(self, idx):
-        gi, hi = self.grad[idx], self.hess[idx]
-        G, H = float(gi.sum()), float(hi.sum())
-        return len(idx), gi, hi, G, H, G * G / (H + self.reg_lambda)
-
-    def value(self, node) -> float:
-        _, _, _, G, H, _ = node
-        return -G / (H + self.reg_lambda)
-
-    def split_features(self, node, d: int):
-        return range(d) if node[0] >= 2 else ()
-
-    def gain(self, node, c: np.ndarray, nb: int):
-        k, gi, hi, G, H, parent_term = node
-        lam = self.reg_lambda
-        gl = np.cumsum(np.bincount(c, weights=gi, minlength=nb))[:-1]
-        hl = np.cumsum(np.bincount(c, weights=hi, minlength=nb))[:-1]
-        nl = np.cumsum(np.bincount(c, minlength=nb))[:-1]
-        gr = G - gl
-        hr = H - hl
-        gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_term)
-        gain[(nl < 1) | (nl > k - 1)] = -np.inf
-        ci = int(np.argmax(gain))
-        return gain[ci], ci
-
-
-def _grow(codes: np.ndarray, edges: list[np.ndarray], max_depth: int, crit) -> TreeArrays:
-    """Greedy depth-first tree; node ids are in DFS pre-order, left first.
-
-    ``crit`` supplies ``node(idx)`` (the node's statistics), ``value(node)``,
-    ``split_features(node, d)`` and ``gain(node, codes, n_bins)`` -> (gain,
-    bin). A node becomes a leaf at max depth, when the criterion offers no
-    features to scan, or when no cut gains more than ``_EPS_GAIN``.
+    ``score`` is (nodes, slots, cuts), higher is better, with masked cuts at
+    -inf; a slot's gain is ``offset`` plus its best cut's score. As in a scan
+    that keeps a gain only when it beats the best so far, the first slot with
+    the highest gain wins, within it the first best cut, and a slot with a
+    NaN cut never wins (``max`` is NaN there, as ``argmax`` would pick it).
     """
-    n, d = codes.shape
-    n_bins = [len(e) + 1 for e in edges]
-    rows: list[list] = []  # per node: feature, threshold, left, right, value
-    stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(n), 0, -1, False)]
-    # masked cuts may divide by zero; they are never chosen
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while stack:
-            idx, depth, parent, is_right = stack.pop()
-            node_id = len(rows)
-            if parent >= 0:
-                rows[parent][3 if is_right else 2] = node_id
-            node = crit.node(idx)
-            rows.append([-1, 0.0, -1, -1, crit.value(node)])
-            if depth >= max_depth:
-                continue
+    gain = score.max(axis=2)
+    if offset is not None:
+        gain = offset[:, None] + gain
+    gain[~usable | np.isnan(gain)] = -np.inf
+    slot = np.argmax(gain, axis=1)
+    node = np.arange(len(slot))
+    return np.where(gain[node, slot] > _EPS_GAIN, slot, -1), np.argmax(score[node, slot], axis=1)
 
-            best_gain, best_f, best_code = _EPS_GAIN, -1, -1
-            for f in crit.split_features(node, d):
-                if n_bins[f] < 2:
-                    continue
-                gain, code = crit.gain(node, codes[idx, f], n_bins[f])
-                if gain > best_gain:
-                    best_gain, best_f, best_code = gain, int(f), code
-            if best_f < 0:
-                continue
 
-            rows[node_id][:2] = best_f, float(edges[best_f][best_code])
-            mask = codes[idx, best_f] <= best_code
-            # push left last so it is grown first (ids in DFS pre-order)
-            stack.append((idx[~mask], depth + 1, node_id, True))
-            stack.append((idx[mask], depth + 1, node_id, False))
+def _split_batch(bins: Bins, rows: list[np.ndarray], slots, weights, score):
+    """Find and apply the best split of every node in ``rows``.
 
-    feature, threshold, left, right, value = zip(*rows)
-    i32, f64 = np.int32, np.float64
-    return TreeArrays(np.asarray(feature, i32), np.asarray(threshold, f64),
-                      np.asarray(left, i32), np.asarray(right, i32), np.asarray(value, f64))
+    ``slots`` is a (nodes, S) array of the features each node may split on,
+    or None for every feature. ``weights`` are per-row statistics to
+    histogram (None counts rows). ``score(node ids, *cumulative sums)``
+    gets, per statistic, the (nodes, S, cuts) sums left of every cut and
+    returns ``(score, offset)`` for ``_best_splits``. Returns per node the
+    feature (-1 for a leaf), the threshold, its (left, right) rows, which
+    keep their order, and the left child's sum of each statistic.
+    """
+    n_nodes, d = len(rows), bins.codes.shape[1]
+    width = d if slots is None else slots.shape[1]
+    n_cells = bins.edges.shape[1]
+    feature = np.full(n_nodes, -1, dtype=np.int32)
+    threshold = np.zeros(n_nodes)
+    children: list = [None] * n_nodes
+    left_sums = np.zeros((n_nodes, len(weights)))
+    for lo, hi in _batches([len(r) for r in rows], width, n_cells):
+        m = hi - lo
+        sizes = [len(r) for r in rows[lo:hi]]
+        cat = np.concatenate(rows[lo:hi])
+        seg = np.repeat(np.arange(m), sizes)
+        feats = np.broadcast_to(np.arange(d), (m, d)) if slots is None else slots[lo:hi]
+        codes = bins.codes[cat] if slots is None else bins.codes[cat[:, None], feats[seg]]
+        first_cell = (np.arange(m)[:, None] * width + np.arange(width)) * n_cells  # of each (node, slot)
+        cell = first_cell[seg] + codes
+        sums = [
+            np.bincount(cell.ravel(), None if w is None else np.repeat(w[cat], width), m * width * n_cells)
+            .reshape(m, width, n_cells).cumsum(axis=2)[..., :-1]
+            for w in weights
+        ]
+        best, cut = _best_splits(*score(np.arange(lo, hi), *sums), bins.n_bins[feats] >= 2)
+        split = best >= 0
+        f = np.where(split, feats[np.arange(m), best], -1)
+        for j, s in enumerate(sums):
+            left_sums[lo:hi, j] = s[np.arange(m), best, cut]
+        feature[lo:hi] = f
+        threshold[lo:hi] = np.where(split, bins.edges[f, cut], 0.0)
+        side = seg * 2 + (bins.codes[cat, f[seg]] > cut[seg])  # 2 * node, + 1 if right
+        grouped = cat[np.argsort(side, kind="stable")]
+        edge = [0] + np.cumsum(np.bincount(side, minlength=2 * m)).tolist()
+        for i in np.flatnonzero(split).tolist():
+            # copies, so a pending child does not keep the whole batch alive
+            a, b, c = edge[2 * i : 2 * i + 3]
+            children[lo + i] = grouped[a:b].copy(), grouped[b:c].copy()
+    return feature, threshold, children, left_sums
+
+
+def grow_forest(
+    bins: Bins, y: np.ndarray, roots: Iterable[np.ndarray], rngs: list[np.random.Generator],
+    max_depth: int, min_samples_leaf: int, max_features: int,
+) -> list[TreeArrays]:
+    """One Gini tree per (root rows, rng); all trees grow in lockstep.
+
+    The t-th of ``roots`` holds tree t's training rows (repeats allowed); a
+    generator keeps only the trees' stacks holding them. A node splits only
+    below ``max_depth``, when it is impure and has at least
+    ``2 * min_samples_leaf`` rows; only then does its tree's rng draw
+    ``max_features`` candidate features. Node ids are in depth-first
+    pre-order, left first.
+    """
+    d = bins.codes.shape[1]
+    n_slots = min(max_features, d)
+    msl = min_samples_leaf
+    # rows, positives, depth, parent, is right child
+    stacks = [[(rows, int(y[rows].sum()), 0, -1, False)] for rows in roots]
+    steps = []  # per step: tree, parent, is right child, value, feature, threshold
+    n_nodes = 0
+    live = list(range(len(stacks)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked cuts are never chosen
+        while live:
+            popped = [stacks[t].pop() for t in live]
+            rows = [p[0] for p in popped]
+            k = np.array([len(r) for r in rows])
+            pos = np.array([p[1] for p in popped])
+            depth = np.array([p[2] for p in popped])
+            ids = np.flatnonzero((depth < max_depth) & (k >= 2 * msl) & (pos > 0) & (pos < k))
+            feature, threshold = np.full(len(popped), -1, dtype=np.int32), np.zeros(len(popped))
+            if len(ids):
+                slots = np.array([rngs[live[i]].choice(d, size=n_slots, replace=False) for i in ids])
+                kk, pp = k[ids, None, None], pos[ids, None, None]
+                # Python floats: ``x ** 2`` (libm pow) and numpy's x * x differ in the last bit
+                # for about 1 in 1,300 fractions p / n
+                gini = np.array([1.0 - (p / n) ** 2 - ((n - p) / n) ** 2
+                                 for p, n in zip(pos[ids].tolist(), k[ids].tolist())])
+
+                def gini_cost(b, nl, pl):
+                    nr, pr = kk[b] - nl, pp[b] - pl
+                    gl = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+                    gr = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+                    cost = (nl * gl + nr * gr) / kk[b]
+                    cost[(nl < msl) | (nr < msl)] = np.inf
+                    return -cost, gini[b]
+
+                f, thr, children, left_sums = _split_batch(bins, [rows[i] for i in ids], slots, (None, y), gini_cost)
+                feature[ids], threshold[ids] = f, thr
+                for i, pair, left_pos in zip(ids.tolist(), children, left_sums[:, 1].tolist()):
+                    if pair is not None:
+                        t, node, below = live[i], n_nodes + i, depth[i] + 1
+                        stacks[t].append((pair[1], int(pos[i]) - int(left_pos), below, node, True))
+                        stacks[t].append((pair[0], int(left_pos), below, node, False))
+            parent = np.array([p[3] for p in popped], dtype=np.int32)
+            is_right = np.array([p[4] for p in popped])
+            steps.append((np.array(live, dtype=np.int32), parent, is_right, pos / k, feature, threshold))
+            n_nodes += len(popped)
+            live = [t for t in live if stacks[t]]
+
+    tree, parent, is_right, value, feature, threshold = (np.concatenate(col) for col in zip(*steps))
+    counts = np.bincount(tree, minlength=len(stacks))
+    order = np.argsort(tree, kind="stable")  # each tree's nodes in creation (pre-)order
+    local = np.empty(n_nodes, dtype=np.int32)
+    local[order] = np.arange(n_nodes) - np.repeat(np.cumsum(counts) - counts, counts)
+    left, right = np.full(n_nodes, -1, dtype=np.int32), np.full(n_nodes, -1, dtype=np.int32)
+    child = parent >= 0
+    right[parent[child & is_right]] = local[child & is_right]
+    left[parent[child & ~is_right]] = local[child & ~is_right]
+    # the trees are consecutive views of one array per field
+    columns = [a[order] for a in (feature, threshold, left, right, value)]
+    ends = np.cumsum(counts).tolist()
+    return [TreeArrays(*(a[s:e] for a in columns)) for s, e in zip([0] + ends[:-1], ends)]
 
 
 def grow_classification_tree(
-    codes: np.ndarray, y: np.ndarray, edges: list[np.ndarray], max_depth: int,
-    min_samples_leaf: int, max_features: int, rng: np.random.Generator,
+    bins: Bins, y: np.ndarray, max_depth: int, min_samples_leaf: int, max_features: int,
+    rng: np.random.Generator,
 ) -> TreeArrays:
-    """Gini tree with per-node feature subsampling; leaves hold the
-    positive-class fraction."""
-    return _grow(codes, edges, max_depth, _Gini(y, min_samples_leaf, max_features, rng))
+    """One Gini tree on every binned row: a forest of one."""
+    roots = [np.arange(len(bins.codes), dtype=np.int32)]
+    return grow_forest(bins, y, roots, [rng], max_depth, min_samples_leaf, max_features)[0]
 
 
 def grow_second_order_tree(
-    codes: np.ndarray, grad: np.ndarray, hess: np.ndarray, edges: list[np.ndarray],
-    max_depth: int, reg_lambda: float,
+    bins: Bins, grad: np.ndarray, hess: np.ndarray, max_depth: int, reg_lambda: float,
+    row_value: np.ndarray,
 ) -> TreeArrays:
-    """Regression tree on gradient/hessian sums; leaves hold -G / (H + lambda)."""
-    return _grow(codes, edges, max_depth, _SecondOrder(grad, hess, reg_lambda))
+    """Regression tree on gradient/hessian sums, grown level by level; nodes
+    hold -G / (H + lambda). A node with at least two rows splits below
+    ``max_depth``. Entry i of ``row_value`` is set to the value of the leaf
+    that training row i lands in."""
+    lam = reg_lambda
+    feature, threshold, value, left = [], [], [], []  # in level order
+    level, depth = [np.arange(len(bins.codes))], 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked cuts are never chosen
+        while level:
+            first = len(value)
+            G = [float(grad[r].sum()) for r in level]
+            H = [float(hess[r].sum()) for r in level]
+            value += [-g / (h + lam) for g, h in zip(G, H)]
+            feature += [-1] * len(level)
+            threshold += [0.0] * len(level)
+            left += [-1] * len(level)
+            ids = [i for i, r in enumerate(level) if depth < max_depth and len(r) >= 2]
+            next_level = []
+            if ids:
+                kk = np.array([len(level[i]) for i in ids])[:, None, None]
+                GG = np.array([G[i] for i in ids])[:, None, None]
+                HH = np.array([H[i] for i in ids])[:, None, None]
+                parent_term = np.array([G[i] * G[i] / (H[i] + lam) for i in ids])[:, None, None]
+
+                def newton_gain(b, nl, gl, hl):
+                    gr, hr = GG[b] - gl, HH[b] - hl
+                    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_term[b])
+                    gain[(nl < 1) | (nl > kk[b] - 1)] = -np.inf
+                    return gain, None
+
+                f, thr, children, _ = _split_batch(bins, [level[i] for i in ids], None, (None, grad, hess), newton_gain)
+                for i, fi, ti, pair in zip(ids, f.tolist(), thr.tolist(), children):
+                    if pair is not None:
+                        feature[first + i], threshold[first + i] = fi, ti
+                        left[first + i] = first + len(level) + len(next_level)
+                        next_level += pair
+            for i, r in enumerate(level):
+                if feature[first + i] < 0:
+                    row_value[r] = value[first + i]
+            level, depth = next_level, depth + 1
+    return _preorder(np.array(feature, dtype=np.int32), np.array(threshold), np.array(left, dtype=np.int32),
+                     np.array(value))
+
+
+def _preorder(feature, threshold, left, value) -> TreeArrays:
+    """Renumber a level-order tree (right child = left + 1) to depth-first
+    pre-order, left first."""
+    order, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        if feature[v] >= 0:
+            stack += [left[v] + 1, left[v]]
+    new_id = np.empty(len(order), dtype=np.int32)
+    new_id[order] = np.arange(len(order))
+    internal = feature[order] >= 0
+    kids = left[order][internal]
+    new_left, new_right = np.full(len(order), -1, dtype=np.int32), np.full(len(order), -1, dtype=np.int32)
+    new_left[internal], new_right[internal] = new_id[kids], new_id[kids + 1]
+    return TreeArrays(feature[order], threshold[order], new_left, new_right, value[order])
+
+
+def ensemble_values(trees: list[TreeArrays], X: np.ndarray) -> np.ndarray:
+    """(len(trees), len(X)) value of the leaf each row reaches in each tree.
+
+    Consecutive trees with at most ``_BATCH_CELLS`` nodes in all are walked
+    together, over row blocks of at most ``_BATCH_CELLS`` (tree, row) pairs.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty((len(trees), len(X)))
+    for t0, t1 in _batches([len(t.feature) for t in trees], 1, 0) if trees else ():
+        group = trees[t0:t1]
+        sizes = [len(t.feature) for t in group]
+        start = np.cumsum([0] + sizes[:-1], dtype=np.int32)
+        feature = np.concatenate([t.feature for t in group])
+        threshold = np.concatenate([t.threshold for t in group])
+        left = np.concatenate([t.left + s for t, s in zip(group, start)])
+        right = np.concatenate([t.right + s for t, s in zip(group, start)])
+        value = np.concatenate([t.value for t in group])
+        step = max(1, _BATCH_CELLS // len(group))
+        for lo in range(0, len(X), step):
+            xb = X[lo : lo + step]
+            node = np.repeat(start, len(xb))  # pair i is (tree i // len(xb), row i % len(xb))
+            walking = np.flatnonzero(feature[node] >= 0)
+            while walking.size:
+                nd = node[walking]
+                go_left = xb[walking % len(xb), feature[nd]] < threshold[nd]
+                node[walking] = np.where(go_left, left[nd], right[nd])
+                walking = walking[feature[node[walking]] >= 0]
+            out[t0:t1, lo : lo + len(xb)] = value[node].reshape(len(group), len(xb))
+    return out

@@ -109,6 +109,8 @@ class PipelineConfig:
             raise ValueError(f"unknown llm_mode {self.llm_mode!r}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ValueError(f"split_ratio must lie strictly between 0 and 1, got {self.split_ratio!r}")
+        if self.llm_cases < 1:
+            raise ValueError(f"llm_cases must be at least 1, got {self.llm_cases!r}")
         # the search and fold rules are tuning's; build its specs to apply them
         for name, build in (
             ("search_mode", lambda: SearchSpec(self.search_mode)),

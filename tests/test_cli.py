@@ -307,6 +307,7 @@ CONFIG_MISUSE = {
     "search_mode_typo": ("run-all", {"search_mode": "grd"}, "PipelineConfig: search_mode: unknown search mode 'grd'"),
     "one_cv_fold": ("run-all", {"cv_folds": 1}, "PipelineConfig: cv_folds: folds must be >= 2"),
     "split_ratio_of_one": ("run-all", {"split_ratio": 1.0}, "PipelineConfig: split_ratio must lie strictly between 0 and 1"),
+    "negative_llm_cases": ("run-all", {"llm_cases": -1}, "PipelineConfig: llm_cases must be at least 1, got -1"),
     "column_type_typo": ("ingest", {"column_types": {"systolic_bp": "numerc", "gcs": "numeric"}},
                          "IngestConfig: column_types: unknown types {'systolic_bp': 'numerc'}"),
 }

@@ -230,49 +230,127 @@ def _golden_matrix():
     return np.column_stack([binary, small, cont, skew]), (logit > 0).astype(np.int64)
 
 
-# (kind, hyperparameters, sha256 of the saved-model JSON), recorded from the
-# tree growers before they were merged into one; any change to a split,
-# threshold or leaf value shows
+def _desk_matrix():
+    """Desk-size rows: eight keyword flags, a GCS-like integer, two vitals."""
+    rng = np.random.default_rng(37)
+    n = 160
+    flags = rng.integers(0, 2, (n, 8)).astype(float)
+    gcs = rng.integers(3, 16, n).astype(float)
+    bp = rng.normal(130.0, 20.0, n)
+    rr = rng.normal(16.0, 4.0, n)
+    logit = (flags[:, :3].sum(1) - flags[:, 3:5].sum(1) + 0.2 * (gcs - 12) + (bp - 130.0) / 20.0
+             + rng.normal(0.0, 1.0, n))
+    return np.column_stack([flags, gcs, bp, rr]), (logit > 0.5).astype(np.int64)
+
+
+def _constant_column_matrix():
+    """The golden rows with a constant third column (a single bin, never split on)."""
+    X, y = _golden_matrix()
+    return np.column_stack([X[:, :2], np.full(len(X), 7.0), X[:, 2:]]), y
+
+
+def _separable_matrix():
+    """The golden rows labelled by one threshold on the continuous column; with
+    ``reg_lambda`` 0 and ``learning_rate`` 1.0 boosting saturates some rows'
+    hessians to exactly 0, so some cuts score 0/0 (NaN) and must never win."""
+    X, _ = _golden_matrix()
+    return X, (X[:, 2] > 1.4).astype(np.int64)
+
+
+# (rows, kind, hyperparameters, sha256 of the saved-model JSON); any change to
+# a split, threshold or leaf value shows. The cases on the golden rows were
+# recorded from the two tree growers before they were merged into one, the
+# others from that depth-first per-node grower, for what a batched grower
+# branches on: a forest spanning several histogram batches, a single-bin
+# column, a leaf-size floor, and NaN cut gains
 GOLDEN_TREES = [
-    (ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 1, "n_bins": 2},
+    (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 1, "n_bins": 2},
      "cf9a338ed56c8309e50edf48f95605d18b36c49b0eaa36692f70cfe019ea8193"),
-    (ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 1, "n_bins": 32},
+    (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 1, "n_bins": 32},
      "59388c8af7bef5b9d96e0d117da2a3839ce3aaa718e7492841600d5b70cbd3ad"),
-    (ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 3, "n_bins": 2},
+    (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 3, "n_bins": 2},
      "34cbaeb28339dce6b119a809604ceb74078913e8f45a77548ccaf9124db74b76"),
-    (ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 3, "n_bins": 32},
+    (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 3, "n_bins": 32},
      "aa2a6587d2bed9a898057c3d2b5ea5c3343061a74857e09e0c8b86be87f16938"),
-    (ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 1, "n_bins": 2},
+    (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 1, "n_bins": 2},
      "7b687e84aae26e8fc702c43aba92e6354f1bc69e0e89a9c7e221e208b85868f1"),
-    (ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 1, "n_bins": 32},
+    (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 1, "n_bins": 32},
      "c85ce71a3e733bc303f19043820fb43026120a82ff73ece65b7110052b280878"),
-    (ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 3, "n_bins": 2},
+    (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 3, "n_bins": 2},
      "31a2399e04babe09074eeff03372bf633d4491c07ee792e569e27d3f0f9e597a"),
-    (ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 3, "n_bins": 32},
+    (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 3, "n_bins": 32},
      "3e21429c1d66a8e40be94b1c551b650dcc5baab4f365259ab41230f7224b5654"),
-    (ModelKind.XGB, {"n_rounds": 0, "max_depth": 1},
+    (_golden_matrix, ModelKind.XGB, {"n_rounds": 0, "max_depth": 1},
      "300d44e7aa86720eb5a5cf21d22942e4d2acf6380de3d7cf298279da846da6db"),
-    (ModelKind.XGB, {"n_rounds": 0, "max_depth": 3},
+    (_golden_matrix, ModelKind.XGB, {"n_rounds": 0, "max_depth": 3},
      "fe78ed5df8b2bd5332e0eb38330fa3ce445c8e6207859f901cbb2e3d4a0d8926"),
-    (ModelKind.XGB, {"n_rounds": 20, "max_depth": 1},
+    (_golden_matrix, ModelKind.XGB, {"n_rounds": 20, "max_depth": 1},
      "7d6483a19a6a0fbbdabfe645f682b3fa14013e20b8b1918dc00c22f66b7343a6"),
-    (ModelKind.XGB, {"n_rounds": 20, "max_depth": 3},
+    (_golden_matrix, ModelKind.XGB, {"n_rounds": 20, "max_depth": 3},
      "9d23a07ed07f5a9ea48c0b93a6afaaa5e5b235c90e97fe8830f1df905429c46c"),
-    (ModelKind.XGB, {"n_rounds": 20, "max_depth": 3, "reg_lambda": 0.0, "n_bins": 4},
+    (_golden_matrix, ModelKind.XGB, {"n_rounds": 20, "max_depth": 3, "reg_lambda": 0.0, "n_bins": 4},
      "aa964de455dba79ea91a8428a96c62059e9692d9fff1870d1ee0ab2aa12968bd"),
+    (_desk_matrix, ModelKind.RF, {"n_trees": 300},
+     "02918c89647af73cb453423ae6bdd390b046d115f9c23f63a7892fe277ff4c9d"),
+    (_desk_matrix, ModelKind.RF, {"n_trees": 300, "max_depth": 10, "min_samples_leaf": 3},
+     "f95e4854399f6f921a880945697e087429bca90b7e85bff99a6c944570fada9f"),
+    (_constant_column_matrix, ModelKind.RF, {"n_trees": 4},
+     "ea18a1c9413e7d47525fafb3ca0b2946a8c5f00506266a9f8db20815d1e08b22"),
+    (_constant_column_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 3},
+     "dd4126fcaf0c2735abc36c3ba8093ac3a1b3e84b248e83585e5eac3c802c753e"),
+    (_constant_column_matrix, ModelKind.XGB, {"n_rounds": 20, "max_depth": 3},
+     "e364d412ff7b51dc24135d08591b105d215ac54ae4d6953832badd849aae592b"),
+    (_separable_matrix, ModelKind.XGB, {"n_rounds": 30, "max_depth": 3, "learning_rate": 1.0, "reg_lambda": 0.0},
+     "52979074f6ef0dfcfb6913e589b814bad5d225d94fedd730194b065ab6652eec"),
 ]
+
+
+def _golden_id(rows, kind, params) -> str:
+    names = [] if rows is _golden_matrix else [rows.__name__.strip("_")]
+    return "-".join([*names, kind.value, *(f"{n}={v}" for n, v in params.items())])
 
 
 class TestGoldenTrees:
     @pytest.mark.parametrize(
-        "kind,params,digest",
-        GOLDEN_TREES,
-        ids=["-".join([k.value, *(f"{n}={v}" for n, v in p.items())]) for k, p, _ in GOLDEN_TREES],
+        "rows,kind,params,digest", GOLDEN_TREES, ids=[_golden_id(r, k, p) for r, k, p, _ in GOLDEN_TREES]
     )
-    def test_saved_model_hash(self, kind, params, digest):
-        X, y = _golden_matrix()
+    def test_saved_model_hash(self, rows, kind, params, digest):
+        X, y = rows()
         model = train(ModelSpec(kind, params, seed=5), X, y)
         assert hashlib.sha256(json.dumps(model_to_dict(model)).encode()).hexdigest() == digest
+
+
+def _walk(tree, x) -> float:
+    """One row down one tree, one node at a time."""
+    node = 0
+    while tree.feature[node] >= 0:
+        node = tree.left[node] if x[tree.feature[node]] < tree.threshold[node] else tree.right[node]
+    return float(tree.value[node])
+
+
+class TestEnsembleScoring:
+    """Scoring walks all trees of an ensemble together; it must equal a
+    reference loop over trees and rows."""
+
+    @pytest.mark.parametrize("params", [{"n_trees": 7}, {"n_trees": 30, "max_depth": 4, "n_bins": 4}])
+    def test_forest_equals_per_tree_loop(self, params):
+        X, y = _desk_matrix()
+        model = train(ModelSpec(ModelKind.RF, params, seed=3), X[:120], y[:120])
+        Xs = model.standardizer.transform(X)
+        trees = model.state["trees"]
+        expected = np.array([sum(_walk(t, x) >= 0.5 for t in trees) for x in Xs]) / len(trees)
+        assert np.array_equal(np.asarray(model.score(X)), expected)
+
+    @pytest.mark.parametrize("params", [{"n_rounds": 12}, {"n_rounds": 25, "max_depth": 2, "learning_rate": 0.3}])
+    def test_boosting_adds_trees_in_order(self, params):
+        X, y = _desk_matrix()
+        model = train(ModelSpec(ModelKind.XGB, params, seed=3), X[:120], y[:120])
+        Xs = model.standardizer.transform(X)
+        state = model.state
+        margin = np.full(len(X), state["base_margin"])
+        for t in state["trees"]:
+            margin += state["learning_rate"] * np.array([_walk(t, x) for x in Xs])
+        assert np.array_equal(np.asarray(model.score(X)), np.clip(stable_sigmoid(margin), 0.0, 1.0))
 
 
 class TestMlp:

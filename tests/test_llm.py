@@ -200,7 +200,8 @@ def _make_handler(state: _StubState):
 def stub_server():
     state = _StubState()
     server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(state))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval, so shutdown() at teardown returns quickly
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     url = f"http://127.0.0.1:{server.server_address[1]}"
     yield url, state
