@@ -54,8 +54,10 @@ def fit_xgb(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
 
 def decision_margin(state: dict, X: np.ndarray) -> np.ndarray:
     margin = np.full(len(X), state["base_margin"])
-    for values in ensemble_values(state["trees"], X):  # added in tree order
-        margin += state["learning_rate"] * values
+    for lo, block in ensemble_values(state["trees"], X):
+        part = margin[lo : lo + block.shape[1]]
+        for values in block:  # added in tree order
+            part += state["learning_rate"] * values
     return margin
 
 

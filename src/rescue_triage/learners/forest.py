@@ -8,8 +8,7 @@ import math
 import numpy as np
 
 from .base import rng_from
-from .tree import bin_columns, ensemble_values, grow_forest
-from .tree import grow_classification_tree  # noqa: F401 - the one-tree entry point perfbench wraps here
+from .tree import LockstepForest, bin_columns, ensemble_values, grow_classification_tree
 
 _TREE_STREAM = 101
 
@@ -24,10 +23,12 @@ def fit_rf(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     # each tree draws its bootstrap rows, then its feature samples, from its own stream
     rngs = [rng_from(seed, _TREE_STREAM, t) for t in range(params["n_trees"])]
     roots = (tree_rng.integers(0, n, n).astype(np.int32) for tree_rng in rngs)
-    trees = grow_forest(bins, y, roots, rngs, max_depth, params["min_samples_leaf"], max_features)
-    return {"trees": trees}
+    forest = LockstepForest(bins, y, roots, rngs, max_depth, params["min_samples_leaf"], max_features)
+    return {"trees": [grow_classification_tree(forest, t) for t in range(params["n_trees"])]}
 
 
 def score_rf(state: dict, X: np.ndarray) -> np.ndarray:
-    votes = (ensemble_values(state["trees"], X) >= 0.5).sum(axis=0)
+    votes = np.zeros(len(X), dtype=np.int64)
+    for lo, block in ensemble_values(state["trees"], X):
+        votes[lo : lo + block.shape[1]] += (block >= 0.5).sum(axis=0)
     return votes / len(state["trees"])

@@ -14,23 +14,25 @@ feature and the first best feature whose gain exceeds ``_EPS_GAIN``, and the
 batch's rows are partitioned in one stable sort. A batch holds at most
 ``_BATCH_CELLS`` gathered codes and histogram cells.
 
-* ``grow_forest`` (random forest) grows all trees of a forest in lockstep.
-  Each step pops one node from every tree's own depth-first stack, so every
-  tree draws its per-node ``rng.choice`` feature sample from its own stream
-  in the same pre-order as a tree grown alone. Gini cost with a
+* ``LockstepForest`` (random forest) grows all trees of a forest in
+  lockstep. Each step pops one node from every tree's own depth-first stack,
+  so every tree draws its per-node ``rng.choice`` feature sample from its own
+  stream in the same pre-order as a tree grown alone; ``grow_classification_tree``
+  steps the forest until a given tree is finished. Gini cost with a
   ``min_samples_leaf`` floor; nodes hold the positive-class fraction.
 * ``grow_second_order_tree`` (boosting) draws no random numbers, so it grows
   one level at a time over every feature, then renumbers the nodes to
   depth-first pre-order. Nodes hold -G / (H + lambda); node sums G and H are
   ``ndarray.sum`` over the node's rows in row order.
 
-``ensemble_values`` walks all trees of an ensemble together when scoring.
+``ensemble_values`` walks all trees of an ensemble together when scoring and
+yields the leaf values block by block, in tree order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -188,87 +190,104 @@ def _split_batch(bins: Bins, rows: list[np.ndarray], slots, weights, score):
     return feature, threshold, children, left_sums
 
 
-def grow_forest(
-    bins: Bins, y: np.ndarray, roots: Iterable[np.ndarray], rngs: list[np.random.Generator],
-    max_depth: int, min_samples_leaf: int, max_features: int,
-) -> list[TreeArrays]:
-    """One Gini tree per (root rows, rng); all trees grow in lockstep.
+class LockstepForest:
+    """The Gini trees of one random forest, grown in lockstep.
 
-    The t-th of ``roots`` holds tree t's training rows (repeats allowed); a
-    generator keeps only the trees' stacks holding them. A node splits only
-    below ``max_depth``, when it is impure and has at least
-    ``2 * min_samples_leaf`` rows; only then does its tree's rng draw
-    ``max_features`` candidate features. Node ids are in depth-first
-    pre-order, left first.
+    Tree t grows on the t-th of ``roots`` (its training rows, repeats
+    allowed; a generator keeps only the trees' stacks holding them). Each
+    ``step`` pops one node from every unfinished tree's own depth-first stack
+    and splits the popped nodes in batches. A node splits only below
+    ``max_depth``, when it is impure and has at least ``2 * min_samples_leaf``
+    rows; only then does its tree's rng draw ``max_features`` candidate
+    features, so each tree draws from its own stream in the same pre-order as
+    a tree grown alone.
+
+    Every unfinished tree gets one node per step, so a node's id in its tree
+    is the step that popped it: ids are in depth-first pre-order, a left
+    child is its parent + 1, and a tree finished at step s has s + 1 nodes.
+    Node fields are kept in (step, tree) arrays; the trees finished at a step
+    are cut out of them together and held in ``done`` until taken.
     """
-    d = bins.codes.shape[1]
-    n_slots = min(max_features, d)
-    msl = min_samples_leaf
-    # rows, positives, depth, parent, is right child
-    stacks = [[(rows, int(y[rows].sum()), 0, -1, False)] for rows in roots]
-    steps = []  # per step: tree, parent, is right child, value, feature, threshold
-    n_nodes = 0
-    live = list(range(len(stacks)))
-    with np.errstate(divide="ignore", invalid="ignore"):  # masked cuts are never chosen
-        while live:
-            popped = [stacks[t].pop() for t in live]
-            rows = [p[0] for p in popped]
-            k = np.array([len(r) for r in rows])
-            pos = np.array([p[1] for p in popped])
-            depth = np.array([p[2] for p in popped])
-            ids = np.flatnonzero((depth < max_depth) & (k >= 2 * msl) & (pos > 0) & (pos < k))
-            feature, threshold = np.full(len(popped), -1, dtype=np.int32), np.zeros(len(popped))
-            if len(ids):
-                slots = np.array([rngs[live[i]].choice(d, size=n_slots, replace=False) for i in ids])
-                kk, pp = k[ids, None, None], pos[ids, None, None]
-                # Python floats: ``x ** 2`` (libm pow) and numpy's x * x differ in the last bit
-                # for about 1 in 1,300 fractions p / n
-                gini = np.array([1.0 - (p / n) ** 2 - ((n - p) / n) ** 2
-                                 for p, n in zip(pos[ids].tolist(), k[ids].tolist())])
 
-                def gini_cost(b, nl, pl):
-                    nr, pr = kk[b] - nl, pp[b] - pl
-                    gl = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-                    gr = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-                    cost = (nl * gl + nr * gr) / kk[b]
-                    cost[(nl < msl) | (nr < msl)] = np.inf
-                    return -cost, gini[b]
+    def __init__(
+        self, bins: Bins, y: np.ndarray, roots: Iterable[np.ndarray], rngs: list[np.random.Generator],
+        max_depth: int, min_samples_leaf: int, max_features: int,
+    ):
+        self.bins, self.y, self.rngs = bins, y, list(rngs)
+        self.max_depth, self.msl = max_depth, min_samples_leaf
+        self.n_slots = min(max_features, bins.codes.shape[1])
+        # rows, positives, depth, parent, is right child
+        self.stacks = [[(rows, int(y[rows].sum()), 0, -1, False)] for rows in roots]
+        self.live = list(range(len(self.stacks)))
+        self.done: dict[int, TreeArrays] = {}
+        self.n_steps = 0
+        # node fields by (step, tree): feature, threshold, value, right child
+        self.fields = [np.empty((16, len(self.stacks)), dt) for dt in (np.int32, np.float64, np.float64, np.int32)]
 
-                f, thr, children, left_sums = _split_batch(bins, [rows[i] for i in ids], slots, (None, y), gini_cost)
-                feature[ids], threshold[ids] = f, thr
-                for i, pair, left_pos in zip(ids.tolist(), children, left_sums[:, 1].tolist()):
-                    if pair is not None:
-                        t, node, below = live[i], n_nodes + i, depth[i] + 1
-                        stacks[t].append((pair[1], int(pos[i]) - int(left_pos), below, node, True))
-                        stacks[t].append((pair[0], int(left_pos), below, node, False))
-            parent = np.array([p[3] for p in popped], dtype=np.int32)
-            is_right = np.array([p[4] for p in popped])
-            steps.append((np.array(live, dtype=np.int32), parent, is_right, pos / k, feature, threshold))
-            n_nodes += len(popped)
-            live = [t for t in live if stacks[t]]
+    def step(self) -> None:
+        live, msl, j = self.live, self.msl, self.n_steps
+        popped = [self.stacks[t].pop() for t in live]
+        rows = [p[0] for p in popped]
+        k = np.array([len(r) for r in rows])
+        pos = np.array([p[1] for p in popped])
+        depth = np.array([p[2] for p in popped])
+        ids = np.flatnonzero((depth < self.max_depth) & (k >= 2 * msl) & (pos > 0) & (pos < k))
+        feature, threshold = np.full(len(popped), -1, dtype=np.int32), np.zeros(len(popped))
+        if len(ids):
+            d = self.bins.codes.shape[1]
+            slots = np.array([self.rngs[live[i]].choice(d, size=self.n_slots, replace=False) for i in ids])
+            kk, pp = k[ids, None, None], pos[ids, None, None]
+            # Python floats: ``x ** 2`` (libm pow) and numpy's x * x differ in the last bit
+            # for about 1 in 1,300 fractions p / n
+            gini = np.array([1.0 - (p / n) ** 2 - ((n - p) / n) ** 2
+                             for p, n in zip(pos[ids].tolist(), k[ids].tolist())])
 
-    tree, parent, is_right, value, feature, threshold = (np.concatenate(col) for col in zip(*steps))
-    counts = np.bincount(tree, minlength=len(stacks))
-    order = np.argsort(tree, kind="stable")  # each tree's nodes in creation (pre-)order
-    local = np.empty(n_nodes, dtype=np.int32)
-    local[order] = np.arange(n_nodes) - np.repeat(np.cumsum(counts) - counts, counts)
-    left, right = np.full(n_nodes, -1, dtype=np.int32), np.full(n_nodes, -1, dtype=np.int32)
-    child = parent >= 0
-    right[parent[child & is_right]] = local[child & is_right]
-    left[parent[child & ~is_right]] = local[child & ~is_right]
-    # the trees are consecutive views of one array per field
-    columns = [a[order] for a in (feature, threshold, left, right, value)]
-    ends = np.cumsum(counts).tolist()
-    return [TreeArrays(*(a[s:e] for a in columns)) for s, e in zip([0] + ends[:-1], ends)]
+            def gini_cost(b, nl, pl):
+                nr, pr = kk[b] - nl, pp[b] - pl
+                gl = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+                gr = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+                cost = (nl * gl + nr * gr) / kk[b]
+                cost[(nl < msl) | (nr < msl)] = np.inf
+                return -cost, gini[b]
+
+            with np.errstate(divide="ignore", invalid="ignore"):  # masked cuts are never chosen
+                feature[ids], threshold[ids], children, left_sums = _split_batch(
+                    self.bins, [rows[i] for i in ids], slots, (None, self.y), gini_cost)
+            for i, pair, left_pos in zip(ids.tolist(), children, left_sums[:, 1].tolist()):
+                if pair is not None:
+                    t, below = live[i], popped[i][2] + 1
+                    self.stacks[t].append((pair[1], popped[i][1] - int(left_pos), below, j, True))
+                    self.stacks[t].append((pair[0], int(left_pos), below, j, False))
+
+        if j == len(self.fields[0]):  # out of steps: double the step capacity
+            for f, old in enumerate(self.fields):
+                self.fields[f] = np.empty((2 * j, old.shape[1]), old.dtype)
+                self.fields[f][:j] = old
+        trees = np.array(live)
+        node_feature, node_threshold, node_value, node_right = self.fields
+        node_feature[j, trees], node_threshold[j, trees], node_value[j, trees] = feature, threshold, pos / k
+        node_right[j, trees] = -1
+        is_right = np.array([p[4] for p in popped])
+        node_right[np.array([p[3] for p in popped])[is_right], trees[is_right]] = j
+        self.n_steps = j = j + 1
+
+        self.live = [t for t in live if self.stacks[t]]
+        finished = [t for t in live if not self.stacks[t]]
+        if finished:
+            feature, threshold, value, right = (a[:j, finished].T.copy() for a in self.fields)
+            left = np.where(feature >= 0, np.arange(1, j + 1, dtype=np.int32), np.int32(-1))
+            for i, t in enumerate(finished):
+                self.done[t] = TreeArrays(feature[i], threshold[i], left[i], right[i], value[i])
+                self.rngs[t] = None
 
 
-def grow_classification_tree(
-    bins: Bins, y: np.ndarray, max_depth: int, min_samples_leaf: int, max_features: int,
-    rng: np.random.Generator,
-) -> TreeArrays:
-    """One Gini tree on every binned row: a forest of one."""
-    roots = [np.arange(len(bins.codes), dtype=np.int32)]
-    return grow_forest(bins, y, roots, [rng], max_depth, min_samples_leaf, max_features)[0]
+def grow_classification_tree(forest: LockstepForest, t: int) -> TreeArrays:
+    """Tree t of ``forest``, taken out of it: the forest steps until tree t is
+    finished. Each step grows every unfinished tree, so taking the trees in
+    any order costs the steps of growing the whole forest once."""
+    while t not in forest.done and forest.live:
+        forest.step()
+    return forest.done.pop(t)
 
 
 def grow_second_order_tree(
@@ -337,14 +356,16 @@ def _preorder(feature, threshold, left, value) -> TreeArrays:
     return TreeArrays(feature[order], threshold[order], new_left, new_right, value[order])
 
 
-def ensemble_values(trees: list[TreeArrays], X: np.ndarray) -> np.ndarray:
-    """(len(trees), len(X)) value of the leaf each row reaches in each tree.
+def ensemble_values(trees: list[TreeArrays], X: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(lo, block)``: ``block[i, j]`` is the value of the leaf that row
+    lo + j of X reaches in the i-th tree of the block.
 
     Consecutive trees with at most ``_BATCH_CELLS`` nodes in all are walked
     together, over row blocks of at most ``_BATCH_CELLS`` (tree, row) pairs.
+    Blocks come in tree order: all row blocks of one group of trees, then the
+    next group.
     """
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty((len(trees), len(X)))
     for t0, t1 in _batches([len(t.feature) for t in trees], 1, 0) if trees else ():
         group = trees[t0:t1]
         sizes = [len(t.feature) for t in group]
@@ -364,5 +385,4 @@ def ensemble_values(trees: list[TreeArrays], X: np.ndarray) -> np.ndarray:
                 go_left = xb[walking % len(xb), feature[nd]] < threshold[nd]
                 node[walking] = np.where(go_left, left[nd], right[nd])
                 walking = walking[feature[node[walking]] >= 0]
-            out[t0:t1, lo : lo + len(xb)] = value[node].reshape(len(group), len(xb))
-    return out
+            yield lo, value[node].reshape(len(group), len(xb))

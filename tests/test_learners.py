@@ -19,6 +19,7 @@ from rescue_triage.learners import (
     train,
 )
 from rescue_triage.learners.mlp import init_params, loss_and_grads
+from rescue_triage.learners import forest, tree
 from rescue_triage.learners.base import stable_sigmoid
 
 from conftest import make_blobs
@@ -351,6 +352,50 @@ class TestEnsembleScoring:
         for t in state["trees"]:
             margin += state["learning_rate"] * np.array([_walk(t, x) for x in Xs])
         assert np.array_equal(np.asarray(model.score(X)), np.clip(stable_sigmoid(margin), 0.0, 1.0))
+
+
+class TestLockstepForest:
+    def _forest(self, X, y, n_trees=9):
+        bins = tree.bin_columns(X, 32)
+        rngs = [np.random.default_rng([4, t]) for t in range(n_trees)]
+        roots = [r.integers(0, len(X), len(X)).astype(np.int32) for r in rngs]
+        return tree.LockstepForest(bins, y, roots, rngs, 2**31, 1, 3)
+
+    def test_trees_taken_in_any_order_are_the_same(self):
+        X, y = _desk_matrix()
+        forward = self._forest(X, y)
+        backward = self._forest(X, y)
+        ahead = [tree.grow_classification_tree(forward, t).to_dict() for t in range(9)]
+        behind = [tree.grow_classification_tree(backward, t).to_dict() for t in reversed(range(9))]
+        assert ahead == behind[::-1]
+        assert not forward.done and not forward.live
+        for t in ahead:
+            internal = np.array(t["feature"]) >= 0
+            assert np.array_equal(np.array(t["left"])[internal], np.flatnonzero(internal) + 1)
+
+    def test_fit_rf_takes_each_tree_through_the_forest_entry_point(self, monkeypatch):
+        taken = []
+
+        def counting(forest_, t):
+            taken.append(t)
+            return tree.grow_classification_tree(forest_, t)
+
+        monkeypatch.setattr(forest, "grow_classification_tree", counting)
+        X, y = _desk_matrix()
+        train(ModelSpec(ModelKind.RF, {"n_trees": 7}, seed=3), X, y)
+        assert taken == list(range(7))
+
+    @pytest.mark.parametrize("kind,params", [(ModelKind.RF, {"n_trees": 40}), (ModelKind.XGB, {"n_rounds": 30})])
+    def test_batch_cap_changes_no_model_or_score(self, kind, params, monkeypatch):
+        X, y = _desk_matrix()
+        X_score = np.tile(X, (4, 1))
+        model = train(ModelSpec(kind, params, seed=3), X, y)
+        scores = np.asarray(model.score(X_score))
+        monkeypatch.setattr(tree, "_BATCH_CELLS", 64)
+        small = train(ModelSpec(kind, params, seed=3), X, y)
+        assert model_to_dict(small) == model_to_dict(model)
+        assert np.array_equal(np.asarray(small.score(X_score)), scores)
+        assert np.array_equal(np.asarray(model.score(X_score)), scores)
 
 
 class TestMlp:
