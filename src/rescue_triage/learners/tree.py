@@ -36,6 +36,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .base import InvalidHyperparameter
+
 
 @dataclass(frozen=True)
 class TreeArrays:
@@ -295,7 +297,8 @@ def grow_second_order_tree(
     row_value: np.ndarray,
 ) -> TreeArrays:
     """Regression tree on gradient/hessian sums, grown level by level; nodes
-    hold -G / (H + lambda). A node with at least two rows splits below
+    hold -G / (H + lambda); with lambda 0, a node whose hessian sum is 0
+    raises InvalidHyperparameter. A node with at least two rows splits below
     ``max_depth``. Entry i of ``row_value`` is set to the value of the leaf
     that training row i lands in."""
     lam = reg_lambda
@@ -306,7 +309,13 @@ def grow_second_order_tree(
             first = len(value)
             G = [float(grad[r].sum()) for r in level]
             H = [float(hess[r].sum()) for r in level]
-            value += [-g / (h + lam) for g, h in zip(G, H)]
+            try:
+                value += [-g / (h + lam) for g, h in zip(G, H)]
+            except ZeroDivisionError:
+                raise InvalidHyperparameter(
+                    f"XGB: reg_lambda {lam!r} leaves a node whose hessian sum is 0 without a value; "
+                    "use a positive reg_lambda"
+                ) from None
             feature += [-1] * len(level)
             threshold += [0.0] * len(level)
             left += [-1] * len(level)

@@ -9,15 +9,19 @@ transcripts instead.
 
 from __future__ import annotations
 
+import http.client
+import json
+import math
 import os
 import re
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .metrics import LengthMismatch
 from .records import FeatureVector
@@ -141,7 +145,8 @@ class EndpointConfig:
 
     ``options`` is passed through to the server untouched (decoding
     parameters are the server's business). Environment overrides:
-    RESCUE_TRIAGE_LLM_URL and RESCUE_TRIAGE_LLM_MODEL.
+    RESCUE_TRIAGE_LLM_URL and RESCUE_TRIAGE_LLM_MODEL. Settings that no
+    request could work with fail here, when the config is built.
     """
 
     base_url: str = "http://localhost:11434"
@@ -150,6 +155,17 @@ class EndpointConfig:
     retries: int = 2
     backoff: float = 0.5
     options: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.retries < 0:
+            raise ValueError(f"retries must be at least 0, got {self.retries!r}")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a positive number of seconds, got {self.timeout!r}")
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError(f"backoff must be a non-negative number of seconds, got {self.backoff!r}")
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}")
 
     @classmethod
     def from_env(cls, **overrides) -> "EndpointConfig":
@@ -162,6 +178,17 @@ class EndpointConfig:
         return cls(**env)
 
 
+def _post(request: urllib.request.Request, timeout: float) -> tuple[int, bytes]:
+    """(status, body) of one request; an error status is a response here,
+    not an exception."""
+    try:
+        resp = urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as exc:
+        resp = exc
+    with resp:
+        return resp.status, resp.read()
+
+
 def query(prompt: str, cfg: EndpointConfig) -> LlmVerdict:
     """Send one non-streaming generate request and parse the verdict.
 
@@ -171,7 +198,12 @@ def query(prompt: str, cfg: EndpointConfig) -> LlmVerdict:
     payload = {"model": cfg.model, "prompt": prompt, "stream": False}
     if cfg.options:
         payload["options"] = dict(cfg.options)
-    url = cfg.base_url.rstrip("/") + "/api/generate"
+    request = urllib.request.Request(
+        cfg.base_url.rstrip("/") + "/api/generate",
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
 
     last_error: Optional[str] = None
     start = time.perf_counter()
@@ -179,19 +211,21 @@ def query(prompt: str, cfg: EndpointConfig) -> LlmVerdict:
         if attempt:
             time.sleep(cfg.backoff * (2 ** (attempt - 1)))
         try:
-            resp = requests.post(url, json=payload, timeout=cfg.timeout)
-        except requests.RequestException as exc:
+            status, body = _post(request, cfg.timeout)
+        except (OSError, http.client.HTTPException) as exc:  # a read timeout is a bare TimeoutError
             last_error = str(exc)
             continue
-        if resp.status_code >= 500:
-            last_error = f"server error {resp.status_code}"
+        if status >= 500:
+            last_error = f"server error {status}"
             continue
-        if resp.status_code != 200:
-            raise TransportError(f"generate endpoint returned {resp.status_code}: {resp.text[:200]}")
+        if status != 200:
+            raise TransportError(f"generate endpoint returned {status}: {body.decode('utf-8', 'replace')[:200]}")
         try:
-            text = resp.json()["response"]
-        except (ValueError, KeyError) as exc:
+            text = json.loads(body)["response"]
+        except (ValueError, KeyError, TypeError) as exc:
             raise TransportError(f"malformed generate response: {exc}") from exc
+        if not isinstance(text, str):
+            raise TransportError(f"malformed generate response: 'response' is {type(text).__name__}, not a string")
         latency = time.perf_counter() - start
         return LlmVerdict(raw_response=text, verdict=parse_verdict(text), latency=latency)
     raise TransportError(f"generate request failed after {cfg.retries + 1} attempts: {last_error}")

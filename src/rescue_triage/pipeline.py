@@ -338,8 +338,9 @@ def stage_llm_compare(cfg: PipelineConfig, features_path, model_path, agreement_
     """Zero-shot comparison on a class-balanced sample of the test split.
 
     Prompts the LLM (per cfg.llm_mode) and the model on each sampled case
-    and writes the per-case agreement payload with the prompts. The seed is
-    the model's; a config seed that differs from it is an error.
+    and writes the per-case agreement payload with the prompts; the extras
+    count the ambiguous verdicts and give each case's LLM latency. The seed
+    is the model's; a config seed that differs from it is an error.
     """
     model = load_model(model_path)
     if cfg.seed != model.spec.seed:
@@ -363,7 +364,12 @@ def stage_llm_compare(cfg: PipelineConfig, features_path, model_path, agreement_
     payload = agreement.to_dict()
     payload["prompts"] = prompts
     _write_json(agreement_path, payload)
-    return [Path(agreement_path)], {"mismatches": agreement.mismatch_count}
+    # latencies differ between runs, so they go to the manifest, not the artifact
+    return [Path(agreement_path)], {
+        "mismatches": agreement.mismatch_count,
+        "ambiguous": len(agreement.ambiguous_cases),
+        "latency_s": {case_id: round(v.latency, 3) for case_id, v in zip(case_ids, verdicts)},
+    }
 
 
 def _pick_llm_cases(test_set: Dataset, n_cases: int) -> list[int]:

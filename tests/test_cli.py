@@ -9,7 +9,14 @@ import pytest
 from rescue_triage.cli import main
 from rescue_triage.ingest import IngestConfig
 from rescue_triage.llm import EndpointConfig
-from rescue_triage.pipeline import PipelineConfig, PipelineError, run_pipeline, stage_select_features, validate_config
+from rescue_triage.pipeline import (
+    PipelineConfig,
+    PipelineError,
+    run_pipeline,
+    stage_llm_compare,
+    stage_select_features,
+    validate_config,
+)
 from rescue_triage.synthgen import default_config
 
 
@@ -52,6 +59,14 @@ class TestRunAll:
                     "selection_report.json", "leaderboard.json", "rfecv_report.json",
                     "metrics_table.csv", "best_model.json", "llm_agreement.json"}
         assert expected <= {Path(rel).name for rel in manifest["artifacts"]}
+
+    def test_manifest_records_llm_ambiguity_and_latency(self, small_run):
+        out_dir, manifest = small_run
+        extras = next(s for s in manifest["stages"] if s["name"] == "llm_compare")
+        agreement = json.loads((out_dir / "llm_agreement.json").read_text())
+        assert extras["ambiguous"] == len(agreement["ambiguous_cases"])
+        assert extras["latency_s"] == {r["case_id"]: 0.0 for r in agreement["rows"]}  # the stub takes no time
+        assert "latency" not in json.dumps(agreement)
 
     def test_manifest_records_seed_and_version(self, small_run):
         _, manifest = small_run
@@ -279,6 +294,21 @@ class TestChainedSubcommands:
         assert "seed 8" in caplog.text and "seed 7" in caplog.text
         assert not (tmp_path / "agree.json").exists()
 
+    def test_llm_compare_through_an_endpoint_reports_latency_and_ambiguity(self, chained, stub_server, tmp_path):
+        _, _, chain = chained
+        url, state = stub_server
+        state.responses = ["true", "no idea", "false", "true"]
+        state.delay = 0.01
+        cfg = PipelineConfig(seed=7, llm_cases=4, llm_mode="endpoint",
+                             llm_endpoint=EndpointConfig(base_url=url, timeout=5.0, retries=0))
+        _, extras = stage_llm_compare(cfg, chain / "features.jsonl", chain / "best_model.json",
+                                      tmp_path / "agree.json")
+        agreement = json.loads((tmp_path / "agree.json").read_text())
+        assert len(state.requests) == 4
+        assert extras["ambiguous"] == len(agreement["ambiguous_cases"]) == 1
+        assert list(extras["latency_s"]) == [r["case_id"] for r in agreement["rows"]]
+        assert all(0.01 <= s < 5.0 for s in extras["latency_s"].values())
+
     def test_integer_threshold_in_a_config_matches_select_features(self, chained, tmp_path):
         _, _, chain = chained
         (tmp_path / "pipeline.json").write_text(json.dumps({"filter_threshold": 5}))
@@ -308,6 +338,10 @@ CONFIG_MISUSE = {
     "one_cv_fold": ("run-all", {"cv_folds": 1}, "PipelineConfig: cv_folds: folds must be >= 2"),
     "split_ratio_of_one": ("run-all", {"split_ratio": 1.0}, "PipelineConfig: split_ratio must lie strictly between 0 and 1"),
     "negative_llm_cases": ("run-all", {"llm_cases": -1}, "PipelineConfig: llm_cases must be at least 1, got -1"),
+    "negative_endpoint_retries": ("run-all", {"llm_endpoint": {"retries": -1}, "llm_mode": "endpoint"},
+                                  "PipelineConfig.llm_endpoint: retries must be at least 0, got -1"),
+    "schemeless_endpoint_url": ("run-all", {"llm_endpoint": {"base_url": "localhost:11434"}, "llm_mode": "endpoint"},
+                                "PipelineConfig.llm_endpoint: base_url must be an http:// or https:// URL"),
     "column_type_typo": ("ingest", {"column_types": {"systolic_bp": "numerc", "gcs": "numeric"}},
                          "IngestConfig: column_types: unknown types {'systolic_bp': 'numerc'}"),
 }
@@ -327,6 +361,14 @@ class TestStrictConfig:
         assert main(["--out-dir", str(tmp_path / "out"), "--config", str(cfg), command, *outputs]) == 2
         assert message in caplog.text
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_llm_compare_rejects_an_endpoint_without_a_scheme(self, chained, tmp_path, caplog):
+        _, _, chain = chained
+        argv = ["llm-compare", "--cases", str(chain / "features.jsonl"), "--ml-model", str(chain / "best_model.json"),
+                "--endpoint", "localhost:11434", "--out", str(tmp_path / "agree.json")]
+        assert main(argv) == 2
+        assert "base_url must be an http:// or https:// URL with a host, got 'localhost:11434'" in caplog.text
+        assert not (tmp_path / "agree.json").exists()
 
     def test_config_round_trips_through_json(self):
         cfg = PipelineConfig(

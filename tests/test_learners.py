@@ -218,6 +218,15 @@ class TestBoosting:
             losses = model.state["train_loss"]
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
+    def test_zero_hessian_sum_without_reg_lambda_is_rejected(self):
+        # one-threshold labels at learning rate 1.0 saturate a leaf's rows to
+        # probability exactly 0 or 1; with reg_lambda 0 that leaf has no value
+        X, _ = _golden_matrix()
+        y = (X[:, 2] > 1.5).astype(np.int64)
+        spec = ModelSpec(ModelKind.XGB, {"n_rounds": 30, "max_depth": 1, "learning_rate": 1.0, "reg_lambda": 0.0})
+        with pytest.raises(InvalidHyperparameter, match=r"reg_lambda 0\.0 .*hessian sum is 0"):
+            train(spec, X, y)
+
 
 def _golden_matrix():
     """Seeded rows mixing binary, small-integer and continuous columns."""

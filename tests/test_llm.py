@@ -1,13 +1,14 @@
-import json
 import os
-import threading
+import socket
+import subprocess
+import sys
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rescue_triage
 from rescue_triage import metrics
 from rescue_triage.llm import (
     EndpointConfig,
@@ -155,60 +156,6 @@ class TestCompare:
         assert report.to_dict()["rows"][0]["reference"] is True
 
 
-# ---------------------------------------------------------------------------
-# stub generate endpoint
-
-
-class _StubState:
-    def __init__(self):
-        self.requests = []
-        self.fail_first = 0
-        self.delay = 0.0
-        self.responses = ["true"]
-        self.counter = 0
-
-
-def _make_handler(state: _StubState):
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length))
-            state.requests.append({"path": self.path, "payload": payload})
-            if state.delay:
-                time.sleep(state.delay)
-            if state.fail_first > 0:
-                state.fail_first -= 1
-                self.send_response(503)
-                self.end_headers()
-                return
-            text = state.responses[min(state.counter, len(state.responses) - 1)]
-            state.counter += 1
-            body = json.dumps({"model": payload.get("model"), "response": text}).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    return Handler
-
-
-@pytest.fixture
-def stub_server():
-    state = _StubState()
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(state))
-    # a short poll interval, so shutdown() at teardown returns quickly
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
-    thread.start()
-    url = f"http://127.0.0.1:{server.server_address[1]}"
-    yield url, state
-    server.shutdown()
-    thread.join(timeout=5)
-
-
 class TestQuery:
     def test_contract_fields_pinned(self, stub_server):
         url, state = stub_server
@@ -268,6 +215,73 @@ class TestQuery:
         cfg = EndpointConfig(base_url=url, timeout=5.0, retries=0)
         verdicts = query_many(["a", "b", "c"], cfg, max_in_flight=1)
         assert [v.verdict for v in verdicts] == [Verdict.TRUE, Verdict.FALSE, Verdict.TRUE]
+
+    def test_client_error_not_retried(self, stub_server):
+        url, state = stub_server
+        state.reply = (404, b"no such model: " + b"x" * 300)
+        cfg = EndpointConfig(base_url=url, timeout=5.0, retries=2, backoff=0.01)
+        with pytest.raises(TransportError) as err:
+            query("p", cfg)
+        assert len(state.requests) == 1
+        assert str(err.value) == "generate endpoint returned 404: " + ("no such model: " + "x" * 300)[:200]
+
+    @pytest.mark.parametrize("body", [b"not json", b'{"model": "m"}', b'{"response": null}'])
+    def test_malformed_response(self, stub_server, body):
+        url, state = stub_server
+        state.reply = (200, body)
+        cfg = EndpointConfig(base_url=url, timeout=5.0, retries=2, backoff=0.01)
+        with pytest.raises(TransportError, match="^malformed generate response: "):
+            query("p", cfg)
+        assert len(state.requests) == 1
+
+    def test_success_status_other_than_200(self, stub_server):
+        url, state = stub_server
+        state.reply = (204, b"")
+        cfg = EndpointConfig(base_url=url, timeout=5.0, retries=2, backoff=0.01)
+        with pytest.raises(TransportError, match="^generate endpoint returned 204: "):
+            query("p", cfg)
+        assert len(state.requests) == 1
+
+    def test_refused_connection_retried_then_fails(self, monkeypatch):
+        with socket.socket() as sock:  # bound, never listening: a closed port
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        cfg = EndpointConfig(base_url=f"http://127.0.0.1:{port}", timeout=5.0, retries=2, backoff=0.01)
+        with pytest.raises(TransportError, match="^generate request failed after 3 attempts: "):
+            query("p", cfg)
+        assert sleeps == [0.01, 0.02]
+
+    def test_runs_without_requests_installed(self, stub_server):
+        url, _ = stub_server
+        code = (
+            "import sys\n"
+            "sys.modules['requests'] = None\n"
+            "import rescue_triage.cli\n"
+            "from rescue_triage.llm import EndpointConfig, query\n"
+            f"print(query('p', EndpointConfig(base_url={url!r}, timeout=5.0, retries=0)).verdict.value)\n"
+        )
+        src = os.path.dirname(os.path.dirname(rescue_triage.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "true"
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"retries": -1}, "retries must be at least 0, got -1"),
+        ({"timeout": 0.0}, "timeout must be a positive number of seconds, got 0.0"),
+        ({"timeout": float("nan")}, "timeout must be a positive number of seconds, got nan"),
+        ({"backoff": -0.5}, "backoff must be a non-negative number of seconds, got -0.5"),
+        ({"base_url": "localhost:11434"}, "base_url must be an http:// or https:// URL with a host, got 'localhost:11434'"),
+        ({"base_url": "http://"}, "base_url must be an http:// or https:// URL with a host, got 'http://'"),
+        ({"base_url": "ftp://localhost"}, "base_url must be an http:// or https:// URL with a host, got 'ftp://localhost'"),
+    ], ids=["negative_retries", "zero_timeout", "nan_timeout", "negative_backoff", "schemeless_url", "url_without_host",
+            "ftp_url"])
+    def test_endpoint_settings_checked_when_built(self, overrides, message):
+        with pytest.raises(ValueError) as err:
+            EndpointConfig(**overrides)
+        assert str(err.value) == message
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("RESCUE_TRIAGE_LLM_URL", "http://example:1234")
