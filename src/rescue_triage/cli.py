@@ -14,7 +14,8 @@ strictly (unknown or missing keys and wrong types exit 2, naming the key).
   winner (a different --seed is an error), and --save-best saves the
   leaderboard's CV winner refitted on the train split;
 * llm-compare samples --limit cases from the test split like run-all and
-  takes its seed from the model file (a different --seed is an error).
+  takes its seed from the model file (a different --seed is an error); an
+  endpoint that fails exits 1 naming the stage, as in run-all.
 
 Logs go to stderr; artifacts go to files only.
 """
@@ -30,7 +31,7 @@ from pathlib import Path
 
 from .ingest import IngestConfig
 from .learners import load_model
-from .llm import EndpointConfig
+from .llm import EndpointConfig, TransportError
 from .pipeline import (
     PipelineConfig,
     PipelineError,
@@ -126,7 +127,11 @@ def _cmd_llm_compare(args) -> int:
         llm = {"llm_mode": "endpoint", "llm_endpoint": endpoint}
     cfg = _config(args, seed=load_model(args.ml_model).spec.seed, llm_cases=args.limit,
                   split_ratio=args.split, stratified=args.stratified, **llm)
-    return _done(stage_llm_compare(cfg, args.cases, args.ml_model, args.out, max_in_flight=args.in_flight))
+    try:
+        result = stage_llm_compare(cfg, args.cases, args.ml_model, args.out, max_in_flight=args.in_flight)
+    except TransportError as exc:  # an endpoint failure, as run-all reports it
+        raise PipelineError("llm_compare", str(exc)) from exc
+    return _done(result)
 
 
 def _cmd_run_all(args) -> int:

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ..records import check_keys, rng_from
+from . import boosting, forest, knn, logistic, mlp, naive_bayes, svm
 from .base import (
     DEFAULT_SEARCH_SPACES,
-    DISPLAY_NAMES,
     ArityMismatch,
     InvalidHyperparameter,
     ModelKind,
@@ -24,15 +25,7 @@ from .base import (
     Standardizer,
     TrainedModel,
     check_training_inputs,
-    rng_from,
 )
-from .boosting import fit_xgb, score_xgb
-from .forest import fit_rf, score_rf
-from .knn import fit_knn, score_knn
-from .logistic import fit_lr, score_lr
-from .mlp import fit_mlpc, score_mlpc
-from .naive_bayes import fit_nb, score_nb
-from .svm import fit_svm, score_svm
 from .tree import TreeArrays
 
 __all__ = [
@@ -44,7 +37,6 @@ __all__ = [
     "SingleClassTraining",
     "ArityMismatch",
     "DEFAULT_SEARCH_SPACES",
-    "DISPLAY_NAMES",
     "train",
     "save_model",
     "load_model",
@@ -52,24 +44,15 @@ __all__ = [
     "model_from_dict",
 ]
 
-_FIT = {
-    ModelKind.NB: fit_nb,
-    ModelKind.LR: fit_lr,
-    ModelKind.KNN: fit_knn,
-    ModelKind.SVM: fit_svm,
-    ModelKind.RF: fit_rf,
-    ModelKind.XGB: fit_xgb,
-    ModelKind.MLPC: fit_mlpc,
-}
-
-_SCORE = {
-    ModelKind.NB: score_nb,
-    ModelKind.LR: score_lr,
-    ModelKind.KNN: score_knn,
-    ModelKind.SVM: score_svm,
-    ModelKind.RF: score_rf,
-    ModelKind.XGB: score_xgb,
-    ModelKind.MLPC: score_mlpc,
+# each kind's module, with fit(params, Xs, y, rng) -> state and score(state, Xs) on standardized Xs
+_KINDS = {
+    ModelKind.SVM: svm,
+    ModelKind.RF: forest,
+    ModelKind.XGB: boosting,
+    ModelKind.KNN: knn,
+    ModelKind.NB: naive_bayes,
+    ModelKind.LR: logistic,
+    ModelKind.MLPC: mlp,
 }
 
 # fixed per-kind stream ids so RNG draws never overlap across kinds
@@ -81,7 +64,7 @@ def train(spec: ModelSpec, X, y, feature_names: tuple[str, ...] = ()) -> Trained
     X, y = check_training_inputs(np.asarray(X, dtype=np.float64), y)
     std = Standardizer.fit(X)
     rng = rng_from(spec.seed, _KIND_STREAM[spec.kind])
-    state = _FIT[spec.kind](spec.hyperparameters, std.transform(X), y, rng)
+    state = _KINDS[spec.kind].fit(spec.hyperparameters, std.transform(X), y, rng)
     return TrainedModel(
         spec=spec,
         standardizer=std,
@@ -89,10 +72,6 @@ def train(spec: ModelSpec, X, y, feature_names: tuple[str, ...] = ()) -> Trained
         arity=X.shape[1],
         feature_names=tuple(feature_names),
     )
-
-
-def _score_state(kind: ModelKind, state: dict, Xs: np.ndarray) -> np.ndarray:
-    return _SCORE[kind](state, Xs)
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +118,20 @@ def model_to_dict(model: TrainedModel) -> dict:
     }
 
 
+_MODEL_KEYS = ("format_version", "spec", "standardizer", "arity", "decision_threshold", "feature_names", "state")
+
+
 def model_from_dict(d: dict) -> TrainedModel:
-    version = d.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
+    check_keys(d, _MODEL_KEYS, "model")
+    if d["format_version"] != FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {d['format_version']!r}")
     return TrainedModel(
         spec=ModelSpec.from_dict(d["spec"]),
         standardizer=Standardizer.from_dict(d["standardizer"]),
         state=_restore(d["state"]),
         arity=int(d["arity"]),
-        decision_threshold=float(d.get("decision_threshold", 0.5)),
-        feature_names=tuple(d.get("feature_names", ())),
+        decision_threshold=float(d["decision_threshold"]),
+        feature_names=tuple(d["feature_names"]),
     )
 
 

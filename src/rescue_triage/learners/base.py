@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..records import rng_from  # noqa: F401 - the learners import it from here
+from ..records import check_keys
 
 
 class ModelKind(Enum):
@@ -28,17 +28,6 @@ class ModelKind(Enum):
     NB = "NB"
     LR = "LR"
     MLPC = "MLPC"
-
-
-DISPLAY_NAMES = {
-    ModelKind.SVM: "SVM",
-    ModelKind.RF: "RF",
-    ModelKind.XGB: "XGB",
-    ModelKind.KNN: "K-NN",
-    ModelKind.NB: "NB",
-    ModelKind.LR: "LR",
-    ModelKind.MLPC: "MLPC",
-}
 
 
 class InvalidHyperparameter(ValueError):
@@ -154,7 +143,7 @@ class ModelSpec:
 
     @property
     def display_name(self) -> str:
-        return DISPLAY_NAMES[self.kind]
+        return "K-NN" if self.kind is ModelKind.KNN else self.kind.value
 
     def to_dict(self) -> dict:
         return {
@@ -165,7 +154,14 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ModelSpec":
-        return cls(ModelKind(d["kind"]), dict(d.get("hyperparameters", {})), int(d.get("seed", 0)))
+        """Strict inverse of to_dict: every key it writes, and no other."""
+        check_keys(d, {"kind", "hyperparameters", "seed"}, "ModelSpec")
+        seed, hyperparameters = d["seed"], d["hyperparameters"]
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"ModelSpec.seed: expected int, got {type(seed).__name__} {seed!r}")
+        if not isinstance(hyperparameters, Mapping):
+            raise ValueError(f"ModelSpec.hyperparameters: expected an object, got {type(hyperparameters).__name__}")
+        return cls(ModelKind(d["kind"]), dict(hyperparameters), seed)
 
 
 @dataclass(frozen=True)
@@ -183,7 +179,7 @@ class Standardizer:
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
         X = np.asarray(X, dtype=np.float64)
-        binary = np.array([set(np.unique(X[:, j])) <= {0.0, 1.0} for j in range(X.shape[1])])
+        binary = binary_columns(X)
         mean = X.mean(axis=0)
         std = X.std(axis=0)
         mean[binary] = 0.0
@@ -232,10 +228,10 @@ class TrainedModel:
 
     def score(self, X) -> np.ndarray | float:
         """Probability-like score in [0, 1]; monotone in the internal margin."""
-        from . import _score_state  # late import to avoid a cycle
+        from . import _KINDS  # late import to avoid a cycle
 
         X, single = self._check(X)
-        s = _score_state(self.spec.kind, self.state, self.standardizer.transform(X))
+        s = _KINDS[self.spec.kind].score(self.state, self.standardizer.transform(X))
         s = np.clip(s, 0.0, 1.0)
         return float(s[0]) if single else s
 
@@ -244,6 +240,11 @@ class TrainedModel:
         if isinstance(s, float):
             return int(s >= self.decision_threshold)
         return (s >= self.decision_threshold).astype(np.int64)
+
+
+def binary_columns(X: np.ndarray) -> np.ndarray:
+    """Mask of the columns whose values are all 0 or 1."""
+    return np.all((X == 0.0) | (X == 1.0), axis=0)
 
 
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ def _logloss(margin: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(softplus - y * margin))
 
 
-def fit_xgb(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
+def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     lr = params["learning_rate"]
     bins = bin_columns(X, params["n_bins"])
     prior = float(np.clip(y.mean(), 1e-12, 1.0 - 1e-12))
@@ -61,5 +61,5 @@ def decision_margin(state: dict, X: np.ndarray) -> np.ndarray:
     return margin
 
 
-def score_xgb(state: dict, X: np.ndarray) -> np.ndarray:
+def score(state: dict, X: np.ndarray) -> np.ndarray:
     return stable_sigmoid(decision_margin(state, X))

@@ -7,13 +7,13 @@ import math
 
 import numpy as np
 
-from .base import rng_from
+from ..records import rng_from
 from .tree import LockstepForest, bin_columns, ensemble_values, grow_classification_tree
 
 _TREE_STREAM = 101
 
 
-def fit_rf(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
+def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     n, d = X.shape
     bins = bin_columns(X, params["n_bins"])
     max_depth = params["max_depth"] if params["max_depth"] is not None else 2**31
@@ -27,7 +27,7 @@ def fit_rf(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     return {"trees": [grow_classification_tree(forest, t) for t in range(params["n_trees"])]}
 
 
-def score_rf(state: dict, X: np.ndarray) -> np.ndarray:
+def score(state: dict, X: np.ndarray) -> np.ndarray:
     votes = np.zeros(len(X), dtype=np.int64)
     for lo, block in ensemble_values(state["trees"], X):
         votes[lo : lo + block.shape[1]] += (block >= 0.5).sum(axis=0)

@@ -9,11 +9,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def fit_knn(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
+def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     return {"X": X.tolist(), "y": y.tolist(), "k": params["k"]}
 
 
-def score_knn(state: dict, X: np.ndarray) -> np.ndarray:
+def score(state: dict, X: np.ndarray) -> np.ndarray:
     train = np.asarray(state["X"], dtype=np.float64)
     labels = np.asarray(state["y"], dtype=np.float64)
     k = min(state["k"], len(train))
@@ -22,9 +22,6 @@ def score_knn(state: dict, X: np.ndarray) -> np.ndarray:
         - 2.0 * X @ train.T
         + np.sum(train * train, axis=1)[None, :]
     )
-    scores = np.empty(len(X))
-    order_idx = np.arange(len(train))
-    for i in range(len(X)):
-        nearest = np.lexsort((order_idx, d2[i]))[:k]
-        scores[i] = labels[nearest].mean()
-    return scores
+    # a stable sort keeps equal distances in training order
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return labels[nearest].mean(axis=1)

@@ -12,7 +12,7 @@ import numpy as np
 from .base import stable_sigmoid
 
 
-def fit_lr(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
+def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     lam = params["l2"]
     lr = params["learning_rate"]
     n, d = X.shape
@@ -32,6 +32,6 @@ def fit_lr(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     return {"w": w.tolist(), "b": b, "epochs_run": epochs_run}
 
 
-def score_lr(state: dict, X: np.ndarray) -> np.ndarray:
+def score(state: dict, X: np.ndarray) -> np.ndarray:
     w = np.asarray(state["w"])
     return stable_sigmoid(X @ w + state["b"])

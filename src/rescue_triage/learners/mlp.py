@@ -49,7 +49,7 @@ def loss_and_grads(params: dict, X: np.ndarray, y: np.ndarray) -> tuple[float, d
     return loss, grads
 
 
-def fit_mlpc(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
+def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     n, d = X.shape
     lr = params["learning_rate"]
     batch_size = params["batch_size"]
@@ -66,6 +66,6 @@ def fit_mlpc(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     return net
 
 
-def score_mlpc(state: dict, X: np.ndarray) -> np.ndarray:
+def score(state: dict, X: np.ndarray) -> np.ndarray:
     act = np.maximum(X @ np.asarray(state["W1"]) + np.asarray(state["b1"]), 0.0)
     return stable_sigmoid(act @ np.asarray(state["w2"]) + state["b2"])

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .base import binary_columns
 
-def fit_nb(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
+
+def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     var_floor = params["var_floor"]
-    n, d = X.shape
-    binary = np.array([set(np.unique(X[:, j])) <= {0.0, 1.0} for j in range(d)])
+    n = len(X)
+    binary = binary_columns(X)
 
     state: dict = {"binary": binary.astype(int).tolist(), "var_floor": var_floor}
     for cls in (0, 1):
@@ -46,7 +48,7 @@ def _class_loglik(cstate: dict, binary: np.ndarray, X: np.ndarray) -> np.ndarray
     return ll
 
 
-def score_nb(state: dict, X: np.ndarray) -> np.ndarray:
+def score(state: dict, X: np.ndarray) -> np.ndarray:
     binary = np.asarray(state["binary"], dtype=bool)
     ll0 = _class_loglik(state["class0"], binary, X)
     ll1 = _class_loglik(state["class1"], binary, X)

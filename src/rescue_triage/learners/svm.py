@@ -39,7 +39,7 @@ def _platt_calibrate(margins: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return a, b
 
 
-def fit_svm(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
+def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     lam = params["l2"]
     batch_size = params["batch_size"]
     n, d = X.shape
@@ -68,7 +68,7 @@ def fit_svm(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     return {"w": w.tolist(), "b": b, "platt_a": a, "platt_b": c}
 
 
-def score_svm(state: dict, X: np.ndarray) -> np.ndarray:
+def score(state: dict, X: np.ndarray) -> np.ndarray:
     w = np.asarray(state["w"])
     margins = X @ w + state["b"]
     return stable_sigmoid(state["platt_a"] * margins + state["platt_b"])

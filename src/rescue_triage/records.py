@@ -453,6 +453,18 @@ def _schema(cls) -> tuple[dict, frozenset, frozenset]:
     return get_type_hints(cls), frozenset(f.name for f in init), frozenset(required)
 
 
+def check_keys(d, names, path: str, required=None, error: type[ValueError] = ValueError) -> None:
+    """Fail unless d is a JSON object whose keys are among names and include
+    every required one (default: all of names); errors name the keys."""
+    if not isinstance(d, Mapping):
+        raise error(f"{path}: expected an object, got {type(d).__name__}")
+    if set(d) - set(names):
+        raise error(f"{path}: unknown keys {sorted(set(d) - set(names))}")
+    missing = set(names if required is None else required) - set(d)
+    if missing:
+        raise error(f"{path}: missing keys {sorted(missing)}")
+
+
 def from_dict(cls, d, error: type[ValueError] = ConfigError, path: str = ""):
     """Build config dataclass cls from a JSON object, strictly.
 
@@ -463,13 +475,8 @@ def from_dict(cls, d, error: type[ValueError] = ConfigError, path: str = ""):
     raised as ``error`` and name the dotted key path.
     """
     path = path or cls.__name__
-    if not isinstance(d, Mapping):
-        raise error(f"{path}: expected an object, got {type(d).__name__}")
     hints, names, required = _schema(cls)
-    if set(d) - names:
-        raise error(f"{path}: unknown keys {sorted(set(d) - names)}")
-    if required - set(d):
-        raise error(f"{path}: missing keys {sorted(required - set(d))}")
+    check_keys(d, names, path, required, error)
     values = {k: _build(hints[k], v, error, f"{path}.{k}") for k, v in d.items()}
     try:
         return cls(**values)

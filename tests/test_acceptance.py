@@ -287,6 +287,36 @@ def test_end_to_end_feature_elimination(e2e_run):
         "excluded from the winning subset")
 
 
+# sha256 of every run-all artifact for seed 42 on the default corpus, recorded
+# with numpy 2.4.6. best_model.json holds MLPC weights that come from BLAS
+# matmuls, so another numpy or BLAS build may change that one hash.
+PINNED_ARTIFACTS = {
+    "best_model.json": "fce39404f2f7b85c59199321f812a851565f89fa01573f82277bb6c1b2c60076",
+    "corpus.jsonl": "6a6e9bdd21977d30c7322975f7c8f47f4fa01476fbdaa9a5b4fe5530edad29e6",
+    "features.jsonl": "6e492e7b1493f4b28d9ce37a878a31f6a381c15f6b9d24ec68223b9128f90dc1",
+    "leaderboard.json": "4d657a041ce472df44e0e31e67880f86fe2671b7100ee53995bb24df33e8c909",
+    "llm_agreement.json": "04d94d0d6e7fd67c037d128f71139400b840293d6f3b78f6c7db37431788d55e",
+    "metrics_table.csv": "5c735b0337a309bea6f6398a2ca06232ec4d188f3cfdea368bfaa599035be02b",
+    "rfecv_report.json": "3b39c25d0aecdccc76cfaecdca678688de55c74059025e98253824fce524e10e",
+    "roc/roc_knn.csv": "e8088b61a619d9aef13077f9063c06fdf8f08072e9eec4b5dce6d600cfb0e963",
+    "roc/roc_lr.csv": "9688fee684cbaae39230fcd5878d8c3982c2788da50728df73a35c701259275f",
+    "roc/roc_mlpc.csv": "c5b4e9837df95387a26f421c1e5fcbb79357fec89b1edeb19da476e14afbad78",
+    "roc/roc_nb.csv": "24b88613436e71d07e2d5f0adae2d67583a3b030dea908921775507590df9e31",
+    "roc/roc_rf.csv": "6c24f3c3436f2b2ea52a0fc8284d3e310e8766ee8eb722e9bb61b3250b7030fe",
+    "roc/roc_svm.csv": "bb38bd3040bdaa5ac94abdfaf58f868b7903436a1fc3bcd5c679c21c5bf76c3c",
+    "roc/roc_xgb.csv": "d9636b1f0e25408f523e1aa652f6e958a3c8ad3ba76e5c6f85baf4e59749c80e",
+    "selection_report.json": "ae652290f768ffccc57d9e9d1e6ffec2fe7557d79d1edec9051d1db2048affa4",
+    "truth.csv": "f4024582f67ecb8c0a2f6f5b2a967d68998e59cb506599649a8d3ea292e78711",
+    "word_counts.csv": "f2dfece17260c3bd06ab9586b7ad213aeb5f670d36c3a22bf8484cb4821d4db7",
+}
+
+
+def test_end_to_end_artifacts_match_pinned_hashes(e2e_run):
+    _, manifest, _ = e2e_run
+    assert manifest["artifacts"] == PINNED_ARTIFACTS
+    _ok(f"end-to-end: all {len(PINNED_ARTIFACTS)} artifacts byte-identical to the pinned run")
+
+
 def test_metrics_table_format_golden(e2e_run):
     out_dir, _, _ = e2e_run
     lines = (out_dir / "metrics_table.csv").read_text().strip().splitlines()

@@ -309,6 +309,28 @@ class TestChainedSubcommands:
         assert list(extras["latency_s"]) == [r["case_id"] for r in agreement["rows"]]
         assert all(0.01 <= s < 5.0 for s in extras["latency_s"].values())
 
+    def test_llm_compare_endpoint_failure_exits_1_naming_the_stage(self, chained, stub_server, tmp_path, caplog):
+        _, _, chain = chained
+        url, state = stub_server
+        state.reply = (404, b"model not found")
+        argv = ["llm-compare", "--cases", str(chain / "features.jsonl"), "--ml-model", str(chain / "best_model.json"),
+                "--endpoint", url, "--limit", "2", "--out", str(tmp_path / "agree.json")]
+        assert main(argv) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["stage 'llm_compare': generate endpoint returned 404: model not found"]
+        assert not (tmp_path / "agree.json").exists()
+
+    def test_evaluate_rejects_a_winner_spec_without_a_seed(self, chained, tmp_path, caplog):
+        _, _, chain = chained
+        board = json.loads((chain / "leaderboard.json").read_text())
+        del board["winner"]["spec"]["seed"]
+        (tmp_path / "leaderboard.json").write_text(json.dumps(board))
+        argv = ["evaluate", "--in", str(chain / "features.jsonl"), "--leaderboard", str(tmp_path / "leaderboard.json"),
+                "--rfecv-report", str(chain / "rfecv_report.json"), "--out", str(tmp_path / "table.csv")]
+        assert main(argv) == 2
+        assert "ModelSpec: missing keys ['seed']" in caplog.text
+        assert not (tmp_path / "table.csv").exists()
+
     def test_integer_threshold_in_a_config_matches_select_features(self, chained, tmp_path):
         _, _, chain = chained
         (tmp_path / "pipeline.json").write_text(json.dumps({"filter_threshold": 5}))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescue_triage.ingest import (
     ColumnAllMissing,
@@ -150,6 +152,63 @@ class TestImpute:
         t = table(["case_id", "pulse"], ["a", True], ["b", None])
         out = impute(t, CFG)
         assert out.rows[1]["pulse"] is None
+
+
+_KEYS = st.sampled_from(["k1", "k2", "k3", "k4", "", " ", None])
+_CELLS = st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def _key_tables(draw):
+    tables = []
+    for i in range(draw(st.integers(1, 3))):
+        keys = draw(st.lists(_KEYS, max_size=8))
+        tables.append(table(["case_id", f"c{i}"], *[[k, str(j)] for j, k in enumerate(keys)]))
+    return tables
+
+
+def _numeric_table(cells):
+    return table(["case_id", "bp", "rr"], *[[f"k{i}", bp, rr] for i, (bp, rr) in enumerate(cells)])
+
+
+class TestIngestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_key_tables())
+    def test_merge_keeps_first_seen_case_order_across_tables(self, tables):
+        first_seen = dict.fromkeys(
+            r["case_id"] for t in tables for r in t.rows if r["case_id"] is not None and r["case_id"].strip()
+        )
+        assert [r["case_id"] for r in merge_cases(tables, CFG).rows] == list(first_seen)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_CELLS, _CELLS), max_size=30))
+    def test_iqr_leaves_each_cell_inside_its_fences_or_replaced(self, cells):
+        t = _numeric_table(cells)
+        out, reports = apply_iqr(t, CFG)
+        replacement = {r.column: r.replacement for r in reports}
+        for c in ("bp", "rr"):
+            present = [r[c] for r in t.rows if r[c] is not None]
+            if len(present) < 4:
+                assert [r[c] for r in out.rows] == [r[c] for r in t.rows]
+                continue
+            q1, q3 = np.quantile(present, [0.25, 0.75])
+            low, high = q1 - 1.5 * (q3 - q1), q3 + 1.5 * (q3 - q1)
+            for before, after in zip(t.rows, out.rows):
+                if before[c] is None:
+                    assert after[c] is None
+                else:
+                    assert low <= after[c] <= high or after[c] == replacement[c]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_CELLS, _CELLS), min_size=1, max_size=30))
+    def test_impute_leaves_no_numeric_cell_missing(self, cells):
+        t = _numeric_table(cells)
+        if any(all(r[c] is None for r in t.rows) for c in ("bp", "rr")):
+            with pytest.raises(ColumnAllMissing):
+                impute(t, CFG)
+            return
+        out = impute(t, CFG)
+        assert all(r[c] is not None for r in out.rows for c in ("bp", "rr"))
 
 
 class TestScrubAndType:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from rescue_triage.learners import (
 )
 from rescue_triage.learners.mlp import init_params, loss_and_grads
 from rescue_triage.learners import forest, tree
-from rescue_triage.learners.base import stable_sigmoid
+from rescue_triage.learners.base import binary_columns, stable_sigmoid
 
 from conftest import make_blobs
 
@@ -46,6 +47,21 @@ class TestModelSpec:
     def test_roundtrip(self):
         spec = ModelSpec(ModelKind.XGB, {"n_rounds": 10}, seed=3)
         assert ModelSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("change,message", [
+        ({"seed": None}, "missing keys ['seed']"),
+        ({"hyperparameters": None}, "missing keys ['hyperparameters']"),
+        ({"n_rounds": 10}, "unknown keys ['n_rounds']"),
+        ({"seed": 7.9}, "ModelSpec.seed: expected int, got float 7.9"),
+        ({"seed": True}, "ModelSpec.seed: expected int, got bool True"),
+        ({"hyperparameters": [["n_rounds", 10]]}, "ModelSpec.hyperparameters: expected an object, got list"),
+    ])
+    def test_from_dict_is_strict(self, change, message):
+        d = ModelSpec(ModelKind.XGB, {"n_rounds": 10}, seed=3).to_dict()
+        d.update(change)
+        d = {k: v for k, v in d.items() if v is not None}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelSpec.from_dict(d)
 
 
 class TestTrainContract:
@@ -99,6 +115,16 @@ class TestStandardizer:
         assert set(np.unique(out[:, 1])) <= {0.0, 1.0}
         assert abs(out[:, 0].mean()) < 1e-9
 
+    def test_binary_columns_match_the_value_set_rule(self):
+        X = np.array([
+            [0.0, -0.0, 0.0, 1.0, 0.0, 0.0, 0.5, -1.0],
+            [1.0, 1.0, 0.0, 1.0, 1.0, 2.0, 1.0, 1.0],
+            [0.0, 0.0, 0.0, 1.0, np.nan, 1.0, 0.0, 0.0],
+        ])
+        by_value_set = [set(np.unique(X[:, j])) <= {0.0, 1.0} for j in range(X.shape[1])]
+        assert binary_columns(X).tolist() == by_value_set == [True] * 4 + [False] * 4
+        assert Standardizer.fit(X).binary_mask.tolist() == by_value_set
+
     def test_training_shift_does_not_leak_validation(self):
         X_train, y = make_blobs(n=60, d=3, seed=7)
         X_val = X_train[:20] + 100.0
@@ -149,6 +175,24 @@ class TestKnn:
             vote = sum(y[i] for _, i in ranked[:5]) / 5
             expected.append(int(vote >= 0.5))
         assert np.array_equal(got, np.array(expected))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 500])
+    def test_tied_distances_break_by_training_index(self, k):
+        rng = np.random.default_rng(22)
+        base = rng.integers(0, 2, size=(40, 4)).astype(float)
+        X = np.vstack([base, base, base[:13]])  # duplicate rows, binary columns
+        y = rng.integers(0, 2, len(X))
+        y[0], y[1] = 0, 1
+        queries = np.vstack([base[:20], rng.integers(0, 2, size=(20, 4)).astype(float)])
+        model = train(ModelSpec(ModelKind.KNN, {"k": k}), X, y)
+
+        Xs = model.standardizer.transform(X)
+        expected = []
+        for q in model.standardizer.transform(queries):
+            d2 = np.sum(q * q) - 2.0 * Xs @ q + np.sum(Xs * Xs, axis=1)
+            nearest = sorted(range(len(Xs)), key=lambda i: (d2[i], i))[:k]
+            expected.append(y[nearest].mean())
+        assert np.array_equal(np.asarray(model.score(queries)), np.array(expected))
 
 
 class TestLogisticRegression:
@@ -411,9 +455,9 @@ class TestMlp:
     def test_zeroed_output_layer_scores_half(self):
         X, y = make_blobs(n=30, d=3, seed=18)
         params = init_params(3, 4, np.random.default_rng(0))
-        from rescue_triage.learners.mlp import score_mlpc
+        from rescue_triage.learners import mlp
 
-        s = score_mlpc(params, X)
+        s = mlp.score(params, X)
         assert np.all(s == 0.5)
 
     def test_gradients_match_central_differences(self):
@@ -465,6 +509,20 @@ class TestSaveLoad:
         d = model_to_dict(train(ModelSpec(ModelKind.NB), X, y))
         d["format_version"] = 99
         with pytest.raises(ValueError):
+            model_from_dict(d)
+
+    @pytest.mark.parametrize("key", ["decision_threshold", "feature_names", "spec"])
+    def test_missing_key_rejected(self, key):
+        X, y = make_blobs(n=30, d=2, seed=22)
+        d = model_to_dict(train(ModelSpec(ModelKind.NB), X, y))
+        del d[key]
+        with pytest.raises(ValueError, match=re.escape(f"model: missing keys ['{key}']")):
+            model_from_dict(d)
+
+    def test_unknown_key_rejected(self):
+        X, y = make_blobs(n=30, d=2, seed=22)
+        d = {**model_to_dict(train(ModelSpec(ModelKind.NB), X, y)), "threshold": 0.4}
+        with pytest.raises(ValueError, match=re.escape("model: unknown keys ['threshold']")):
             model_from_dict(d)
 
     def test_json_text_is_plain(self, tmp_path):
