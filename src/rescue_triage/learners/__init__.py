@@ -1,15 +1,17 @@
 """Seven classifiers behind one train/predict/score interface.
 
 ``train(spec, X, y)`` fits any of SVM, RF, XGB, K-NN, NB, LR or MLPC on raw
-feature rows; scores are probability-like values in [0, 1] and predictions
-threshold them at 0.5. Models serialize to a versioned JSON text format that
-round-trips scores bit-exactly.
+feature rows; ``train_grid(specs, X, y)`` fits several specs on the same rows
+and shares what a kind can share between them. Scores are probability-like
+values in [0, 1] and predictions threshold them at 0.5. Models serialize to a
+versioned JSON text format that round-trips scores bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,13 +40,16 @@ __all__ = [
     "ArityMismatch",
     "DEFAULT_SEARCH_SPACES",
     "train",
+    "train_grid",
     "save_model",
     "load_model",
     "model_to_dict",
     "model_from_dict",
 ]
 
-# each kind's module, with fit(params, Xs, y, rng) -> state and score(state, Xs) on standardized Xs
+# each kind's module, with score(state, Xs) on standardized Xs and either
+# fit(params, Xs, y, rng) -> state or, for a kind that fits candidates
+# together, fit_grid(params list, Xs, y, rngs) yielding (index, state)
 _KINDS = {
     ModelKind.SVM: svm,
     ModelKind.RF: forest,
@@ -59,19 +64,38 @@ _KINDS = {
 _KIND_STREAM = {kind: 1000 + i for i, kind in enumerate(ModelKind)}
 
 
-def train(spec: ModelSpec, X, y, feature_names: tuple[str, ...] = ()) -> TrainedModel:
-    """Fit the spec on (X, y); deterministic given (spec, data)."""
+def _fit_each(module, group: list[dict], Xs: np.ndarray, y: np.ndarray, rngs) -> Iterator[tuple[int, dict]]:
+    for i, (params, rng) in enumerate(zip(group, rngs)):
+        yield i, module.fit(params, Xs, y, rng)
+
+
+def train_grid(
+    specs: Sequence[ModelSpec], X, y, feature_names: tuple[str, ...] = ()
+) -> Iterator[tuple[int, TrainedModel]]:
+    """Fit every spec on (X, y), standardizing once; yields ``(index into
+    specs, model)`` as each model is ready, so a caller can score and drop
+    one model before the next is fit. Each model equals ``train`` of its
+    spec alone."""
     X, y = check_training_inputs(np.asarray(X, dtype=np.float64), y)
     std = Standardizer.fit(X)
-    rng = rng_from(spec.seed, _KIND_STREAM[spec.kind])
-    state = _KINDS[spec.kind].fit(spec.hyperparameters, std.transform(X), y, rng)
-    return TrainedModel(
-        spec=spec,
-        standardizer=std,
-        state=state,
-        arity=X.shape[1],
-        feature_names=tuple(feature_names),
-    )
+    Xs = std.transform(X)
+    for kind in dict.fromkeys(spec.kind for spec in specs):
+        index = [i for i, spec in enumerate(specs) if spec.kind is kind]
+        group = [specs[i].hyperparameters for i in index]
+        rngs = [rng_from(specs[i].seed, _KIND_STREAM[kind]) for i in index]
+        module = _KINDS[kind]
+        fit_grid = getattr(module, "fit_grid", None)
+        for j, state in fit_grid(group, Xs, y, rngs) if fit_grid else _fit_each(module, group, Xs, y, rngs):
+            spec = specs[index[j]]
+            yield index[j], TrainedModel(
+                spec=spec, standardizer=std, state=state, arity=X.shape[1], feature_names=tuple(feature_names)
+            )
+
+
+def train(spec: ModelSpec, X, y, feature_names: tuple[str, ...] = ()) -> TrainedModel:
+    """Fit the spec on (X, y); deterministic given (spec, data)."""
+    [(_, model)] = train_grid([spec], X, y, feature_names)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,20 @@ batch's rows are partitioned in one stable sort. A batch holds at most
   stream in the same pre-order as a tree grown alone; ``grow_classification_tree``
   steps the forest until a given tree is finished. Gini cost with a
   ``min_samples_leaf`` floor; nodes hold the positive-class fraction.
-* ``grow_second_order_tree`` (boosting) draws no random numbers, so it grows
-  one level at a time over every feature, then renumbers the nodes to
-  depth-first pre-order. Nodes hold -G / (H + lambda); node sums G and H are
-  ``ndarray.sum`` over the node's rows in row order.
+  A forest grown for more trees than a model keeps gives that model as a
+  prefix: tree t depends only on its own stream.
+* ``LockstepRound`` (boosting) holds one round's trees of several boosting
+  lanes, one lane per (learning rate, depth cap) of a grid fit. The fit's
+  codes are tiled once per lane and lane m's rows are offset by m * n, so
+  every level of every lane splits in one batch. Boosting draws no random
+  numbers, so each tree grows one level at a time over every feature, then
+  its nodes are renumbered to depth-first pre-order. Nodes hold
+  -G / (H + lambda); node sums G and H are ``ndarray.sum`` over the node's
+  rows in row order. ``grow_second_order_tree`` grows every lane's tree on
+  its first call of a round and returns one lane's tree per call.
+
+Either way, a node's sums and split depend only on its own rows, so which
+trees share a batch changes no tree.
 
 ``ensemble_values`` walks all trees of an ensemble together when scoring and
 yields the leaf values block by block, in tree order.
@@ -32,7 +42,7 @@ yields the leaf values block by block, in tree order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -292,59 +302,90 @@ def grow_classification_tree(forest: LockstepForest, t: int) -> TreeArrays:
     return forest.done.pop(t)
 
 
-def grow_second_order_tree(
-    bins: Bins, grad: np.ndarray, hess: np.ndarray, max_depth: int, reg_lambda: float,
-    row_value: np.ndarray,
-) -> TreeArrays:
-    """Regression tree on gradient/hessian sums, grown level by level; nodes
-    hold -G / (H + lambda); with lambda 0, a node whose hessian sum is 0
-    raises InvalidHyperparameter. A node with at least two rows splits below
-    ``max_depth``. Entry i of ``row_value`` is set to the value of the leaf
-    that training row i lands in."""
-    lam = reg_lambda
-    feature, threshold, value, left = [], [], [], []  # in level order
-    level, depth = [np.arange(len(bins.codes))], 0
-    with np.errstate(divide="ignore", invalid="ignore"):  # masked cuts are never chosen
-        while level:
-            first = len(value)
-            G = [float(grad[r].sum()) for r in level]
-            H = [float(hess[r].sum()) for r in level]
-            try:
-                value += [-g / (h + lam) for g, h in zip(G, H)]
-            except ZeroDivisionError:
-                raise InvalidHyperparameter(
-                    f"XGB: reg_lambda {lam!r} leaves a node whose hessian sum is 0 without a value; "
-                    "use a positive reg_lambda"
-                ) from None
-            feature += [-1] * len(level)
-            threshold += [0.0] * len(level)
-            left += [-1] * len(level)
-            ids = [i for i, r in enumerate(level) if depth < max_depth and len(r) >= 2]
-            next_level = []
-            if ids:
-                kk = np.array([len(level[i]) for i in ids])[:, None, None]
-                GG = np.array([G[i] for i in ids])[:, None, None]
-                HH = np.array([H[i] for i in ids])[:, None, None]
-                parent_term = np.array([G[i] * G[i] / (H[i] + lam) for i in ids])[:, None, None]
+class LockstepRound:
+    """One boosting round's regression trees, one per lane, grown together.
 
-                def newton_gain(b, nl, gl, hl):
-                    gr, hr = GG[b] - gl, HH[b] - hl
-                    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_term[b])
-                    gain[(nl < 1) | (nl > kk[b] - 1)] = -np.inf
-                    return gain, None
+    Lane m's rows are rows ``m * n`` to ``(m + 1) * n`` of ``bins`` (the fit's
+    codes tiled once per lane) and of the flat ``grad``, ``hess`` and
+    ``row_value``. Every level of every lane is split in one ``_split_batch``
+    call; a node's sums and splits depend only on its own rows, so each lane's
+    tree is the tree it would be grown alone. Trees are held in ``done`` until
+    taken.
+    """
 
-                f, thr, children, _ = _split_batch(bins, [level[i] for i in ids], None, (None, grad, hess), newton_gain)
-                for i, fi, ti, pair in zip(ids, f.tolist(), thr.tolist(), children):
-                    if pair is not None:
-                        feature[first + i], threshold[first + i] = fi, ti
-                        left[first + i] = first + len(level) + len(next_level)
-                        next_level += pair
-            for i, r in enumerate(level):
-                if feature[first + i] < 0:
-                    row_value[r] = value[first + i]
-            level, depth = next_level, depth + 1
-    return _preorder(np.array(feature, dtype=np.int32), np.array(threshold), np.array(left, dtype=np.int32),
-                     np.array(value))
+    def __init__(
+        self, bins: Bins, grad: np.ndarray, hess: np.ndarray, max_depth: list[int], reg_lambda: float,
+        row_value: np.ndarray,
+    ):
+        self.bins, self.grad, self.hess, self.row_value = bins, grad, hess, row_value
+        self.max_depth, self.lam = max_depth, reg_lambda
+        self.done: Optional[dict[int, TreeArrays]] = None
+
+    def grow(self) -> None:
+        """Every lane's tree, level by level; nodes hold -G / (H + lambda), and
+        with lambda 0 a node whose hessian sum is 0 raises InvalidHyperparameter.
+        A node with at least two rows splits below its lane's ``max_depth``.
+        Entry i of ``row_value`` is set to the value of the leaf row i lands in."""
+        grad, hess, lam, lanes = self.grad, self.hess, self.lam, range(len(self.max_depth))
+        self.done = {}
+        n = len(grad) // len(self.max_depth)
+        feature, threshold, value, left = ([[] for _ in lanes] for _ in range(4))  # per lane, in level order
+        levels, depth = [[np.arange(m * n, (m + 1) * n)] for m in lanes], 0
+        with np.errstate(divide="ignore", invalid="ignore"):  # masked cuts are never chosen
+            while any(levels):
+                nodes = [(m, i, r) for m in lanes for i, r in enumerate(levels[m])]
+                first = [len(v) for v in value]
+                G = [float(grad[r].sum()) for _, _, r in nodes]
+                H = [float(hess[r].sum()) for _, _, r in nodes]
+                try:
+                    node_value = [-g / (h + lam) for g, h in zip(G, H)]
+                except ZeroDivisionError:
+                    raise InvalidHyperparameter(
+                        f"XGB: reg_lambda {lam!r} leaves a node whose hessian sum is 0 without a value; "
+                        "use a positive reg_lambda"
+                    ) from None
+                for (m, _, _), v in zip(nodes, node_value):
+                    feature[m].append(-1)
+                    threshold[m].append(0.0)
+                    value[m].append(v)
+                    left[m].append(-1)
+                ids = [j for j, (m, _, r) in enumerate(nodes) if depth < self.max_depth[m] and len(r) >= 2]
+                next_levels = [[] for _ in lanes]
+                if ids:
+                    kk = np.array([len(nodes[j][2]) for j in ids])[:, None, None]
+                    GG = np.array([G[j] for j in ids])[:, None, None]
+                    HH = np.array([H[j] for j in ids])[:, None, None]
+                    parent_term = np.array([G[j] * G[j] / (H[j] + lam) for j in ids])[:, None, None]
+
+                    def newton_gain(b, nl, gl, hl):
+                        gr, hr = GG[b] - gl, HH[b] - hl
+                        gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_term[b])
+                        gain[(nl < 1) | (nl > kk[b] - 1)] = -np.inf
+                        return gain, None
+
+                    f, thr, children, _ = _split_batch(
+                        self.bins, [nodes[j][2] for j in ids], None, (None, grad, hess), newton_gain)
+                    for j, fj, tj, pair in zip(ids, f.tolist(), thr.tolist(), children):
+                        if pair is not None:
+                            m, i, _ = nodes[j]
+                            feature[m][first[m] + i], threshold[m][first[m] + i] = fj, tj
+                            left[m][first[m] + i] = first[m] + len(levels[m]) + len(next_levels[m])
+                            next_levels[m] += pair
+                for m, i, r in nodes:
+                    if feature[m][first[m] + i] < 0:
+                        self.row_value[r] = value[m][first[m] + i]
+                levels, depth = next_levels, depth + 1
+        for m in lanes:
+            self.done[m] = _preorder(np.array(feature[m], dtype=np.int32), np.array(threshold[m]),
+                                     np.array(left[m], dtype=np.int32), np.array(value[m]))
+
+
+def grow_second_order_tree(lockstep: LockstepRound, m: int) -> TreeArrays:
+    """Lane m's tree of the round, taken out of it; the first call grows every
+    lane's tree."""
+    if lockstep.done is None:
+        lockstep.grow()
+    return lockstep.done.pop(m)
 
 
 def _preorder(feature, threshold, left, value) -> TreeArrays:

@@ -384,7 +384,14 @@ class Dataset:
         return cls(X=X, y=y, feature_names=FEATURE_ORDER, case_ids=tuple(case_ids))
 
     def select(self, names: Sequence[str]) -> "Dataset":
-        """Return a new dataset restricted to the named feature columns."""
+        """Return a new dataset restricted to the named feature columns, in
+        the order given; an unknown or repeated name is a ValueError naming it."""
+        unknown = [n for n in names if n not in self.feature_names]
+        if unknown:
+            raise ValueError(f"unknown feature names {unknown}; the columns are {list(self.feature_names)}")
+        repeated = sorted({n for i, n in enumerate(names) if n in names[:i]})
+        if repeated:
+            raise ValueError(f"feature names given more than once: {repeated}")
         idx = [self.feature_names.index(n) for n in names]
         return Dataset(self.X[:, idx], self.y, tuple(names), self.case_ids)
 

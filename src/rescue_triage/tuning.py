@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import metrics as _metrics
-from .learners import ModelKind, ModelSpec, train
+from .learners import ModelKind, ModelSpec, train, train_grid
 from .records import Dataset, rng_from
 
 log = logging.getLogger(__name__)
@@ -152,16 +152,20 @@ class CvResult:
     mean: float
 
 
-def cross_validate(spec: ModelSpec, data: Dataset, cv: CvSpec) -> CvResult:
-    """Train on k-1 folds, evaluate on the held-out one, average the accuracy.
+def cross_validate(specs: Sequence[ModelSpec], data: Dataset, cv: CvSpec) -> list[CvResult]:
+    """Per fold, train every spec on the k-1 other folds, evaluate on the
+    held-out one; one CvResult of fold accuracies and their mean per spec.
 
+    Each fold's specs are fit together by ``train_grid`` and every model is
+    scored as soon as it is ready, so no fold holds all of its models.
     Raises DegenerateFolds when a fold's training side lacks both classes.
     """
-    scores = []
+    scores: list[list[float]] = [[] for _ in specs]
     for train_idx, val_idx in fold_pairs(data.y, cv):
-        model = train(spec, data.X[train_idx], data.y[train_idx])
-        scores.append(fold_accuracy(model, data.X[val_idx], data.y[val_idx]))
-    return CvResult(tuple(scores), float(np.mean(scores)))
+        X_val, y_val = data.X[val_idx], data.y[val_idx]
+        for i, model in train_grid(specs, data.X[train_idx], data.y[train_idx]):
+            scores[i].append(fold_accuracy(model, X_val, y_val))
+    return [CvResult(tuple(s), float(np.mean(s))) for s in scores]
 
 
 def _enumerate_grid(space: dict) -> list[dict]:
@@ -212,12 +216,11 @@ def search(
 
     Ties resolve to the earliest candidate in enumeration order.
     """
-    candidates = _draw_candidates(search_spec)
-    entries = []
-    for params in candidates:
-        spec = ModelSpec(kind, params, seed=model_seed)
-        result = cross_validate(spec, data, cv)
-        entries.append(LeaderboardEntry(spec, result.mean, result.fold_scores))
+    specs = [ModelSpec(kind, params, seed=model_seed) for params in _draw_candidates(search_spec)]
+    entries = [
+        LeaderboardEntry(spec, result.mean, result.fold_scores)
+        for spec, result in zip(specs, cross_validate(specs, data, cv))
+    ]
     ranked = sorted(range(len(entries)), key=lambda i: (-entries[i].mean_score, i))
     leaderboard = tuple(entries[i] for i in ranked)
     return SearchResult(best=leaderboard[0].spec, leaderboard=leaderboard)

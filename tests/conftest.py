@@ -89,6 +89,12 @@ class _StubState:
 def _make_handler(state: _StubState):
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
+            try:
+                self._reply()
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the client gave up (a timeout test) before the reply was written
+
+        def _reply(self):
             length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length))
             state.requests.append({"path": self.path, "payload": payload})

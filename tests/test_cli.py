@@ -331,6 +331,21 @@ class TestChainedSubcommands:
         assert "ModelSpec: missing keys ['seed']" in caplog.text
         assert not (tmp_path / "table.csv").exists()
 
+    @pytest.mark.parametrize("names,message", [
+        (["gsc"], "unknown feature names ['gsc']"),
+        (["gcs", "gcs"], "feature names given more than once: ['gcs']"),
+    ])
+    def test_evaluate_rejects_a_bad_rfecv_feature_name(self, chained, tmp_path, caplog, names, message):
+        _, _, chain = chained
+        report = json.loads((chain / "rfecv_report.json").read_text())
+        report["best_features"] = [*names, *report["best_features"][1:]]
+        (tmp_path / "rfecv_report.json").write_text(json.dumps(report))
+        argv = ["evaluate", "--in", str(chain / "features.jsonl"), "--leaderboard", str(chain / "leaderboard.json"),
+                "--rfecv-report", str(tmp_path / "rfecv_report.json"), "--out", str(tmp_path / "table.csv")]
+        assert main(argv) == 2
+        assert message in caplog.text
+        assert not (tmp_path / "table.csv").exists()
+
     def test_integer_threshold_in_a_config_matches_select_features(self, chained, tmp_path):
         _, _, chain = chained
         (tmp_path / "pipeline.json").write_text(json.dumps({"filter_threshold": 5}))

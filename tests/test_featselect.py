@@ -150,7 +150,8 @@ class TestRfecv:
         candidates = []
         for r in (1, 2):
             for names in itertools.combinations(data.feature_names, r):
-                score = cross_validate(spec, data.select(names), cv).mean
+                [cv_result] = cross_validate([spec], data.select(names), cv)
+                score = cv_result.mean
                 candidates.append((score, -r, names))
         _, _, best_subset = max(candidates)
         assert set(result.best_features) == set(best_subset)

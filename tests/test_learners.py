@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from rescue_triage.learners import (
+    DEFAULT_SEARCH_SPACES,
     ArityMismatch,
     InvalidHyperparameter,
     ModelKind,
@@ -18,9 +20,10 @@ from rescue_triage.learners import (
     model_to_dict,
     save_model,
     train,
+    train_grid,
 )
 from rescue_triage.learners.mlp import init_params, loss_and_grads
-from rescue_triage.learners import forest, tree
+from rescue_triage.learners import boosting, forest, tree
 from rescue_triage.learners.base import binary_columns, stable_sigmoid
 
 from conftest import make_blobs
@@ -449,6 +452,69 @@ class TestLockstepForest:
         assert model_to_dict(small) == model_to_dict(model)
         assert np.array_equal(np.asarray(small.score(X_score)), scores)
         assert np.array_equal(np.asarray(model.score(X_score)), scores)
+
+
+def _grid_specs(kind, space, seed=5):
+    names = sorted(space)
+    combos = itertools.product(*(space[n] for n in names))
+    return [ModelSpec(kind, dict(zip(names, values)), seed=seed) for values in combos]
+
+
+def _assert_each_equals_its_own_train(specs, X, y):
+    models = dict(train_grid(specs, X, y))
+    assert sorted(models) == list(range(len(specs)))
+    for i, spec in enumerate(specs):
+        assert model_to_dict(models[i]) == model_to_dict(train(spec, X, y)), spec
+
+
+class TestTrainGrid:
+    """A grid fit shares forests and boosting lanes between specs; every model
+    must still be the one ``train`` fits for its spec alone."""
+
+    @pytest.mark.parametrize("kind", [ModelKind.RF, ModelKind.XGB], ids=lambda k: k.value)
+    def test_default_space_equals_single_fits(self, kind):
+        X, y = _desk_matrix()
+        _assert_each_equals_its_own_train(_grid_specs(kind, DEFAULT_SEARCH_SPACES[kind]), X, y)
+
+    def test_boosting_lanes_with_mixed_rounds_depths_bins_and_lambdas(self):
+        X, y = _desk_matrix()
+        space = {"n_rounds": [0, 1, 7, 20], "max_depth": [1, 2, 3, 4], "n_bins": [2, 4, 32],
+                 "reg_lambda": [0.0, 0.5, 2.0], "learning_rate": [0.1, 0.3]}
+        specs = _grid_specs(ModelKind.XGB, space)
+        picked = np.random.default_rng(41).permutation(len(specs))[:40]  # mixed group, lane and spec order
+        _assert_each_equals_its_own_train([specs[i] for i in picked], X, y)
+
+    def test_forests_of_different_seeds_are_not_shared(self):
+        X, y = _desk_matrix()
+        specs = [ModelSpec(ModelKind.RF, {"n_trees": n}, seed=s) for n, s in ((5, 1), (9, 2), (5, 2), (9, 1))]
+        _assert_each_equals_its_own_train(specs, X, y)
+        models = dict(train_grid(specs, X, y))
+        assert model_to_dict(models[0])["state"] != model_to_dict(models[2])["state"]
+
+    def test_zero_hessian_spec_fails_its_group_as_it_fails_alone(self):
+        X, _ = _golden_matrix()  # as in TestBoosting's zero-hessian test
+        y = (X[:, 2] > 1.5).astype(np.int64)
+        bad = ModelSpec(ModelKind.XGB, {"n_rounds": 30, "max_depth": 1, "learning_rate": 1.0, "reg_lambda": 0.0})
+        good = ModelSpec(ModelKind.XGB, {"n_rounds": 5, "max_depth": 2, "learning_rate": 0.1, "reg_lambda": 0.0})
+        train(good, X, y)
+        with pytest.raises(InvalidHyperparameter) as alone:
+            train(bad, X, y)
+        with pytest.raises(InvalidHyperparameter) as grouped:
+            list(train_grid([good, bad], X, y))
+        assert str(grouped.value) == str(alone.value)
+
+    def test_each_boosting_tree_is_taken_once_through_the_grower_entry_point(self, monkeypatch):
+        taken = []
+
+        def counting(lanes, m):
+            taken.append(m)
+            return tree.grow_second_order_tree(lanes, m)
+
+        monkeypatch.setattr(boosting, "grow_second_order_tree", counting)
+        X, y = _desk_matrix()
+        specs = _grid_specs(ModelKind.XGB, {"n_rounds": [3, 6], "max_depth": [1, 2], "learning_rate": [0.1, 0.3]})
+        list(train_grid(specs, X, y))
+        assert taken == [0, 1, 2, 3] * 6  # four lanes of six rounds; each round's first call grows all four
 
 
 class TestMlp:

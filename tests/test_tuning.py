@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rescue_triage.featselect import rfecv
-from rescue_triage.learners import ModelKind, ModelSpec, train
+from rescue_triage.learners import DEFAULT_SEARCH_SPACES, ModelKind, ModelSpec, train
 from rescue_triage.records import Dataset
 from rescue_triage.tuning import (
     CvSpec,
@@ -12,12 +12,14 @@ from rescue_triage.tuning import (
     SearchSpec,
     cross_validate,
     evaluate_all,
+    fold_accuracy,
     fold_pairs,
     make_folds,
     search,
     split_train_test,
     write_metrics_csv,
 )
+from rescue_triage.tuning import _draw_candidates
 
 from conftest import make_blobs
 
@@ -94,7 +96,7 @@ class TestFolds:
 class TestCrossValidate:
     def test_learnable_fixture_scores_one(self):
         data = dataset(n=60, sep=8.0, noise=0.0)
-        result = cross_validate(ModelSpec(ModelKind.KNN, {"k": 3}), data, CvSpec(folds=4, seed=1))
+        [result] = cross_validate([ModelSpec(ModelKind.KNN, {"k": 3})], data, CvSpec(folds=4, seed=1))
         assert result.mean == 1.0
         assert all(s == 1.0 for s in result.fold_scores)
 
@@ -103,7 +105,7 @@ class TestCrossValidate:
         y = np.array([0, 0, 1, 1, 0, 0])
         data = Dataset(X, y, ("x",))
         spec = ModelSpec(ModelKind.KNN, {"k": 1})
-        result = cross_validate(spec, data, CvSpec(folds=6, stratified=False, seed=5))
+        [result] = cross_validate([spec], data, CvSpec(folds=6, stratified=False, seed=5))
 
         expected = []
         for i in range(6):
@@ -118,7 +120,7 @@ class TestCrossValidate:
         data = Dataset(np.arange(8.0).reshape(4, 2), y, ("a", "b"))
         cv = CvSpec(folds=2, stratified=False, seed=3)
         with pytest.raises(DegenerateFolds, match="single class"):
-            cross_validate(ModelSpec(ModelKind.NB), data, cv)
+            cross_validate([ModelSpec(ModelKind.NB)], data, cv)
         with pytest.raises(DegenerateFolds, match="single class"):
             rfecv(data, ModelSpec(ModelKind.NB), cv)
 
@@ -171,6 +173,27 @@ class TestSearch:
         )
         means = [e.mean_score for e in result.leaderboard]
         assert means == sorted(means, reverse=True)
+
+
+    @pytest.mark.parametrize("mode", ["grid", "random"])
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_leaderboard_equals_one_train_per_candidate_and_fold(self, kind, mode):
+        data = dataset(n=90, d=5, seed=12)
+        cv = CvSpec(folds=3, seed=4)
+        search_spec = SearchSpec(mode, DEFAULT_SEARCH_SPACES[kind], budget=3, seed=8)
+        result = search(kind, search_spec, cv, data, model_seed=3)
+
+        entries = []
+        for params in _draw_candidates(search_spec):
+            spec = ModelSpec(kind, params, seed=3)
+            scores = tuple(
+                fold_accuracy(train(spec, data.X[tr], data.y[tr]), data.X[va], data.y[va])
+                for tr, va in fold_pairs(data.y, cv)
+            )
+            entries.append((spec, float(np.mean(scores)), scores))
+        expected = [entries[i] for i in sorted(range(len(entries)), key=lambda i: (-entries[i][1], i))]
+        assert [(e.spec, e.mean_score, e.fold_scores) for e in result.leaderboard] == expected
+        assert result.best == expected[0][0]
 
 
 class TestEvaluateAll:
