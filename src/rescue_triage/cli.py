@@ -23,11 +23,9 @@ Logs go to stderr; artifacts go to files only.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .ingest import IngestConfig
 from .learners import load_model
@@ -46,6 +44,7 @@ from .pipeline import (
     stage_tune,
     stage_wordcount,
 )
+from .records import read_json
 from .synthgen import GeneratorConfig
 
 log = logging.getLogger("rescue_triage")
@@ -53,10 +52,6 @@ log = logging.getLogger("rescue_triage")
 # --config is a generator file for synth, an ingest file for ingest and a
 # pipeline file for run-all; the stage subcommands take options only
 _READS_CONFIG = ("synth", "ingest", "run-all")
-
-
-def _json_file(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _config(args, base: PipelineConfig | None = None, **fields) -> PipelineConfig:
@@ -74,12 +69,12 @@ def _done(result) -> int:
 
 
 def _cmd_synth(args) -> int:
-    generator = GeneratorConfig.from_dict(_json_file(args.config)) if args.config else None
+    generator = read_json(args.config, GeneratorConfig) if args.config else None
     return _done(stage_synth(_config(args, generator=generator), args.out, args.truth))
 
 
 def _cmd_ingest(args) -> int:
-    ingest = IngestConfig.from_dict(_json_file(args.config)) if args.config else IngestConfig()
+    ingest = read_json(args.config, IngestConfig) if args.config else IngestConfig()
     if args.key_column:
         ingest = replace(ingest, key_column=args.key_column)
     cfg = _config(args, input_csvs=tuple(args.csvs), ingest=ingest)
@@ -135,7 +130,7 @@ def _cmd_llm_compare(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
-    base = PipelineConfig.from_file(args.config) if args.config else None
+    base = read_json(args.config, PipelineConfig) if args.config else None
     cfg = _config(args, base, out_dir=args.out_dir)
     manifest = run_pipeline(cfg)
     ok = all(s["status"] in ("ok", "skipped") for s in manifest["stages"])

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .records import RescueRecord, RecordValidationError, from_dict, validate_record
+from .records import RescueRecord, RecordValidationError, validate_record
 
 log = logging.getLogger(__name__)
 
@@ -130,10 +130,6 @@ class IngestConfig:
         object.__setattr__(self, "drop_columns", tuple(self.drop_columns))
         object.__setattr__(self, "negative_forbidden_columns", tuple(self.negative_forbidden_columns))
         object.__setattr__(self, "note_columns", tuple(self.note_columns))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IngestConfig":
-        return from_dict(cls, d, IngestError)
 
 
 def load_csv(path: str | Path, delimiter: str = ",") -> Table:

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..records import check_keys, rng_from
+from ..records import asjson, check_keys, read_json, rng_from
 from . import boosting, forest, knn, logistic, mlp, naive_bayes, svm
 from .base import (
     DEFAULT_SEARCH_SPACES,
@@ -133,7 +133,7 @@ def _restore(obj):
 def model_to_dict(model: TrainedModel) -> dict:
     return {
         "format_version": FORMAT_VERSION,
-        "spec": model.spec.to_dict(),
+        "spec": asjson(model.spec),
         "standardizer": model.standardizer.to_dict(),
         "arity": model.arity,
         "decision_threshold": model.decision_threshold,
@@ -164,4 +164,4 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return model_from_dict(read_json(path, dict))

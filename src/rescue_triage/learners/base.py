@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..records import check_keys
+from ..records import check_keys, from_dict
 
 
 class ModelKind(Enum):
@@ -145,23 +145,11 @@ class ModelSpec:
     def display_name(self) -> str:
         return "K-NN" if self.kind is ModelKind.KNN else self.kind.value
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "hyperparameters": dict(self.hyperparameters),
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "ModelSpec":
-        """Strict inverse of to_dict: every key it writes, and no other."""
-        check_keys(d, {"kind", "hyperparameters", "seed"}, "ModelSpec")
-        seed, hyperparameters = d["seed"], d["hyperparameters"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"ModelSpec.seed: expected int, got {type(seed).__name__} {seed!r}")
-        if not isinstance(hyperparameters, Mapping):
-            raise ValueError(f"ModelSpec.hyperparameters: expected an object, got {type(hyperparameters).__name__}")
-        return cls(ModelKind(d["kind"]), dict(hyperparameters), seed)
+        """Strict inverse of records.asjson: every key it writes, and no other."""
+        check_keys(d, ("kind", "hyperparameters", "seed"), "ModelSpec")
+        return from_dict(cls, d)
 
 
 @dataclass(frozen=True)

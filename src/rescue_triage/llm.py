@@ -245,7 +245,7 @@ def transcript_verdicts(transcript: Sequence[str]) -> list[LlmVerdict]:
 @dataclass(frozen=True)
 class CaseComparison:
     case_id: str
-    ml_positive: bool
+    ml_prediction: bool
     llm_verdict: Verdict
     match: bool
     reference: Optional[bool] = None
@@ -253,27 +253,12 @@ class CaseComparison:
 
 @dataclass(frozen=True)
 class AgreementReport:
-    rows: tuple[CaseComparison, ...]
+    """Per-case agreement; its fields are the keys of llm_agreement.json."""
+
     mismatch_count: int
     agreement_rate: float
     ambiguous_cases: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "mismatch_count": self.mismatch_count,
-            "agreement_rate": self.agreement_rate,
-            "ambiguous_cases": list(self.ambiguous_cases),
-            "rows": [
-                {
-                    "case_id": r.case_id,
-                    "ml_prediction": r.ml_positive,
-                    "llm_verdict": r.llm_verdict.value,
-                    "match": r.match,
-                    **({"reference": r.reference} if r.reference is not None else {}),
-                }
-                for r in self.rows
-            ],
-        }
+    rows: tuple[CaseComparison, ...]
 
 
 def compare(
@@ -311,4 +296,4 @@ def compare(
         reference = bool(reference_labels[i]) if reference_labels is not None else None
         rows.append(CaseComparison(case_id, ml_bool, verdict, match, reference))
     rate = 1.0 - mismatches / len(rows) if rows else 1.0
-    return AgreementReport(tuple(rows), mismatches, rate, tuple(ambiguous))
+    return AgreementReport(mismatches, rate, tuple(ambiguous), tuple(rows))

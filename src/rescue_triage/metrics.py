@@ -33,15 +33,6 @@ class MetricsReport:
     auc: Optional[float] = None
     roc_points: tuple[tuple[float, float], ...] = ()
 
-    def scalar_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "precision": self.precision,
-            "f1": self.f1,
-        }
-
 
 def confusion(y_true: Sequence[int], y_pred: Sequence[int]) -> ConfusionMatrix:
     """Count TP/FP/TN/FN for binary labels (1 = positive)."""

@@ -13,7 +13,6 @@ while earlier artifacts stay on disk.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import time
 from dataclasses import asdict, dataclass
@@ -21,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .featselect import filter_select, rfecv
+from .featselect import RfecvResult, filter_select, rfecv
 from .ingest import IngestConfig, ingest_tables, load_csv
 from .learners import DEFAULT_SEARCH_SPACES, ModelKind, ModelSpec, load_model, save_model, train
 from .llm import (
@@ -36,15 +35,19 @@ from .llm import (
 from .records import (
     FEATURE_ORDER,
     Dataset,
+    FeatureRow,
     FeatureVector,
     Label,
     TEXT_FEATURE_NAMES,
+    asjson,
+    check_keys,
     check_unique_case_ids,
-    from_dict,
+    read_json,
     read_jsonl,
     record_from_dict,
     record_to_dict,
     to_feature_vector,
+    write_json,
     write_jsonl,
     VITAL_FEATURE_NAMES,
 )
@@ -123,13 +126,39 @@ class PipelineConfig:
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from exc
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        return from_dict(cls, d)
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+@dataclass(frozen=True)
+class Candidate:
+    """One search candidate of a kind, as leaderboard.json lists it."""
+
+    hyperparameters: dict
+    mean_accuracy: float
+    fold_accuracies: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class Winner:
+    """The CV winner; its spec is read by ModelSpec.from_dict, which needs the seed."""
+
+    spec: dict  # a ModelSpec once built
+    cv_accuracy: float
+
+    def __post_init__(self):
+        if not isinstance(self.spec, ModelSpec):
+            object.__setattr__(self, "spec", ModelSpec.from_dict(self.spec))
+
+
+@dataclass(frozen=True)
+class Leaderboard:
+    """leaderboard.json: the CV winner and every kind's candidates, best first."""
+
+    winner: Winner
+    per_kind: dict[ModelKind, tuple[Candidate, ...]]
+
+    def __post_init__(self):
+        for kind, candidates in self.per_kind.items():
+            if not candidates:
+                raise ValueError(f"per_kind.{kind.value}: no candidates")
 
 
 def _sha256(path: Path) -> str:
@@ -158,39 +187,28 @@ def _load_lexicons(cfg: PipelineConfig):
     return load_lexicon_file(cfg.lexicon_path)
 
 
-def feature_rows_to_dataset(rows: list[dict]) -> Dataset:
-    vectors = [FeatureVector.from_dict(r["features"]) for r in rows]
-    labels = [Label(r["label"]) for r in rows]
-    return Dataset.from_vectors(vectors, labels, [r["case_id"] for r in rows])
-
-
-def _read_json(path: str | Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def _write_json(path: str | Path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
-def _labeled_rows(features_path: str | Path) -> list[dict]:
-    return [r for r in read_jsonl(features_path) if r["label"] != Label.UNKNOWN.value]
+def _labeled_rows(features_path: str | Path) -> list[FeatureRow]:
+    return [r for r in read_jsonl(features_path, FeatureRow) if r.label is not Label.UNKNOWN]
 
 
 def _split(cfg: PipelineConfig, features_path, names=None) -> tuple[Dataset, Dataset]:
     """The config's train/test split of the labeled feature rows, restricted
     to the named feature columns when names are given."""
-    data = feature_rows_to_dataset(_labeled_rows(features_path))
+    rows = _labeled_rows(features_path)
+    data = Dataset.from_vectors([r.features for r in rows], [r.label for r in rows], [r.case_id for r in rows])
     return split_train_test(data if names is None else data.select(names), cfg.split_ratio, cfg.seed, cfg.stratified)
 
 
 def _filter_features(selection_path) -> list[str]:
-    """The vitals plus the text features the relevance filter selected."""
-    return [*VITAL_FEATURE_NAMES, *_read_json(selection_path)["selected"]]
+    """The vitals plus the text features selected in SelectionReport.to_dict's file."""
+    report = read_json(selection_path, dict)
+    check_keys(report, ("threshold", "selected", "rejected", "scores"), str(selection_path))
+    return [*VITAL_FEATURE_NAMES, *report["selected"]]
 
 
 def read_winner(leaderboard_path: str | Path) -> ModelSpec:
     """The CV winner's spec from a leaderboard written by stage_tune."""
-    return ModelSpec.from_dict(_read_json(leaderboard_path)["winner"]["spec"])
+    return read_json(leaderboard_path, Leaderboard).winner.spec
 
 
 def _stub_response(fv: FeatureVector) -> str:
@@ -229,7 +247,7 @@ def stage_synth(cfg: PipelineConfig, corpus_path, truth_path=None, delimiter: st
 
 def stage_wordcount(cfg: PipelineConfig, corpus_path, counts_path):
     _, lexicons = _load_lexicons(cfg)
-    corpus_tokens = [note_tokens(r.notes) for r in read_jsonl(corpus_path, record_from_dict)]
+    corpus_tokens = [note_tokens(r.notes) for r in map(record_from_dict, read_jsonl(corpus_path, dict))]
     counts = word_count(corpus_tokens, lexicons, min_count=cfg.min_count)
     with open(counts_path, "w", encoding="utf-8") as fh:
         fh.write("word,count\n")
@@ -243,22 +261,21 @@ def stage_extract_features(cfg: PipelineConfig, corpus_path, features_path):
     categories, lexicons = _load_lexicons(cfg)
     rows = []
     skipped = 0
-    for r in read_jsonl(corpus_path, record_from_dict):
+    for r in map(record_from_dict, read_jsonl(corpus_path, dict)):
         if r.vitals is None or not r.vitals.complete:
             skipped += 1
             continue
         fv = to_feature_vector(r.vitals, extract_features(r, categories, lexicons))
-        rows.append({"case_id": r.case_id, "label": r.label.value, "features": fv.to_dict()})
-    write_jsonl(features_path, rows)
+        rows.append(FeatureRow(r.case_id, r.label, fv))
+    write_jsonl(features_path, rows, asjson)
     return [Path(features_path)], {"rows": len(rows), "skipped": skipped}
 
 
 def stage_select_features(cfg: PipelineConfig, features_path, selection_path):
     rows = _labeled_rows(features_path)
-    psy = [FeatureVector.from_dict(r["features"]) for r in rows if r["label"] == Label.PSYCHIATRIC.value]
-    non = [FeatureVector.from_dict(r["features"]) for r in rows if r["label"] == Label.NON_PSYCHIATRIC.value]
+    psy, non = ([r.features for r in rows if r.label is label] for label in (Label.PSYCHIATRIC, Label.NON_PSYCHIATRIC))
     report = filter_select(psy, non, threshold=cfg.filter_threshold)
-    _write_json(selection_path, report.to_dict())
+    write_json(selection_path, report.to_dict())
     return [Path(selection_path)], {"selected": list(report.selected)}
 
 
@@ -269,25 +286,15 @@ def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_p
     per_kind = {}
     for kind in ModelKind:
         spec = SearchSpec(cfg.search_mode, DEFAULT_SEARCH_SPACES[kind], cfg.search_budget, cfg.seed)
-        per_kind[kind] = search(kind, spec, cv, train_set, model_seed=cfg.seed)
-    winner_kind = max(per_kind, key=lambda k: per_kind[k].leaderboard[0].mean_score)
-    winner = per_kind[winner_kind].best
-    payload = {
-        "winner": {"spec": winner.to_dict(), "cv_accuracy": per_kind[winner_kind].leaderboard[0].mean_score},
-        "per_kind": {
-            k.value: [
-                {
-                    "hyperparameters": e.spec.hyperparameters,
-                    "mean_accuracy": e.mean_score,
-                    "fold_accuracies": list(e.fold_scores),
-                }
-                for e in per_kind[k].leaderboard
-            ]
-            for k in per_kind
-        },
-    }
-    _write_json(leaderboard_path, payload)
-    return [Path(leaderboard_path)], {"winner": winner.to_dict()}
+        per_kind[kind] = search(kind, spec, cv, train_set, model_seed=cfg.seed).leaderboard
+    best = max(per_kind.values(), key=lambda entries: entries[0].mean_score)[0]
+    board = Leaderboard(
+        Winner(best.spec, best.mean_score),
+        {kind: tuple(Candidate(e.spec.hyperparameters, e.mean_score, e.fold_scores) for e in entries)
+         for kind, entries in per_kind.items()},
+    )
+    write_json(leaderboard_path, board)
+    return [Path(leaderboard_path)], {"winner": asjson(best.spec)}
 
 
 def stage_rfecv(cfg: PipelineConfig, features_path, selection_path, leaderboard_path, rfecv_path):
@@ -295,7 +302,7 @@ def stage_rfecv(cfg: PipelineConfig, features_path, selection_path, leaderboard_
     train_set, _ = _split(cfg, features_path, _filter_features(selection_path))
     cv = CvSpec(folds=cfg.rfecv_folds, stratified=cfg.stratified, seed=cfg.seed)
     rfe = rfecv(train_set, read_winner(leaderboard_path), cv)
-    _write_json(rfecv_path, asdict(rfe))
+    write_json(rfecv_path, rfe)
     return [Path(rfecv_path)], {"best_features": list(rfe.best_features)}
 
 
@@ -308,15 +315,14 @@ def stage_evaluate(
     winner refitted on the train split. The seed is the leaderboard's; a
     config seed that differs from it is an error.
     """
-    board = _read_json(leaderboard_path)
-    winner = ModelSpec.from_dict(board["winner"]["spec"])
+    board = read_json(leaderboard_path, Leaderboard)
+    winner = board.winner.spec
     if cfg.seed != winner.seed:
         raise ValueError(f"seed {cfg.seed} differs from the leaderboard's seed {winner.seed}")
     specs = [
-        ModelSpec(ModelKind(k), entries[0]["hyperparameters"], seed=winner.seed)
-        for k, entries in board["per_kind"].items()
+        ModelSpec(kind, candidates[0].hyperparameters, seed=winner.seed) for kind, candidates in board.per_kind.items()
     ]
-    train_set, test_set = _split(cfg, features_path, _read_json(rfecv_path)["best_features"])
+    train_set, test_set = _split(cfg, features_path, read_json(rfecv_path, RfecvResult).best_features)
     eval_rows = evaluate_all(specs, train_set, test_set)
     write_metrics_csv(eval_rows, table_path)
     artifacts = [Path(table_path)]
@@ -354,16 +360,13 @@ def stage_llm_compare(cfg: PipelineConfig, features_path, model_path, agreement_
     if cfg.llm_mode == "stub":
         verdicts = transcript_verdicts([_stub_response(v) for v in vectors])
     elif cfg.llm_mode == "transcript":
-        canned = _read_json(cfg.llm_transcript)
-        verdicts = transcript_verdicts([str(t) for t in canned][: len(prompts)])
+        verdicts = transcript_verdicts(list(read_json(cfg.llm_transcript, tuple[str, ...])[: len(prompts)]))
     else:
         verdicts = query_many(prompts, cfg.llm_endpoint, max_in_flight=max_in_flight)
     case_ids = [test_set.case_ids[i] for i in picked]
     refs = [int(test_set.y[i]) for i in picked]
     agreement = compare(ml_preds, verdicts, case_ids, reference_labels=refs)
-    payload = agreement.to_dict()
-    payload["prompts"] = prompts
-    _write_json(agreement_path, payload)
+    write_json(agreement_path, {**asjson(agreement), "prompts": prompts})
     # latencies differ between runs, so they go to the manifest, not the artifact
     return [Path(agreement_path)], {
         "mismatches": agreement.mismatch_count,
@@ -425,7 +428,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         manifest["stages"].append(entry)
         for p in artifacts:
             manifest["artifacts"][str(p.relative_to(out))] = _sha256(p)
-        _write_json(out / "manifest.json", manifest)
+        write_json(out / "manifest.json", manifest)
 
     for name in STAGES:
         t0 = time.perf_counter()

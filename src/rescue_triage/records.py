@@ -10,6 +10,10 @@ JSONL wire format (one UTF-8 JSON object per line):
   object holds ``systolic_bp``, ``respiratory_rate``, ``gcs``,
   ``circulation_normal``, ``pulse_rhythm_regular`` (each nullable).
 * feature vector: an object with the ten keys of ``FEATURE_ORDER``.
+* feature row (``features.jsonl``): ``FeatureRow``, written by ``asjson``.
+
+A JSON artifact is one dataclass, written by ``asjson`` and read back by
+``read_json``/``read_jsonl``, whose errors name the file, line and key path.
 """
 
 from __future__ import annotations
@@ -222,6 +226,15 @@ class FeatureVector:
 
 
 @dataclass(frozen=True)
+class FeatureRow:
+    """One line of features.jsonl: a case's label and its feature vector."""
+
+    case_id: str
+    label: Label
+    features: FeatureVector
+
+
+@dataclass(frozen=True)
 class ConfusionMatrix:
     """TP/FP/TN/FN counts; the source of every scalar metric."""
 
@@ -425,6 +438,33 @@ def record_from_dict(d: Mapping[str, object]) -> RescueRecord:
     return validate_record({**d, **(d.get("vitals") or {})})
 
 
+def asjson(obj):
+    """JSON data of obj: a dataclass as ``asdict`` gives it, with every enum,
+    as a value or a key, written as its value."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if is_dataclass(obj):
+        return {f.name: asjson(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {asjson(k): asjson(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [asjson(v) for v in obj]
+    return obj
+
+
+def write_json(path: str | Path, obj) -> None:
+    Path(path).write_text(json.dumps(asjson(obj), indent=2), encoding="utf-8")
+
+
+def read_json(path: str | Path, cls):
+    """The JSON file at path built as cls (a dataclass, or any type a
+    dataclass field may have) by the rules of from_dict; errors name the file."""
+    try:
+        return _build(cls, json.loads(Path(path).read_text(encoding="utf-8")), ConfigError, cls.__name__)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def write_jsonl(path: str | Path, items: Iterable, to_dict: Callable = lambda x: x) -> int:
     """Write items as one JSON object per line; returns the line count."""
     n = 0
@@ -436,12 +476,16 @@ def write_jsonl(path: str | Path, items: Iterable, to_dict: Callable = lambda x:
     return n
 
 
-def read_jsonl(path: str | Path, from_dict: Callable = lambda x: x) -> Iterator:
+def read_jsonl(path: str | Path, cls) -> Iterator:
+    """Each non-blank line of the file built as cls, as read_json builds a
+    file; errors name the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield from_dict(json.loads(line))
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    yield _build(cls, json.loads(line), ConfigError, cls.__name__)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +493,8 @@ def read_jsonl(path: str | Path, from_dict: Callable = lambda x: x) -> Iterator:
 
 
 class ConfigError(ValueError):
-    """A config object that does not match its dataclass's fields and types."""
+    """A config or artifact object that does not match its dataclass's fields
+    and types."""
 
 
 @cache
@@ -473,13 +518,13 @@ def check_keys(d, names, path: str, required=None, error: type[ValueError] = Val
 
 
 def from_dict(cls, d, error: type[ValueError] = ConfigError, path: str = ""):
-    """Build config dataclass cls from a JSON object, strictly.
+    """Build dataclass cls from a JSON object, strictly.
 
     Unknown and missing required keys fail; Optional, nested dataclass,
-    ``dict[str, X]`` and tuple fields are built recursively; scalars are
-    type-checked (a JSON bool only fills a bool, an integer fills a float
-    and is converted). Errors, including the class's own validation, are
-    raised as ``error`` and name the dotted key path.
+    ``dict[K, X]`` and tuple fields are built recursively, an enum from its
+    value; scalars are type-checked (a JSON bool only fills a bool, an
+    integer fills a float and is converted). Errors, including the class's
+    own validation, are raised as ``error`` and name the dotted key path.
     """
     path = path or cls.__name__
     hints, names, required = _schema(cls)
@@ -513,6 +558,11 @@ def _build(hint, value, error: type[ValueError], path: str):
         if len(types) != len(value):
             raise error(f"{path}: expected {len(types)} items, got {len(value)}")
         return tuple(_build(t, v, error, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError as exc:
+            raise error(f"{path}: {exc}") from exc
     if hint is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):

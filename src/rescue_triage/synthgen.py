@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 import numpy as np
 
-from .records import Label, RescueRecord, Vitals, TEXT_FEATURE_NAMES, from_dict, rng_from
+from .records import Label, RescueRecord, Vitals, TEXT_FEATURE_NAMES, rng_from
 from .textfeat import default_lexicons
 
 PSY = "psychiatric"
@@ -87,10 +87,6 @@ class GeneratorConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorConfig":
-        return from_dict(cls, d)
 
 
 def default_config(n_psychiatric: int = 1073, n_nonpsychiatric: int = 920, seed: int = 42) -> GeneratorConfig:

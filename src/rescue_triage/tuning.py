@@ -279,8 +279,7 @@ def write_metrics_csv(rows: Sequence[EvalRow], path: str | Path) -> None:
             if row.report is None:
                 writer.writerow([row.name] + ["NA"] * len(METRIC_COLUMNS))
             else:
-                scalars = row.report.scalar_dict()
-                writer.writerow([row.name] + [_fmt_pct(scalars[m]) for m in METRIC_COLUMNS])
+                writer.writerow([row.name] + [_fmt_pct(getattr(row.report, m)) for m in METRIC_COLUMNS])
 
 
 def write_roc_csv(points: Sequence[tuple[float, float]], path: str | Path) -> None:

@@ -17,6 +17,7 @@ from rescue_triage.pipeline import (
     stage_select_features,
     validate_config,
 )
+from rescue_triage.records import from_dict, read_json
 from rescue_triage.synthgen import default_config
 
 
@@ -36,7 +37,7 @@ def small_pipeline_dict(out_dir, seed=7):
 def small_run(tmp_path_factory):
     """One small full pipeline run shared by the assertions below."""
     out_dir = tmp_path_factory.mktemp("run")
-    cfg = PipelineConfig.from_dict(small_pipeline_dict(out_dir))
+    cfg = from_dict(PipelineConfig, small_pipeline_dict(out_dir))
     manifest = run_pipeline(cfg)
     return out_dir, manifest
 
@@ -76,11 +77,11 @@ class TestRunAll:
     def test_manifest_config_reloads_into_the_run_config(self, small_run):
         out_dir, _ = small_run
         stored = json.loads((out_dir / "manifest.json").read_text())["config"]
-        assert PipelineConfig.from_dict(stored) == PipelineConfig.from_dict(small_pipeline_dict(out_dir))
+        assert from_dict(PipelineConfig, stored) == from_dict(PipelineConfig, small_pipeline_dict(out_dir))
 
     def test_rerun_same_config_identical_artifact_hashes(self, small_run, tmp_path):
         out_dir, manifest = small_run
-        cfg = PipelineConfig.from_dict({**small_pipeline_dict(tmp_path / "again"), "out_dir": str(tmp_path / "again")})
+        cfg = from_dict(PipelineConfig, {**small_pipeline_dict(tmp_path / "again"), "out_dir": str(tmp_path / "again")})
         second = run_pipeline(cfg)
         assert second["artifacts"] == manifest["artifacts"]
 
@@ -349,7 +350,7 @@ class TestChainedSubcommands:
     def test_integer_threshold_in_a_config_matches_select_features(self, chained, tmp_path):
         _, _, chain = chained
         (tmp_path / "pipeline.json").write_text(json.dumps({"filter_threshold": 5}))
-        cfg = PipelineConfig.from_file(tmp_path / "pipeline.json")
+        cfg = read_json(tmp_path / "pipeline.json", PipelineConfig)
         stage_select_features(cfg, chain / "features.jsonl", tmp_path / "from_config.json")
         assert main(["select-features", "--in", str(chain / "features.jsonl"), "--threshold", "5",
                      "--report", str(tmp_path / "from_cli.json")]) == 0
@@ -418,4 +419,87 @@ class TestStrictConfig:
             llm_mode="endpoint",
             llm_endpoint=EndpointConfig(base_url="http://localhost:1", retries=0, options={"temperature": 0.0}),
         )
-        assert PipelineConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+        assert from_dict(PipelineConfig, json.loads(json.dumps(asdict(cfg)))) == cfg
+
+
+def _edit_json(edit):
+    def corrupt(text):
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data)
+    return corrupt
+
+
+def _edit_first_row(edit):
+    def corrupt(text):
+        first, *rest = text.splitlines()
+        row = json.loads(first)
+        edit(row)
+        return "\n".join([json.dumps(row), *rest]) + "\n"
+    return corrupt
+
+
+def _replace(text):
+    return lambda _: text
+
+
+_COMMANDS = {
+    "select-features": lambda p, out: ["select-features", "--in", p["features.jsonl"], "--report", out],
+    "tune": lambda p, out: ["tune", "--in", p["features.jsonl"], "--selection", p["selection_report.json"],
+                            "--folds", "2", "--out", out],
+    "evaluate": lambda p, out: ["evaluate", "--in", p["features.jsonl"], "--leaderboard", p["leaderboard.json"],
+                                "--rfecv-report", p["rfecv_report.json"], "--out", out],
+    "llm-compare": lambda p, out: ["llm-compare", "--cases", p["features.jsonl"], "--ml-model", p["best_model.json"],
+                                   "--stub", p["answers.json"], "--limit", "4", "--out", out],
+}
+
+# name -> (command, corrupted artifact, corruption of the chain's copy, what the error must say besides the file)
+CORRUPTED_ARTIFACTS = {
+    "leaderboard_without_per_kind": ("evaluate", "leaderboard.json", _edit_json(lambda d: d.pop("per_kind")),
+                                     "Leaderboard: missing keys ['per_kind']"),
+    "leaderboard_without_winner": ("evaluate", "leaderboard.json", _edit_json(lambda d: d.pop("winner")),
+                                   "Leaderboard: missing keys ['winner']"),
+    "kind_without_candidates": ("evaluate", "leaderboard.json", _edit_json(lambda d: d["per_kind"].update(RF=[])),
+                                "per_kind.RF: no candidates"),
+    "unknown_kind": ("evaluate", "leaderboard.json", _edit_json(lambda d: d["per_kind"].update(FOO=[])),
+                     "Leaderboard.per_kind: 'FOO' is not a valid ModelKind"),
+    "leaderboard_not_json": ("evaluate", "leaderboard.json", lambda text: text[:40], "line "),
+    "row_without_label": ("select-features", "features.jsonl", _edit_first_row(lambda r: r.pop("label")),
+                          ":1: FeatureRow: missing keys ['label']"),
+    "row_labelled_psych": ("select-features", "features.jsonl", _edit_first_row(lambda r: r.update(label="psych")),
+                           ":1: FeatureRow.label: 'psych' is not a valid Label"),
+    "gcs_not_a_number": ("select-features", "features.jsonl",
+                         _edit_first_row(lambda r: r["features"].update(gcs="x")),
+                         ":1: FeatureRow.features.gcs: expected float, got str 'x'"),
+    "features_without_gcs": ("select-features", "features.jsonl",
+                             _edit_first_row(lambda r: r["features"].pop("gcs")),
+                             ":1: FeatureRow.features: missing keys ['gcs']"),
+    "rfecv_without_best_features": ("evaluate", "rfecv_report.json", _edit_json(lambda d: d.pop("best_features")),
+                                    "RfecvResult: missing keys ['best_features']"),
+    "selection_without_selected": ("tune", "selection_report.json", _edit_json(lambda d: d.pop("selected")),
+                                   "missing keys ['selected']"),
+    "transcript_string": ("llm-compare", "answers.json", _replace(json.dumps("true false")),
+                          "expected a list, got str"),
+    "transcript_object": ("llm-compare", "answers.json", _replace(json.dumps({"true": "false"})),
+                          "expected a list, got dict"),
+    "transcript_number": ("llm-compare", "answers.json", _replace("42"), "expected a list, got int"),
+}
+
+
+class TestCorruptedArtifacts:
+    @pytest.mark.parametrize("case", sorted(CORRUPTED_ARTIFACTS))
+    def test_exits_2_with_one_error_naming_the_file_and_writes_nothing(self, case, chained, tmp_path, caplog, capfd):
+        _, _, chain = chained
+        command, artifact, corrupt, message = CORRUPTED_ARTIFACTS[case]
+        source = chain / artifact
+        bad = tmp_path / artifact
+        bad.write_text(corrupt(source.read_text() if source.exists() else ""))
+        paths = {name: str(chain / name) for name in (
+            "features.jsonl", "selection_report.json", "leaderboard.json", "rfecv_report.json", "best_model.json",
+        )}
+        paths[artifact] = str(bad)
+        assert main(_COMMANDS[command](paths, str(tmp_path / "out"))) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and str(bad) in errors[0] and message in errors[0], errors
+        assert "Traceback" not in "".join(capfd.readouterr())
+        assert list(tmp_path.iterdir()) == [bad]

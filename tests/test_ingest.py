@@ -18,7 +18,7 @@ from rescue_triage.ingest import (
     scrub_cells,
     type_cells,
 )
-from rescue_triage.records import Label
+from rescue_triage.records import Label, from_dict
 
 
 def table(columns, *rows):
@@ -266,7 +266,7 @@ class TestConfig:
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError):
-            IngestConfig.from_dict({"bogus": 1})
+            from_dict(IngestConfig, {"bogus": 1})
 
 
 class TestEndToEndIngest:

@@ -25,6 +25,7 @@ from rescue_triage.learners import (
 from rescue_triage.learners.mlp import init_params, loss_and_grads
 from rescue_triage.learners import boosting, forest, tree
 from rescue_triage.learners.base import binary_columns, stable_sigmoid
+from rescue_triage.records import asjson
 
 from conftest import make_blobs
 
@@ -49,7 +50,7 @@ class TestModelSpec:
 
     def test_roundtrip(self):
         spec = ModelSpec(ModelKind.XGB, {"n_rounds": 10}, seed=3)
-        assert ModelSpec.from_dict(spec.to_dict()) == spec
+        assert ModelSpec.from_dict(asjson(spec)) == spec
 
     @pytest.mark.parametrize("change,message", [
         ({"seed": None}, "missing keys ['seed']"),
@@ -60,7 +61,7 @@ class TestModelSpec:
         ({"hyperparameters": [["n_rounds", 10]]}, "ModelSpec.hyperparameters: expected an object, got list"),
     ])
     def test_from_dict_is_strict(self, change, message):
-        d = ModelSpec(ModelKind.XGB, {"n_rounds": 10}, seed=3).to_dict()
+        d = asjson(ModelSpec(ModelKind.XGB, {"n_rounds": 10}, seed=3))
         d.update(change)
         d = {k: v for k, v in d.items() if v is not None}
         with pytest.raises(ValueError, match=re.escape(message)):

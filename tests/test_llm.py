@@ -3,6 +3,7 @@ import socket
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -153,7 +154,7 @@ class TestCompare:
                          ["a", "b"], reference_labels=[1, 0])
         assert report.rows[0].reference is True
         assert report.rows[1].reference is False
-        assert report.to_dict()["rows"][0]["reference"] is True
+        assert asdict(report)["rows"][0]["reference"] is True
 
 
 class TestQuery:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rescue_triage.records import Label, validate_record, record_to_dict
+from rescue_triage.records import Label, from_dict, validate_record, record_to_dict
 from rescue_triage.synthgen import (
     NON,
     PSY,
@@ -19,7 +19,7 @@ def small_config(**overrides):
     base = default_config(n_psychiatric=50, n_nonpsychiatric=40, seed=9)
     d = base.to_dict()
     d.update(overrides)
-    return GeneratorConfig.from_dict(d)
+    return from_dict(GeneratorConfig, d)
 
 
 class TestGenerate:
@@ -139,4 +139,4 @@ class TestConfigValidation:
 
     def test_roundtrip(self):
         cfg = default_config()
-        assert GeneratorConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_dict(GeneratorConfig, cfg.to_dict()) == cfg
