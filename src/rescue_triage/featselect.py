@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -112,14 +112,31 @@ class RfecvResult:
     steps: tuple[RfecvStep, ...]
 
 
-def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec) -> RfecvResult:
+def _fold_drops(job) -> tuple[float, np.ndarray]:
+    """One RFECV job, a subset's fold: the model's validation accuracy, and
+    per feature the accuracy lost when its validation column is permuted."""
+    spec, X, y, train_idx, val_idx, seed, fi = job
+    model = train(spec, X[train_idx], y[train_idx])
+    Xv, yv = X[val_idx], y[val_idx]
+    base = fold_accuracy(model, Xv, yv)
+    drops = np.empty(X.shape[1])
+    for j in range(X.shape[1]):
+        rng = rng_from(seed, 7004, X.shape[1], fi, j)
+        Xp = Xv.copy()
+        Xp[:, j] = Xv[rng.permutation(len(Xv)), j]
+        drops[j] = base - fold_accuracy(model, Xp, yv)
+    return base, drops
+
+
+def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec, map_fn: Callable = map) -> RfecvResult:
     """Recursive feature elimination driven by permutation importance.
 
     At each subset size the model is trained per fold; a feature's
     importance is the mean drop in fold accuracy when its validation
     column is permuted. The least important feature is removed until one
     remains. Returns the subset with the best mean CV accuracy (ties go to
-    the smaller subset). Fold layout stays fixed across subset sizes.
+    the smaller subset). Fold layout stays fixed across subset sizes. A
+    subset's folds are jobs run by ``map_fn``, as in ``cross_validate``.
     """
     if len(data.feature_names) < 2:
         raise ValueError("rfecv needs at least 2 features")
@@ -130,19 +147,12 @@ def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec) -> RfecvResult:
     eliminated: list[str] = []
     while features:
         sub = data.select(features)
+        jobs = [(model_spec, sub.X, sub.y, tr, va, cv.seed, fi) for fi, (tr, va) in enumerate(folds)]
         fold_scores = []
         drops = np.zeros(len(features))
-        for fi, (train_idx, val_idx) in enumerate(folds):
-            model = train(model_spec, sub.X[train_idx], sub.y[train_idx])
-            Xv = sub.X[val_idx]
-            yv = sub.y[val_idx]
-            base = fold_accuracy(model, Xv, yv)
+        for base, fold_drops in map_fn(_fold_drops, jobs):
             fold_scores.append(base)
-            for j, name in enumerate(features):
-                rng = rng_from(cv.seed, 7004, len(features), fi, j)
-                Xp = Xv.copy()
-                Xp[:, j] = Xv[rng.permutation(len(Xv)), j]
-                drops[j] += base - fold_accuracy(model, Xp, yv)
+            drops += fold_drops
         steps.append(RfecvStep(tuple(features), float(np.mean(fold_scores)), tuple(fold_scores)))
         if len(features) == 1:
             break

@@ -41,6 +41,7 @@ __all__ = [
     "DEFAULT_SEARCH_SPACES",
     "train",
     "train_grid",
+    "share_groups",
     "save_model",
     "load_model",
     "model_to_dict",
@@ -49,7 +50,8 @@ __all__ = [
 
 # each kind's module, with score(state, Xs) on standardized Xs and either
 # fit(params, Xs, y, rng) -> state or, for a kind that fits candidates
-# together, fit_grid(params list, Xs, y, rngs) yielding (index, state)
+# together, share_key(params) and fit_grid(params list, Xs, y, rngs) yielding
+# (index, state) for one share group
 _KINDS = {
     ModelKind.SVM: svm,
     ModelKind.RF: forest,
@@ -64,9 +66,16 @@ _KINDS = {
 _KIND_STREAM = {kind: 1000 + i for i, kind in enumerate(ModelKind)}
 
 
-def _fit_each(module, group: list[dict], Xs: np.ndarray, y: np.ndarray, rngs) -> Iterator[tuple[int, dict]]:
-    for i, (params, rng) in enumerate(zip(group, rngs)):
-        yield i, module.fit(params, Xs, y, rng)
+def share_groups(specs: Sequence[ModelSpec]) -> list[list[int]]:
+    """Indices into specs, in groups that are fit together: specs of one kind
+    and seed whose kind's ``share_key`` agrees. A spec of a kind without
+    ``fit_grid`` is a group of its own. Groups come in order of first member."""
+    groups: dict = {}
+    for i, spec in enumerate(specs):
+        module = _KINDS[spec.kind]
+        key = (spec.kind, spec.seed, module.share_key(spec.hyperparameters)) if hasattr(module, "fit_grid") else i
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 def train_grid(
@@ -74,20 +83,20 @@ def train_grid(
 ) -> Iterator[tuple[int, TrainedModel]]:
     """Fit every spec on (X, y), standardizing once; yields ``(index into
     specs, model)`` as each model is ready, so a caller can score and drop
-    one model before the next is fit. Each model equals ``train`` of its
-    spec alone."""
+    one model before the next is fit. Each ``share_groups`` group is one fit,
+    and each model equals ``train`` of its spec alone."""
     X, y = check_training_inputs(np.asarray(X, dtype=np.float64), y)
     std = Standardizer.fit(X)
     Xs = std.transform(X)
-    for kind in dict.fromkeys(spec.kind for spec in specs):
-        index = [i for i, spec in enumerate(specs) if spec.kind is kind]
-        group = [specs[i].hyperparameters for i in index]
-        rngs = [rng_from(specs[i].seed, _KIND_STREAM[kind]) for i in index]
+    for group in share_groups(specs):
+        kind = specs[group[0]].kind
         module = _KINDS[kind]
+        params = [specs[i].hyperparameters for i in group]
+        rngs = [rng_from(specs[i].seed, _KIND_STREAM[kind]) for i in group]
         fit_grid = getattr(module, "fit_grid", None)
-        for j, state in fit_grid(group, Xs, y, rngs) if fit_grid else _fit_each(module, group, Xs, y, rngs):
-            spec = specs[index[j]]
-            yield index[j], TrainedModel(
+        for j, state in fit_grid(params, Xs, y, rngs) if fit_grid else [(0, module.fit(params[0], Xs, y, rngs[0]))]:
+            spec = specs[group[j]]
+            yield group[j], TrainedModel(
                 spec=spec, standardizer=std, state=state, arity=X.shape[1], feature_names=tuple(feature_names)
             )
 

@@ -22,57 +22,60 @@ def _logloss(margin: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(softplus - y * margin))
 
 
+def share_key(params: dict) -> tuple:
+    """Specs with equal keys grow together in lockstep lanes."""
+    return params["n_bins"], params["reg_lambda"]
+
+
 def fit_grid(group: list[dict], X: np.ndarray, y: np.ndarray, rngs) -> Iterator[tuple[int, dict]]:
-    """Yield ``(i, state)`` for every params dict of ``group`` as soon as its
-    rounds are grown. Specs that share ``n_bins`` and ``reg_lambda`` grow in
-    lockstep: each (``learning_rate``, ``max_depth``) pair is one lane that
-    runs to the most rounds asked of it, and a spec's state is the first
-    ``n_rounds`` trees and ``n_rounds + 1`` losses of its lane. Boosting draws
-    no random numbers, so ``rngs`` is unused."""
+    """Yield ``(i, state)`` for every params dict of one share group as soon
+    as its rounds are grown. The group grows in lockstep: each
+    (``learning_rate``, ``max_depth``) pair is one lane that runs to the most
+    rounds asked of it, and a spec's state is the first ``n_rounds`` trees and
+    ``n_rounds + 1`` losses of its lane. Boosting draws no random numbers, so
+    ``rngs`` is unused."""
     n = len(y)
     prior = float(np.clip(y.mean(), 1e-12, 1.0 - 1e-12))
     base = math.log(prior / (1.0 - prior))
-    keys = [(p["n_bins"], p["reg_lambda"]) for p in group]
-    for key in dict.fromkeys(keys):
-        members = [i for i, k in enumerate(keys) if k == key]
-        lane_of = {i: (group[i]["learning_rate"], group[i]["max_depth"]) for i in members}
-        rounds = {}
-        for i in members:
-            rounds[lane_of[i]] = max(rounds.get(lane_of[i], 0), group[i]["n_rounds"])
-        lanes = sorted(rounds, key=rounds.get, reverse=True)  # the lanes still growing are always a prefix
-        lr = np.array([lane[0] for lane in lanes], dtype=np.float64)[:, None]
-        bins = bin_columns(X, key[0])
-        codes = np.tile(bins.codes, (len(lanes), 1))  # lane m's rows are rows m * n to (m + 1) * n
+    n_bins, reg_lambda = share_key(group[0])
+    lane_of = [(params["learning_rate"], params["max_depth"]) for params in group]
+    rounds = {}
+    for lane, params in zip(lane_of, group):
+        rounds[lane] = max(rounds.get(lane, 0), params["n_rounds"])
+    lanes = sorted(rounds, key=rounds.get, reverse=True)  # the lanes still growing are always a prefix
+    lr = np.array([lane[0] for lane in lanes], dtype=np.float64)[:, None]
+    bins = bin_columns(X, n_bins)
+    codes = np.tile(bins.codes, (len(lanes), 1))  # lane m's rows are rows m * n to (m + 1) * n
 
-        margin = np.full((len(lanes), n), base)
-        leaf_value = np.empty((len(lanes), n))  # each training row's leaf in the lane's newest tree
-        trees = [[] for _ in lanes]
-        losses = [[_logloss(row, y)] for row in margin]
-        for r in range(rounds[lanes[0]] + 1):
-            for i in members:
-                if group[i]["n_rounds"] == r:
-                    m = lanes.index(lane_of[i])
-                    yield i, {
-                        "trees": trees[m][:r],
-                        "base_margin": base,
-                        "learning_rate": group[i]["learning_rate"],
-                        "train_loss": losses[m][: r + 1],
-                    }
-            k = sum(rounds[lane] > r for lane in lanes)
-            if k == 0:
-                break
-            p = stable_sigmoid(margin[:k])
-            grad = p - y
-            hess = p * (1.0 - p)
-            lockstep = LockstepRound(
-                Bins(codes[: k * n], bins.n_bins, bins.edges), grad.ravel(), hess.ravel(),
-                [lane[1] for lane in lanes[:k]], key[1], leaf_value[:k].ravel(),
-            )
-            for m in range(k):
-                trees[m].append(grow_second_order_tree(lockstep, m))
-            margin[:k] += lr[:k] * leaf_value[:k]
-            for m in range(k):
-                losses[m].append(_logloss(margin[m], y))
+    margin = np.full((len(lanes), n), base)
+    leaf_value = np.empty((len(lanes), n))  # each training row's leaf in the lane's newest tree
+    trees = [[] for _ in lanes]
+    losses = [[_logloss(row, y)] for row in margin]
+    for r in range(rounds[lanes[0]] + 1):
+        for i, params in enumerate(group):
+            if params["n_rounds"] == r:
+                m = lanes.index(lane_of[i])
+                yield i, {
+                    "trees": trees[m][:r],
+                    "base_margin": base,
+                    "learning_rate": params["learning_rate"],
+                    "train_loss": losses[m][: r + 1],
+                }
+        k = sum(rounds[lane] > r for lane in lanes)
+        if k == 0:
+            break
+        p = stable_sigmoid(margin[:k])
+        grad = p - y
+        hess = p * (1.0 - p)
+        lockstep = LockstepRound(
+            Bins(codes[: k * n], bins.n_bins, bins.edges), grad.ravel(), hess.ravel(),
+            [lane[1] for lane in lanes[:k]], reg_lambda, leaf_value[:k].ravel(),
+        )
+        for m in range(k):
+            trees[m].append(grow_second_order_tree(lockstep, m))
+        margin[:k] += lr[:k] * leaf_value[:k]
+        for m in range(k):
+            losses[m].append(_logloss(margin[m], y))
 
 
 def decision_margin(state: dict, X: np.ndarray) -> np.ndarray:

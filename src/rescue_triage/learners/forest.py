@@ -14,17 +14,18 @@ from .tree import LockstepForest, bin_columns, ensemble_values, grow_classificat
 _TREE_STREAM = 101
 
 
+def share_key(params: dict) -> tuple:
+    """Specs of one seed with equal keys differ only in ``n_trees``."""
+    return params["max_depth"], params["min_samples_leaf"], params["n_bins"]
+
+
 def fit_grid(group: list[dict], X: np.ndarray, y: np.ndarray, rngs) -> Iterator[tuple[int, dict]]:
-    """Yield ``(i, state)`` for every params dict of ``group``. Specs that
-    differ only in ``n_trees`` draw the same forest seed and share one forest,
-    grown to the largest count; a smaller one is its first ``n_trees`` trees."""
-    keys = [(p["max_depth"], p["min_samples_leaf"], p["n_bins"], int(rng.integers(0, 2**32)))
-            for p, rng in zip(group, rngs)]
-    for key in dict.fromkeys(keys):
-        members = [i for i, k in enumerate(keys) if k == key]
-        trees = _grow(X, y, *key, max(group[i]["n_trees"] for i in members))
-        for i in members:
-            yield i, {"trees": trees[: group[i]["n_trees"]]}
+    """Yield ``(i, state)`` for every params dict of one share group. Its specs
+    draw the same forest seed and share one forest, grown to the largest
+    ``n_trees``; a smaller one is its first ``n_trees`` trees."""
+    trees = _grow(X, y, *share_key(group[0]), int(rngs[0].integers(0, 2**32)), max(p["n_trees"] for p in group))
+    for i, params in enumerate(group):
+        yield i, {"trees": trees[: params["n_trees"]]}
 
 
 def _grow(X: np.ndarray, y: np.ndarray, max_depth, min_samples_leaf: int, n_bins: int, seed: int, n_trees: int):

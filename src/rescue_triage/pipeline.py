@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -219,6 +221,28 @@ def _stub_response(fv: FeatureVector) -> str:
     return "true" if any(getattr(fv, n) == 1.0 for n in TEXT_FEATURE_NAMES) else "false"
 
 
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@contextmanager
+def _stage_pool(jobs: int):
+    """Yield ``(map_fn, workers)`` for a stage's fit jobs: the map of a pool of
+    fork-started workers, one per usable core and at most one per job, that
+    ends with the stage; the builtin ``map`` for one worker or without fork."""
+    workers = min(_usable_cores(), jobs)
+    if workers > 1:
+        # imported here, so runs that never pool do not pay for it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                yield pool.map, workers
+            return
+    yield map, 1
+
+
 # Stage functions. Each takes the config plus artifact paths, writes its
 # artifacts and returns (artifacts written, manifest extras). run_pipeline
 # and the CLI subcommands both call them.
@@ -280,13 +304,18 @@ def stage_select_features(cfg: PipelineConfig, features_path, selection_path):
 
 
 def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_path):
-    """Hyperparameter search per model kind on the train split's selected features."""
+    """Hyperparameter search per model kind on the train split's selected
+    features; the CV jobs of every kind run on one pool."""
     train_set, _ = _split(cfg, features_path, _filter_features(selection_path))
     cv = CvSpec(folds=cfg.cv_folds, stratified=cfg.stratified, seed=cfg.seed)
     per_kind = {}
-    for kind in ModelKind:
-        spec = SearchSpec(cfg.search_mode, DEFAULT_SEARCH_SPACES[kind], cfg.search_budget, cfg.seed)
-        per_kind[kind] = search(kind, spec, cv, train_set, model_seed=cfg.seed).leaderboard
+    search_s = {}
+    with _stage_pool(len(ModelKind) * cv.folds) as (map_fn, workers):
+        for kind in ModelKind:
+            spec = SearchSpec(cfg.search_mode, DEFAULT_SEARCH_SPACES[kind], cfg.search_budget, cfg.seed)
+            t0 = time.perf_counter()
+            per_kind[kind] = search(kind, spec, cv, train_set, model_seed=cfg.seed, map_fn=map_fn).leaderboard
+            search_s[kind.value] = round(time.perf_counter() - t0, 3)
     best = max(per_kind.values(), key=lambda entries: entries[0].mean_score)[0]
     board = Leaderboard(
         Winner(best.spec, best.mean_score),
@@ -294,16 +323,17 @@ def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_p
          for kind, entries in per_kind.items()},
     )
     write_json(leaderboard_path, board)
-    return [Path(leaderboard_path)], {"winner": asjson(best.spec)}
+    return [Path(leaderboard_path)], {"winner": asjson(best.spec), "workers": workers, "search_s": search_s}
 
 
 def stage_rfecv(cfg: PipelineConfig, features_path, selection_path, leaderboard_path, rfecv_path):
     """RFECV on the tuned winner over the same train split as stage_tune."""
     train_set, _ = _split(cfg, features_path, _filter_features(selection_path))
     cv = CvSpec(folds=cfg.rfecv_folds, stratified=cfg.stratified, seed=cfg.seed)
-    rfe = rfecv(train_set, read_winner(leaderboard_path), cv)
+    with _stage_pool(cv.folds) as (map_fn, workers):
+        rfe = rfecv(train_set, read_winner(leaderboard_path), cv, map_fn=map_fn)
     write_json(rfecv_path, rfe)
-    return [Path(rfecv_path)], {"best_features": list(rfe.best_features)}
+    return [Path(rfecv_path)], {"best_features": list(rfe.best_features), "workers": workers}
 
 
 def stage_evaluate(
@@ -323,7 +353,8 @@ def stage_evaluate(
         ModelSpec(kind, candidates[0].hyperparameters, seed=winner.seed) for kind, candidates in board.per_kind.items()
     ]
     train_set, test_set = _split(cfg, features_path, read_json(rfecv_path, RfecvResult).best_features)
-    eval_rows = evaluate_all(specs, train_set, test_set)
+    with _stage_pool(len(specs)) as (map_fn, workers):
+        eval_rows = evaluate_all(specs, train_set, test_set, map_fn=map_fn)
     write_metrics_csv(eval_rows, table_path)
     artifacts = [Path(table_path)]
     roc_paths = []
@@ -337,7 +368,7 @@ def stage_evaluate(
     if best_model_path is not None:
         save_model(train(winner, train_set.X, train_set.y, feature_names=train_set.feature_names), best_model_path)
         artifacts.append(Path(best_model_path))
-    return artifacts + roc_paths, {}
+    return artifacts + roc_paths, {"workers": workers}
 
 
 def stage_llm_compare(cfg: PipelineConfig, features_path, model_path, agreement_path, max_in_flight: int = 1):

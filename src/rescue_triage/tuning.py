@@ -14,12 +14,12 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import metrics as _metrics
-from .learners import ModelKind, ModelSpec, train, train_grid
+from .learners import ModelKind, ModelSpec, share_groups, train, train_grid
 from .records import Dataset, rng_from
 
 log = logging.getLogger(__name__)
@@ -152,19 +152,36 @@ class CvResult:
     mean: float
 
 
-def cross_validate(specs: Sequence[ModelSpec], data: Dataset, cv: CvSpec) -> list[CvResult]:
+def _fold_scores(job) -> list[float]:
+    """One CV job: fit a share group of specs on a fold's training rows and
+    return each model's accuracy on the fold's validation rows."""
+    specs, X, y, train_idx, val_idx = job
+    X_val, y_val = X[val_idx], y[val_idx]
+    scores = [0.0] * len(specs)
+    for i, model in train_grid(specs, X[train_idx], y[train_idx]):
+        scores[i] = fold_accuracy(model, X_val, y_val)
+    return scores
+
+
+def cross_validate(specs: Sequence[ModelSpec], data: Dataset, cv: CvSpec, map_fn: Callable = map) -> list[CvResult]:
     """Per fold, train every spec on the k-1 other folds, evaluate on the
     held-out one; one CvResult of fold accuracies and their mean per spec.
 
-    Each fold's specs are fit together by ``train_grid`` and every model is
-    scored as soon as it is ready, so no fold holds all of its models.
-    Raises DegenerateFolds when a fold's training side lacks both classes.
+    One job per (fold, ``share_groups`` group), fold-major, run by ``map_fn``:
+    the builtin ``map`` here or a process pool's in its workers. Results are
+    taken in job order, so the scores are the same either way. Raises
+    DegenerateFolds when a fold's training side lacks both classes.
     """
+    groups = share_groups(specs)
+    jobs = [
+        ([specs[i] for i in group], data.X, data.y, train_idx, val_idx)
+        for train_idx, val_idx in fold_pairs(data.y, cv)
+        for group in groups
+    ]
     scores: list[list[float]] = [[] for _ in specs]
-    for train_idx, val_idx in fold_pairs(data.y, cv):
-        X_val, y_val = data.X[val_idx], data.y[val_idx]
-        for i, model in train_grid(specs, data.X[train_idx], data.y[train_idx]):
-            scores[i].append(fold_accuracy(model, X_val, y_val))
+    for k, fold_scores in enumerate(map_fn(_fold_scores, jobs)):
+        for i, score in zip(groups[k % len(groups)], fold_scores):
+            scores[i].append(score)
     return [CvResult(tuple(s), float(np.mean(s))) for s in scores]
 
 
@@ -211,15 +228,17 @@ def search(
     cv: CvSpec,
     data: Dataset,
     model_seed: int = 0,
+    map_fn: Callable = map,
 ) -> SearchResult:
-    """Evaluate every candidate by mean CV accuracy and return the winner.
+    """Evaluate every candidate by mean CV accuracy and return the winner;
+    ``map_fn`` runs the CV jobs, as in ``cross_validate``.
 
     Ties resolve to the earliest candidate in enumeration order.
     """
     specs = [ModelSpec(kind, params, seed=model_seed) for params in _draw_candidates(search_spec)]
     entries = [
         LeaderboardEntry(spec, result.mean, result.fold_scores)
-        for spec, result in zip(specs, cross_validate(specs, data, cv))
+        for spec, result in zip(specs, cross_validate(specs, data, cv, map_fn))
     ]
     ranked = sorted(range(len(entries)), key=lambda i: (-entries[i].mean_score, i))
     leaderboard = tuple(entries[i] for i in ranked)
@@ -234,26 +253,34 @@ class EvalRow:
     error: Optional[str] = None
 
 
-def evaluate_all(specs: Sequence[ModelSpec], train_set: Dataset, test_set: Dataset) -> list[EvalRow]:
-    """Train each spec on train_set, evaluate on the held-out test_set.
+def _eval_row(job) -> EvalRow:
+    """One evaluation job: a spec trained on the train set and scored on the
+    test set, or its failure as an error row."""
+    spec, train_set, test_set = job
+    try:
+        model = train(spec, train_set.X, train_set.y)
+        s = np.asarray(model.score(test_set.X))
+        y_pred = (s >= model.decision_threshold).astype(int)
+        return EvalRow(spec.display_name, spec, _metrics.evaluate_predictions(test_set.y, y_pred, scores=s))
+    except Exception as exc:  # propagate per-model failure into the table
+        return EvalRow(spec.display_name, spec, None, error=str(exc))
 
-    Per-model failures become error rows instead of aborting the table.
-    Rows are ordered by test accuracy descending.
+
+def evaluate_all(
+    specs: Sequence[ModelSpec], train_set: Dataset, test_set: Dataset, map_fn: Callable = map
+) -> list[EvalRow]:
+    """Train each spec on train_set, evaluate on the held-out test_set; one
+    job per spec, run by ``map_fn`` as in ``cross_validate``.
+
+    Per-model failures become error rows instead of aborting the table and
+    are logged in spec order. Rows are ordered by test accuracy descending.
     """
     if not specs:
         raise ValueError("need at least one model spec")
-    rows: list[EvalRow] = []
-    for spec in specs:
-        name = spec.display_name
-        try:
-            model = train(spec, train_set.X, train_set.y)
-            s = np.asarray(model.score(test_set.X))
-            y_pred = (s >= model.decision_threshold).astype(int)
-            report = _metrics.evaluate_predictions(test_set.y, y_pred, scores=s)
-            rows.append(EvalRow(name, spec, report))
-        except Exception as exc:  # propagate per-model failure into the table
-            log.error("evaluation failed for %s: %s", name, exc)
-            rows.append(EvalRow(name, spec, None, error=str(exc)))
+    rows = list(map_fn(_eval_row, [(spec, train_set, test_set) for spec in specs]))
+    for row in rows:
+        if row.error is not None:
+            log.error("evaluation failed for %s: %s", row.name, row.error)
     rows.sort(
         key=lambda r: (
             -(r.report.accuracy if r.report and r.report.accuracy is not None else -1.0),

@@ -1,6 +1,8 @@
 import json
+import multiprocessing
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -26,6 +28,13 @@ def make_blobs(n=120, d=5, seed=0, sep=2.0, noise=1.0):
 @pytest.fixture
 def blobs():
     return make_blobs()
+
+
+@pytest.fixture
+def pool_map():
+    """The map of a 2-worker fork pool, the kind a pipeline stage opens."""
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield pool.map
 
 
 def _case(bp, rr, circ, gcs, pulse, mental, psy, alc, intox):

@@ -1,13 +1,17 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from rescue_triage import pipeline, tuning
 from rescue_triage.cli import main
 from rescue_triage.ingest import IngestConfig
+from rescue_triage.learners import ModelKind
 from rescue_triage.llm import EndpointConfig
 from rescue_triage.pipeline import (
     PipelineConfig,
@@ -96,6 +100,56 @@ class TestRunAll:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"out_dir": str(tmp_path / "o"), "lexicon_path": str(tmp_path / "missing.txt")}))
         assert main(["--config", str(cfg_path), "run-all"]) == 1
+
+
+def desk_pipeline_dict(out_dir):
+    """The seed-42 default corpus scaled to 200 records, with the default folds."""
+    gen = default_config(n_psychiatric=108, n_nonpsychiatric=92, seed=42).to_dict()
+    return {"seed": 42, "out_dir": str(out_dir), "generator": gen}
+
+
+class TestStagePool:
+    """tune, rfecv and evaluate run their fit jobs on one fork pool per stage,
+    one worker per usable core; no artifact depends on the worker count."""
+
+    @pytest.fixture(scope="class")
+    def desk_runs(self, tmp_path_factory):
+        runs = {}
+        for workers in (1, 2):
+            out = tmp_path_factory.mktemp(f"desk{workers}")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline, "_usable_cores", lambda: workers)
+                runs[workers] = out, run_pipeline(from_dict(PipelineConfig, desk_pipeline_dict(out)))
+            assert multiprocessing.active_children() == []
+        return runs
+
+    def test_artifacts_byte_identical_for_one_and_two_workers(self, desk_runs):
+        (one, first), (two, second) = desk_runs[1], desk_runs[2]
+        for name in ("leaderboard.json", "rfecv_report.json", "metrics_table.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        assert first["artifacts"] == second["artifacts"]
+
+    def test_manifest_records_workers_and_search_seconds(self, desk_runs):
+        for workers, (_, manifest) in desk_runs.items():
+            stages = {s["name"]: s for s in manifest["stages"]}
+            assert [stages[name]["workers"] for name in ("tune", "rfecv", "evaluate")] == [workers] * 3
+            assert list(stages["tune"]["search_s"]) == [kind.value for kind in ModelKind]
+
+    def test_dead_worker_fails_the_stage_and_leaves_no_process(self, tmp_path, monkeypatch, caplog):
+        parent = os.getpid()
+        real_train_grid = tuning.train_grid
+
+        def dies_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_train_grid(*args)
+
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(tuning, "train_grid", dies_in_a_worker)
+        (tmp_path / "pipeline.json").write_text(json.dumps(small_pipeline_dict(tmp_path / "out")))
+        assert main(["--config", str(tmp_path / "pipeline.json"), "run-all"]) == 1
+        assert "stage 'tune': " in caplog.text
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")

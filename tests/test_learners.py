@@ -25,7 +25,8 @@ from rescue_triage.learners import (
 from rescue_triage.learners.mlp import init_params, loss_and_grads
 from rescue_triage.learners import boosting, forest, tree
 from rescue_triage.learners.base import binary_columns, stable_sigmoid
-from rescue_triage.records import asjson
+from rescue_triage.records import Dataset, asjson
+from rescue_triage.tuning import CvSpec, SearchSpec, evaluate_all, search
 
 from conftest import make_blobs
 
@@ -503,6 +504,24 @@ class TestTrainGrid:
         with pytest.raises(InvalidHyperparameter) as grouped:
             list(train_grid([good, bad], X, y))
         assert str(grouped.value) == str(alone.value)
+
+    def test_zero_hessian_spec_fails_pooled_jobs_as_it_fails_in_process(self, pool_map):
+        X, _ = _golden_matrix()
+        y = (X[:, 2] > 1.5).astype(np.int64)
+        data = Dataset(X, y, ("binary", "small", "cont", "skew"))
+        space = {"n_rounds": [5, 30], "max_depth": [1, 2], "learning_rate": [1.0], "reg_lambda": [0.0]}
+        cv = CvSpec(folds=2, seed=1)
+        with pytest.raises(InvalidHyperparameter) as in_process:
+            search(ModelKind.XGB, SearchSpec("grid", space), cv, data)
+        with pytest.raises(InvalidHyperparameter) as pooled:
+            search(ModelKind.XGB, SearchSpec("grid", space), cv, data, map_fn=pool_map)
+        assert str(pooled.value) == str(in_process.value)
+
+        specs = [ModelSpec(ModelKind.NB), ModelSpec(ModelKind.XGB, {"n_rounds": 30, "max_depth": 1,
+                                                                     "learning_rate": 1.0, "reg_lambda": 0.0})]
+        rows = evaluate_all(specs, data, data)
+        assert [row.error is None for row in rows] == [True, False]
+        assert evaluate_all(specs, data, data, pool_map) == rows
 
     def test_each_boosting_tree_is_taken_once_through_the_grower_entry_point(self, monkeypatch):
         taken = []

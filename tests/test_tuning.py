@@ -124,6 +124,19 @@ class TestCrossValidate:
         with pytest.raises(DegenerateFolds, match="single class"):
             rfecv(data, ModelSpec(ModelKind.NB), cv)
 
+    @pytest.mark.parametrize("kind", [ModelKind.RF, ModelKind.XGB, ModelKind.MLPC], ids=lambda k: k.value)
+    def test_pooled_jobs_equal_in_process(self, kind, pool_map):
+        data = dataset(n=90, d=5, seed=12)
+        cv = CvSpec(folds=3, seed=4)
+        specs = [ModelSpec(kind, params, seed=3) for params in _draw_candidates(SearchSpec("grid", DEFAULT_SEARCH_SPACES[kind]))]
+        assert cross_validate(specs, data, cv, pool_map) == cross_validate(specs, data, cv)
+
+    def test_pooled_rfecv_equals_in_process(self, pool_map):
+        data = dataset(n=90, d=5, seed=13)
+        spec = ModelSpec(ModelKind.KNN, {"k": 5}, seed=2)
+        cv = CvSpec(folds=3, seed=8)
+        assert rfecv(data, spec, cv, pool_map) == rfecv(data, spec, cv)
+
 
 class TestSearch:
     def test_single_point_space(self):
@@ -228,6 +241,12 @@ class TestEvaluateAll:
         failed = next(r for r in rows if r.name == "LR")
         assert failed.report is None
         assert "synthetic failure" in failed.error
+
+    def test_pooled_rows_equal_in_process(self, pool_map):
+        data = dataset(n=120, seed=7)
+        specs = [ModelSpec(kind, seed=3) for kind in ModelKind]
+        train_set, test_set = split_train_test(data, 0.8, 1)
+        assert evaluate_all(specs, train_set, test_set, pool_map) == evaluate_all(specs, train_set, test_set)
 
     def test_csv_formatting(self, tmp_path):
         data = dataset(n=80, seed=9)
