@@ -193,12 +193,17 @@ def _labeled_rows(features_path: str | Path) -> list[FeatureRow]:
     return [r for r in read_jsonl(features_path, FeatureRow) if r.label is not Label.UNKNOWN]
 
 
-def _split(cfg: PipelineConfig, features_path, names=None) -> tuple[Dataset, Dataset]:
+def _split(cfg: PipelineConfig, features_path, names=None, names_path=None) -> tuple[Dataset, Dataset]:
     """The config's train/test split of the labeled feature rows, restricted
-    to the named feature columns when names are given."""
+    to the feature columns named by the file names_path when names are given."""
     rows = _labeled_rows(features_path)
     data = Dataset.from_vectors([r.features for r in rows], [r.label for r in rows], [r.case_id for r in rows])
-    return split_train_test(data if names is None else data.select(names), cfg.split_ratio, cfg.seed, cfg.stratified)
+    if names is not None:
+        try:
+            data = data.select(names)
+        except ValueError as exc:
+            raise ValueError(f"{names_path}: {exc}") from None
+    return split_train_test(data, cfg.split_ratio, cfg.seed, cfg.stratified)
 
 
 def _filter_features(selection_path) -> list[str]:
@@ -306,7 +311,7 @@ def stage_select_features(cfg: PipelineConfig, features_path, selection_path):
 def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_path):
     """Hyperparameter search per model kind on the train split's selected
     features; the CV jobs of every kind run on one pool."""
-    train_set, _ = _split(cfg, features_path, _filter_features(selection_path))
+    train_set, _ = _split(cfg, features_path, _filter_features(selection_path), selection_path)
     cv = CvSpec(folds=cfg.cv_folds, stratified=cfg.stratified, seed=cfg.seed)
     per_kind = {}
     search_s = {}
@@ -328,7 +333,7 @@ def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_p
 
 def stage_rfecv(cfg: PipelineConfig, features_path, selection_path, leaderboard_path, rfecv_path):
     """RFECV on the tuned winner over the same train split as stage_tune."""
-    train_set, _ = _split(cfg, features_path, _filter_features(selection_path))
+    train_set, _ = _split(cfg, features_path, _filter_features(selection_path), selection_path)
     cv = CvSpec(folds=cfg.rfecv_folds, stratified=cfg.stratified, seed=cfg.seed)
     with _stage_pool(cv.folds) as (map_fn, workers):
         rfe = rfecv(train_set, read_winner(leaderboard_path), cv, map_fn=map_fn)
@@ -352,7 +357,7 @@ def stage_evaluate(
     specs = [
         ModelSpec(kind, candidates[0].hyperparameters, seed=winner.seed) for kind, candidates in board.per_kind.items()
     ]
-    train_set, test_set = _split(cfg, features_path, read_json(rfecv_path, RfecvResult).best_features)
+    train_set, test_set = _split(cfg, features_path, read_json(rfecv_path, RfecvResult).best_features, rfecv_path)
     with _stage_pool(len(specs)) as (map_fn, workers):
         eval_rows = evaluate_all(specs, train_set, test_set, map_fn=map_fn)
     write_metrics_csv(eval_rows, table_path)

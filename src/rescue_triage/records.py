@@ -128,20 +128,24 @@ class Vitals:
 
     def __post_init__(self):
         issues = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = None if value is None else _vital_issue(f.name, value)
+        for name in VITALS_FIELDS:
+            value = getattr(self, name)
+            kind = None if value is None else _vital_issue(name, value)
             if kind:
-                issues.append(ValidationIssue(kind, f.name, value))
+                issues.append(ValidationIssue(kind, name, value))
         if issues:
             raise RecordValidationError(issues)
 
     def missing_fields(self) -> list[str]:
-        return [f.name for f in fields(self) if getattr(self, f.name) is None]
+        return [name for name in VITALS_FIELDS if getattr(self, name) is None]
 
     @property
     def complete(self) -> bool:
         return not self.missing_fields()
+
+
+# Vitals' field names in declaration order, which is not VITAL_FEATURE_NAMES'.
+VITALS_FIELDS = tuple(f.name for f in fields(Vitals))
 
 
 @dataclass(frozen=True)
@@ -296,16 +300,16 @@ def validate_record(raw: Mapping[str, object]) -> RescueRecord:
         return None
 
     vitals: dict = {}
-    for f in fields(Vitals):
-        value = raw.get(f.name)
+    for name in VITALS_FIELDS:
+        value = raw.get(name)
         if value is None or value == "":
             continue
-        value = flag(f.name, value) if f.name in BINARY_FEATURE_NAMES else numeric(f.name, value)
-        kind = None if value is None else _vital_issue(f.name, value)
+        value = flag(name, value) if name in BINARY_FEATURE_NAMES else numeric(name, value)
+        kind = None if value is None else _vital_issue(name, value)
         if kind:
-            issues.append(ValidationIssue(kind, f.name, value))
+            issues.append(ValidationIssue(kind, name, value))
         elif value is not None:
-            vitals[f.name] = int(value) if f.name == "gcs" else value
+            vitals[name] = int(value) if name == "gcs" else value
 
     notes_raw = raw.get("notes")
     if notes_raw is None:
@@ -423,7 +427,7 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
 
 
 def record_to_dict(rec: RescueRecord) -> dict:
-    vitals = None if rec.vitals is None else {f.name: getattr(rec.vitals, f.name) for f in fields(Vitals)}
+    vitals = None if rec.vitals is None else {name: getattr(rec.vitals, name) for name in VITALS_FIELDS}
     return {
         "case_id": rec.case_id,
         "vitals": vitals,

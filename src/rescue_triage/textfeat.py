@@ -15,7 +15,8 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -40,10 +41,16 @@ class LexiconError(ValueError):
 
 @dataclass(frozen=True)
 class KeywordCategory:
-    """One text feature: a named, deduplicated lowercase keyword list."""
+    """One text feature: a named, deduplicated lowercase keyword list.
+
+    Every keyword must tokenize as written (``tokenize`` gives its
+    whitespace split), since it could never match otherwise; ``phrases``
+    holds each keyword's token tuple, in keyword order.
+    """
 
     name: str
     keywords: tuple[str, ...]
+    phrases: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name not in CATEGORY_NAMES:
@@ -56,10 +63,16 @@ class KeywordCategory:
             kw = kw.strip().lower()
             if not kw:
                 raise LexiconError(f"empty keyword in category {self.name!r}")
+            tokens = tokenize(kw)
+            if tokens != kw.split():
+                raise LexiconError(
+                    f"keyword {kw!r} in category {self.name!r} can never match: it tokenizes as {tokens}"
+                )
             if kw not in seen:
                 seen.add(kw)
                 cleaned.append(kw)
         object.__setattr__(self, "keywords", tuple(cleaned))
+        object.__setattr__(self, "phrases", tuple(tuple(kw.split()) for kw in cleaned))
 
 
 @dataclass(frozen=True)
@@ -154,6 +167,61 @@ def _negated(tokens: Sequence[str], start: int, lex: Lexicons) -> bool:
     return False
 
 
+_Entry = tuple[int, int, tuple[str, ...], str]
+
+
+@cache
+def _phrase_index(categories: tuple[KeywordCategory, ...]) -> dict[str, list[_Entry]]:
+    """Map each phrase's first token to its ``(length, slot, phrase, keyword)``
+    entries, where slot is the category's position in ``categories``.
+
+    Entries run longest first; within a length, in category then keyword
+    order, so the first entry of a slot that matches is the one the category
+    takes at that position.
+    """
+    entries = [
+        (len(phrase), slot, phrase, kw)
+        for slot, cat in enumerate(categories)
+        for kw, phrase in zip(cat.keywords, cat.phrases)
+    ]
+    entries.sort(key=lambda e: -e[0])
+    index: dict[str, list[_Entry]] = {}
+    for entry in entries:
+        index.setdefault(entry[2][0], []).append(entry)
+    return index
+
+
+def _scan(tokens: Sequence[str], categories: tuple[KeywordCategory, ...], lex: Lexicons) -> list[Optional[str]]:
+    """The first unnegated keyword of each category, in one pass over the tokens.
+
+    At each position the longest phrase of every still-empty category that
+    matches there is a hit; the position is checked for negation once, and
+    an unnegated hit fills its category. A negated hit does not stop the
+    scan: a later unnegated occurrence still matches. The scan ends once
+    every category is filled.
+    """
+    index = _phrase_index(categories)
+    found: list[Optional[str]] = [None] * len(categories)
+    left = len(categories)
+    for i, tok in enumerate(tokens):
+        entries = index.get(tok)
+        if entries is None:
+            continue
+        hits: dict[int, str] = {}
+        for length, slot, phrase, kw in entries:
+            if found[slot] is None and slot not in hits and (
+                length == 1 or tuple(tokens[i : i + length]) == phrase
+            ):
+                hits[slot] = kw
+        if hits and not _negated(tokens, i, lex):
+            for slot, kw in hits.items():
+                found[slot] = kw
+            left -= len(hits)
+            if not left:
+                break
+    return found
+
+
 def match_category(tokens: Sequence[str], cat: KeywordCategory, lex: Lexicons) -> Optional[str]:
     """Return the first unnegated category keyword occurring in the tokens.
 
@@ -161,18 +229,7 @@ def match_category(tokens: Sequence[str], cat: KeywordCategory, lex: Lexicons) -
     same position the longest wins. A suppressed (negated) hit does not stop
     the scan: a later unnegated occurrence still matches.
     """
-    pairs = [(kw, tuple(kw.split())) for kw in cat.keywords]
-    pairs.sort(key=lambda p: len(p[1]), reverse=True)
-    n = len(tokens)
-    for i in range(n):
-        if tokens[i] == BOUNDARY:
-            continue
-        for kw, seq in pairs:
-            if i + len(seq) <= n and tuple(tokens[i : i + len(seq)]) == seq:
-                if not _negated(tokens, i, lex):
-                    return kw
-                break  # negated here; keep scanning from the next position
-    return None
+    return _scan(tokens, (cat,), lex)[0]
 
 
 def note_tokens(notes: Sequence[str]) -> list[str]:
@@ -194,13 +251,13 @@ def extract_features(
     categories: Sequence[KeywordCategory],
     lex: Lexicons,
 ) -> TextFeatures:
-    """Assign one matched keyword (or none) per category for a record."""
+    """Assign one matched keyword (or none) per category for a record, in
+    one scan of its tokens; of two categories with one name the last counts."""
     tokens = note_tokens(record.notes)
-    slots = {}
     by_name = {c.name: c for c in categories}
-    for name in TEXT_FEATURE_NAMES:
-        cat = by_name.get(name)
-        slots[name] = match_category(tokens, cat, lex) if cat else None
+    present = tuple(by_name[name] for name in TEXT_FEATURE_NAMES if name in by_name)
+    slots = dict.fromkeys(TEXT_FEATURE_NAMES)
+    slots.update(zip((c.name for c in present), _scan(tokens, present, lex)))
     return TextFeatures(**slots)
 
 
@@ -253,9 +310,13 @@ def parse_lexicon_text(text: str) -> tuple[list[KeywordCategory], Lexicons]:
 
 
 def load_lexicon_file(path: str | Path) -> tuple[list[KeywordCategory], Lexicons]:
+    """Parse and validate a lexicon file; a bad entry fails naming the file."""
     text = Path(path).read_text(encoding="utf-8")
-    cats, lex = parse_lexicon_text(text)
-    validate_lexicons(cats, lex)
+    try:
+        cats, lex = parse_lexicon_text(text)
+        validate_lexicons(cats, lex)
+    except ValueError as exc:
+        raise LexiconError(f"{path}: {exc}") from None
     return cats, lex
 
 

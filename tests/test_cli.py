@@ -189,6 +189,16 @@ class TestStageCommands:
             "mental_abnormality", "psychiatric_symptoms",
         }
 
+    def test_extract_features_rejects_unmatchable_keyword(self, work, tmp_path, caplog):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("[category:preillness]\nmania\nself-harm\n", encoding="utf-8")
+        out = tmp_path / "features.jsonl"
+        assert main(["extract-features", "--in", str(work / "corpus.jsonl"), "--lexicon", str(lexicon),
+                     "--out", str(out)]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and str(lexicon) in errors[0] and "'self-harm'" in errors[0], errors
+        assert not out.exists()
+
     def test_select_features(self, work):
         assert main(["select-features", "--in", str(work / "features.jsonl"),
                      "--threshold", "3.0", "--report", str(work / "sel.json")]) == 0
@@ -532,6 +542,11 @@ CORRUPTED_ARTIFACTS = {
                                     "RfecvResult: missing keys ['best_features']"),
     "selection_without_selected": ("tune", "selection_report.json", _edit_json(lambda d: d.pop("selected")),
                                    "missing keys ['selected']"),
+    "selection_unknown_feature": ("tune", "selection_report.json", _edit_json(lambda d: d.update(selected=["bogus"])),
+                                  "unknown feature names ['bogus']"),
+    "rfecv_unknown_feature": ("evaluate", "rfecv_report.json",
+                              _edit_json(lambda d: d.update(best_features=["gcs", "bogus"])),
+                              "unknown feature names ['bogus']"),
     "transcript_string": ("llm-compare", "answers.json", _replace(json.dumps("true false")),
                           "expected a list, got str"),
     "transcript_object": ("llm-compare", "answers.json", _replace(json.dumps({"true": "false"})),

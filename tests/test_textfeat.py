@@ -1,3 +1,5 @@
+from typing import Optional, Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from rescue_triage.textfeat import (
     KeywordCategory,
     LexiconError,
     Lexicons,
+    _negated,
     default_lexicons,
     extract_features,
     load_lexicon_file,
@@ -21,6 +24,45 @@ from rescue_triage.textfeat import (
 
 CATS, LEX = default_lexicons()
 BY_NAME = {c.name: c for c in CATS}
+
+
+def reference_match(tokens: Sequence[str], cat: KeywordCategory, lex: Lexicons) -> Optional[str]:
+    """The per-category matcher the one-pass scan replaced, kept as its oracle:
+    one walk over the tokens per category, trying every keyword at every
+    position, longest first."""
+    pairs = [(kw, tuple(kw.split())) for kw in cat.keywords]
+    pairs.sort(key=lambda p: len(p[1]), reverse=True)
+    n = len(tokens)
+    for i in range(n):
+        if tokens[i] == BOUNDARY:
+            continue
+        for kw, seq in pairs:
+            if i + len(seq) <= n and tuple(tokens[i : i + len(seq)]) == seq:
+                if not _negated(tokens, i, lex):
+                    return kw
+                break  # negated here; keep scanning from the next position
+    return None
+
+
+def reference_features(tokens, categories, lex) -> dict:
+    by_name = {c.name: c for c in categories}
+    return {n: reference_match(tokens, by_name[n], lex) if n in by_name else None for n in TEXT_FEATURE_NAMES}
+
+
+KEYWORDS = sorted({kw for c in CATS for kw in c.keywords})
+NOTE_WORDS = (
+    KEYWORDS
+    + sorted(LEX.negation_words)
+    + ["heute", "patient", "spaeter", "zustand", "seit", "jahren"]
+    + [".", "!", "?", ";"]
+    + ["heavily", "borderline", "no will", "delusions of"]
+)
+notes_st = st.lists(st.lists(st.sampled_from(NOTE_WORDS), max_size=25).map(" ".join), max_size=3)
+lexicon_st = st.lists(
+    st.tuples(st.sampled_from(TEXT_FEATURE_NAMES), st.lists(st.sampled_from(KEYWORDS), min_size=1, max_size=8)),
+    min_size=1,
+    max_size=7,
+).map(lambda cats: [KeywordCategory(name, tuple(kws)) for name, kws in cats])
 
 
 class TestTokenize:
@@ -105,6 +147,35 @@ class TestMatchCategory:
         assert match_category(tokens, BY_NAME["mental_abnormality"], LEX) == "panic"
 
 
+class TestOnePassScan:
+    """extract_features and match_category agree with the per-category
+    reference matcher, for the shipped and for random lexicons."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(notes=notes_st, categories=st.one_of(st.just(CATS), lexicon_st), window=st.integers(1, 5))
+    def test_equals_reference_scan(self, notes, categories, window):
+        lex = Lexicons(stop_words=LEX.stop_words, negation_words=LEX.negation_words, negation_window=window)
+        rec = RescueRecord(case_id="a", notes=tuple(notes))
+        tokens = note_tokens(rec.notes)
+        expected = reference_features(tokens, categories, lex)
+        tf = extract_features(rec, categories, lex)
+        assert {n: tf.slot(n) for n in TEXT_FEATURE_NAMES} == expected
+        for cat in categories:
+            assert match_category(tokens, cat, lex) == reference_match(tokens, cat, lex)
+
+    def test_phrases_sharing_a_first_token_across_categories(self):
+        cats = [
+            KeywordCategory("alcoholism", ("heavily", "heavily intoxicated")),
+            KeywordCategory("intoxication", ("heavily sedated",)),
+        ]
+        same_place = extract_features(RescueRecord(case_id="a", notes=("heavily sedated",)), cats, LEX)
+        assert (same_place.alcoholism, same_place.intoxication) == ("heavily", "heavily sedated")
+        later = extract_features(
+            RescueRecord(case_id="a", notes=("not heavily sedated. heavily intoxicated",)), cats, LEX
+        )
+        assert (later.alcoholism, later.intoxication) == ("heavily intoxicated", None)
+
+
 class TestExtractFeatures:
     def test_alcohol_keywords(self):
         rec = RescueRecord(case_id="a", notes=("patient drunk, smells of vodka",))
@@ -169,6 +240,12 @@ class TestLexicons:
         assert cats[0].keywords == ("drunk",)
         assert lex.negation_window == 2
         assert lex.stop_words == {"patient"}
+
+    @pytest.mark.parametrize("keyword", ["self-harm", "mania!", ".", "c2h5-oh", "no. will"])
+    def test_keyword_that_cannot_match_rejected(self, keyword):
+        with pytest.raises(LexiconError, match="preillness") as err:
+            KeywordCategory("preillness", ("mania", keyword))
+        assert repr(keyword) in str(err.value)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(LexiconError):
