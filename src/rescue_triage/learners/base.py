@@ -236,13 +236,12 @@ def binary_columns(X: np.ndarray) -> np.ndarray:
 
 
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so no
+    exponent overflows."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    t = 1.0 + e
+    return np.where(z >= 0, 1.0 / t, e / t)
 
 
 def check_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,26 +2,57 @@
 
 Euclidean distance; ties in distance resolve by training index, so
 predictions are reproducible and match an exhaustive scan exactly.
+
+Scoring walks the query rows in blocks of at most ``_BLOCK_CELLS`` distances,
+so its working set does not grow with the number of query rows. Each row's
+k nearest come from a partition, not a sort: every distance below the k-th
+smallest, then the lowest-index distances equal to it. That is the set a
+stable sort of the row puts first, NaN distances last.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_BLOCK_CELLS = 1 << 18
+
 
 def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     return {"X": X.tolist(), "y": y.tolist(), "k": params["k"]}
 
 
+def _positives_among_nearest(d2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``d2``, the number of positive labels among its k nearest."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+    below = d2 < kth
+    tied = d2 == kth
+    short = np.isnan(kth[:, 0])
+    if short.any():
+        # fewer than k distances are numbers: take them all, then NaN by index
+        nan = np.isnan(d2[short])
+        below[short] = ~nan
+        tied[short] = nan
+    need = k - np.count_nonzero(below, axis=1)
+    excess = np.count_nonzero(tied, axis=1) > need
+    if excess.any():
+        # more ties at the k-th distance than places left: the lowest indices
+        rows = tied[excess]
+        tied[excess] = rows & (np.cumsum(rows, axis=1) <= need[excess, None])
+    return np.count_nonzero((below | tied) & positive, axis=1)
+
+
 def score(state: dict, X: np.ndarray) -> np.ndarray:
     train = np.asarray(state["X"], dtype=np.float64)
-    labels = np.asarray(state["y"], dtype=np.float64)
+    positive = np.asarray(state["y"]) == 1
     k = min(state["k"], len(train))
-    d2 = (
-        np.sum(X * X, axis=1)[:, None]
-        - 2.0 * X @ train.T
-        + np.sum(train * train, axis=1)[None, :]
-    )
-    # a stable sort keeps equal distances in training order
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return labels[nearest].mean(axis=1)
+    x_sq = np.sum(X * X, axis=1)
+    train_sq = np.sum(train * train, axis=1)
+    step = max(1, _BLOCK_CELLS // max(1, len(train)))
+    out = np.empty(len(X))
+    for lo in range(0, len(X), step):
+        hi = lo + step
+        d2 = 2.0 * X[lo:hi] @ train.T
+        np.subtract(x_sq[lo:hi, None], d2, out=d2)
+        d2 += train_sq
+        out[lo:hi] = _positives_among_nearest(d2, positive, k) / k
+    return out

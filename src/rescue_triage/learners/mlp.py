@@ -21,49 +21,62 @@ def init_params(d: int, hidden: int, rng: np.random.Generator) -> dict:
     }
 
 
-def _scores_and_grads(params: dict, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Output scores and the analytic gradients of the mean cross-entropy."""
-    W1, b1, w2, b2 = params["W1"], params["b1"], params["w2"], params["b2"]
-    n = len(X)
+def _views(flat: np.ndarray, d: int, hidden: int) -> tuple[np.ndarray, ...]:
+    """(W1, b1, w2, b2) as views of one flat vector; b2 has length 1."""
+    a, b = d * hidden, d * hidden + hidden
+    return flat[:a].reshape(d, hidden), flat[a:b], flat[b : b + hidden], flat[-1:]
+
+
+def _backprop(net: tuple, X: np.ndarray, y: np.ndarray, grads: tuple) -> np.ndarray:
+    """Output scores of X; the analytic gradients of the mean cross-entropy
+    are written into ``grads``, views laid out as ``_views`` gives them."""
+    W1, b1, w2, b2 = net
+    gW1, gb1, gw2, gb2 = grads
     pre = X @ W1 + b1
     act = np.maximum(pre, 0.0)
-    z = act @ w2 + b2
-    p = stable_sigmoid(z)
+    p = stable_sigmoid(act @ w2 + b2)
 
-    dz = (p - y) / n
-    dw2 = act.T @ dz
-    db2 = float(dz.sum())
-    dact = np.outer(dz, w2)
-    dpre = dact * (pre > 0.0)
-    dW1 = X.T @ dpre
-    db1 = dpre.sum(axis=0)
-    return p, {"W1": dW1, "b1": db1, "w2": dw2, "b2": db2}
+    dz = (p - y) / len(X)
+    np.matmul(act.T, dz, out=gw2)
+    np.sum(dz, keepdims=True, out=gb2)
+    dpre = dz[:, None] * w2
+    dpre *= pre > 0.0
+    np.matmul(X.T, dpre, out=gW1)
+    np.sum(dpre, axis=0, out=gb1)
+    return p
 
 
 def loss_and_grads(params: dict, X: np.ndarray, y: np.ndarray) -> tuple[float, dict]:
     """Mean cross-entropy and its analytic gradients (for the
     finite-difference gradient check; training needs only the gradients)."""
-    p, grads = _scores_and_grads(params, X, y)
+    d, hidden = np.shape(params["W1"])
+    gW1, gb1, gw2, gb2 = grads = _views(np.empty(d * hidden + 2 * hidden + 1), d, hidden)
+    p = _backprop((params["W1"], params["b1"], params["w2"], params["b2"]), X, y, grads)
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps)))
-    return loss, grads
+    return loss, {"W1": gW1, "b1": gb1, "w2": gw2, "b2": float(gb2[0])}
 
 
 def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
+    """Mini-batch descent: each epoch gathers the rows once in a fresh random
+    order and steps over consecutive slices; all parameters live in one flat
+    ``theta`` and take one update per step."""
     n, d = X.shape
     lr = params["learning_rate"]
     batch_size = params["batch_size"]
-    net = init_params(d, params["hidden"], rng)
+    hidden = params["hidden"]
+    init = init_params(d, hidden, rng)
+    theta = np.concatenate([init["W1"].ravel(), init["b1"], init["w2"], [init["b2"]]])
+    g = np.empty_like(theta)
+    net, grads = _views(theta, d, hidden), _views(g, d, hidden)
     for _ in range(params["epochs"]):
         perm = rng.permutation(n)
+        Xp, yp = X[perm], y[perm]
         for start in range(0, n, batch_size):
-            batch = perm[start : start + batch_size]
-            _, grads = _scores_and_grads(net, X[batch], y[batch])
-            net["W1"] = net["W1"] - lr * grads["W1"]
-            net["b1"] = net["b1"] - lr * grads["b1"]
-            net["w2"] = net["w2"] - lr * grads["w2"]
-            net["b2"] = net["b2"] - lr * grads["b2"]
-    return net
+            _backprop(net, Xp[start : start + batch_size], yp[start : start + batch_size], grads)
+            theta -= lr * g
+    W1, b1, w2, b2 = net
+    return {"W1": W1, "b1": b1, "w2": w2, "b2": float(b2[0])}
 
 
 def score(state: dict, X: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ feature slot, bin), cumsums along the bins and the criterion's score of
 every cut; ``_best_splits`` then picks per node the first best cut of each
 feature and the first best feature whose gain exceeds ``_EPS_GAIN``, and the
 batch's rows are partitioned in one stable sort. A batch holds at most
-``_BATCH_CELLS`` gathered codes and histogram cells.
+``_BATCH_CELLS`` (2^16) gathered codes and histogram cells, about 0.5 MB per
+int64 array: the roots of a forest on a few thousand rows share batches
+instead of each going alone, so the numpy calls per node stay few.
 
 * ``LockstepForest`` (random forest) grows all trees of a forest in
   lockstep. Each step pops one node from every tree's own depth-first stack,
@@ -119,7 +121,7 @@ _EPS_GAIN = 1e-12
 # cap on a batch's arrays, which bounds its memory: gathered codes (rows x
 # feature slots) plus histogram cells (nodes x slots x bins) of a split batch;
 # the nodes, and the (tree, row) pairs, of a scoring walk
-_BATCH_CELLS = 1 << 14
+_BATCH_CELLS = 1 << 16
 
 
 def _batches(sizes: list[int], width: int, n_cells: int):

@@ -297,7 +297,12 @@ def parse_lexicon_text(text: str) -> tuple[list[KeywordCategory], Lexicons]:
         elif section == "settings":
             key, _, value = line.partition("=")
             if key.strip() == "negation_window":
-                window = int(value.strip())
+                try:
+                    window = int(value.strip())
+                except ValueError:
+                    raise LexiconError(
+                        f"line {lineno}: negation_window must be an integer, got {value.strip()!r}"
+                    ) from None
             else:
                 raise LexiconError(f"line {lineno}: unknown setting {key.strip()!r}")
     cats = [KeywordCategory(name, tuple(kws)) for name, kws in categories.items()]

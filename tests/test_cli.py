@@ -189,14 +189,18 @@ class TestStageCommands:
             "mental_abnormality", "psychiatric_symptoms",
         }
 
-    def test_extract_features_rejects_unmatchable_keyword(self, work, tmp_path, caplog):
+    @pytest.mark.parametrize("text,named", [
+        ("[category:preillness]\nmania\nself-harm\n", ["'self-harm'"]),
+        ("[category:preillness]\nmania\n[settings]\nnegation_window = x\n", ["line 4", "'x'"]),
+    ], ids=["unmatchable_keyword", "non_integer_window"])
+    def test_extract_features_rejects_bad_lexicon(self, work, tmp_path, caplog, text, named):
         lexicon = tmp_path / "lexicon.txt"
-        lexicon.write_text("[category:preillness]\nmania\nself-harm\n", encoding="utf-8")
+        lexicon.write_text(text, encoding="utf-8")
         out = tmp_path / "features.jsonl"
         assert main(["extract-features", "--in", str(work / "corpus.jsonl"), "--lexicon", str(lexicon),
                      "--out", str(out)]) == 2
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert len(errors) == 1 and str(lexicon) in errors[0] and "'self-harm'" in errors[0], errors
+        assert len(errors) == 1 and all(part in errors[0] for part in [str(lexicon), *named]), errors
         assert not out.exists()
 
     def test_select_features(self, work):

@@ -3,9 +3,12 @@ import itertools
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescue_triage.learners import (
     DEFAULT_SEARCH_SPACES,
@@ -23,7 +26,7 @@ from rescue_triage.learners import (
     train_grid,
 )
 from rescue_triage.learners.mlp import init_params, loss_and_grads
-from rescue_triage.learners import boosting, forest, tree
+from rescue_triage.learners import boosting, forest, knn, mlp, tree
 from rescue_triage.learners.base import binary_columns, stable_sigmoid
 from rescue_triage.records import Dataset, asjson
 from rescue_triage.tuning import CvSpec, SearchSpec, evaluate_all, search
@@ -198,6 +201,72 @@ class TestKnn:
             nearest = sorted(range(len(Xs)), key=lambda i: (d2[i], i))[:k]
             expected.append(y[nearest].mean())
         assert np.array_equal(np.asarray(model.score(queries)), np.array(expected))
+
+
+def _knn_score_oracle(state, X):
+    """K-NN scoring as a whole distance matrix and a stable sort."""
+    train = np.asarray(state["X"], dtype=np.float64)
+    labels = np.asarray(state["y"], dtype=np.float64)
+    k = min(state["k"], len(train))
+    d2 = (
+        np.sum(X * X, axis=1)[:, None]
+        - 2.0 * X @ train.T
+        + np.sum(train * train, axis=1)[None, :]
+    )
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return labels[nearest].mean(axis=1)
+
+
+@st.composite
+def _knn_cases(draw):
+    """Small-integer rows, so every distance is exact in any summation
+    order; drawn from a few distinct rows, so distances tie heavily."""
+    d = draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, 1.0]) if draw(st.booleans()) else st.integers(-2, 2).map(float)
+    pool = draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=1, max_size=5))
+    train_rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    n = len(train_rows)
+    queries = np.array(draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=1, max_size=12)))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(queries) - 1)), draw(st.integers(0, d - 1))
+        queries[i, j] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    state = {
+        "X": train_rows,
+        "y": draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)),
+        "k": draw(st.sampled_from([k for k in (1, 2, 5, n - 1, n, n + 3) if k >= 1])),
+    }
+    # one-row blocks, two-row blocks (ragged after an odd row count), one block
+    cells = draw(st.sampled_from([1, 2 * n, 2 * n + 1, 1 << 18]))
+    return state, queries, cells
+
+
+class TestKnnBlocks:
+    @settings(max_examples=400, deadline=None)
+    @given(_knn_cases())
+    def test_matches_whole_matrix_stable_sort(self, case):
+        state, queries, cells = case
+        with np.errstate(invalid="ignore"):
+            expected = _knn_score_oracle(state, queries)
+            with mock.patch.object(knn, "_BLOCK_CELLS", cells):
+                got = knn.score(state, queries)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_non_finite_query_takes_numbers_first_then_nan_by_index(self):
+        state = {"X": [[0.0], [-1.0], [2.0], [-3.0], [5.0]], "y": [1, 0, 0, 0, 1], "k": 3}
+        queries = np.array([[-np.inf], [np.nan]])
+        with np.errstate(invalid="ignore"):
+            got = knn.score(state, queries)
+            assert got.tobytes() == _knn_score_oracle(state, queries).tobytes()
+        # the -inf query is inf from rows 2 and 4 and NaN from the rest
+        assert got.tolist() == [2 / 3, 1 / 3]
+
+    def test_block_holds_at_most_block_cells(self, monkeypatch):
+        seen = []
+        real = knn._positives_among_nearest
+        monkeypatch.setattr(knn, "_BLOCK_CELLS", 50)
+        monkeypatch.setattr(knn, "_positives_among_nearest", lambda d2, *a: seen.append(d2.shape) or real(d2, *a))
+        knn.score({"X": [[float(i)] for i in range(20)], "y": [0, 1] * 10, "k": 3}, np.zeros((7, 1)))
+        assert seen == [(2, 20), (2, 20), (2, 20), (1, 20)]
 
 
 class TestLogisticRegression:
@@ -537,12 +606,76 @@ class TestTrainGrid:
         assert taken == [0, 1, 2, 3] * 6  # four lanes of six rounds; each round's first call grows all four
 
 
+def _sigmoid_oracle(z):
+    """The sigmoid by boolean masks: 1 / (1 + exp(-z)) at z >= 0, else
+    exp(z) / (1 + exp(z))."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestStableSigmoid:
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 800.0])
+    def test_identical_to_masked_form(self, scale):
+        z = np.random.default_rng(31).normal(size=20_000) * scale
+        assert stable_sigmoid(z).tobytes() == _sigmoid_oracle(z).tobytes()
+
+    def test_identical_on_edge_values(self):
+        edges = [0.0, 1e-320, 709.8, 745.2, 36.7, np.inf]
+        z = np.array(edges + [-v for v in edges])
+        assert stable_sigmoid(z).tobytes() == _sigmoid_oracle(z).tobytes()
+        assert np.array_equal(stable_sigmoid(z)[[5, 11]], [1.0, 0.0])
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(stable_sigmoid(np.array([np.nan, 0.0])))[0]
+        assert np.isnan(_sigmoid_oracle(np.array([np.nan])))[0]
+
+
+def _mlp_fit_oracle(params, X, y, rng):
+    """MLPC training as separate parameter arrays, a row gather per batch
+    and one update per array."""
+    n, d = X.shape
+    lr = params["learning_rate"]
+    net = init_params(d, params["hidden"], rng)
+    for _ in range(params["epochs"]):
+        perm = rng.permutation(n)
+        for start in range(0, n, params["batch_size"]):
+            batch = perm[start : start + params["batch_size"]]
+            Xb, yb = X[batch], y[batch]
+            pre = Xb @ net["W1"] + net["b1"]
+            act = np.maximum(pre, 0.0)
+            dz = (stable_sigmoid(act @ net["w2"] + net["b2"]) - yb) / len(Xb)
+            dw2 = act.T @ dz
+            db2 = float(dz.sum())
+            dpre = np.outer(dz, net["w2"]) * (pre > 0.0)
+            net["W1"] = net["W1"] - lr * (Xb.T @ dpre)
+            net["b1"] = net["b1"] - lr * dpre.sum(axis=0)
+            net["w2"] = net["w2"] - lr * dw2
+            net["b2"] = net["b2"] - lr * db2
+    return net
+
+
 class TestMlp:
+    @pytest.mark.parametrize("n", [45, 160, 1275])
+    @pytest.mark.parametrize("hidden,learning_rate", [(8, 0.1), (32, 0.01)])
+    def test_fit_identical_to_per_array_loop(self, n, hidden, learning_rate):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 10))
+        y = rng.integers(0, 2, n)
+        params = {"hidden": hidden, "learning_rate": learning_rate, "epochs": 4, "batch_size": 32}
+        got = mlp.fit(params, X, y, np.random.default_rng(7))
+        expected = _mlp_fit_oracle(params, X, y, np.random.default_rng(7))
+        assert type(got["b2"]) is float
+        for key in ("W1", "b1", "w2", "b2"):
+            assert np.asarray(got[key]).tobytes() == np.asarray(expected[key]).tobytes(), key
+
     def test_zeroed_output_layer_scores_half(self):
         X, y = make_blobs(n=30, d=3, seed=18)
         params = init_params(3, 4, np.random.default_rng(0))
-        from rescue_triage.learners import mlp
-
         s = mlp.score(params, X)
         assert np.all(s == 0.5)
 

@@ -251,6 +251,12 @@ class TestLexicons:
         with pytest.raises(LexiconError):
             parse_lexicon_text("[bogus]\nx\n")
 
+    @pytest.mark.parametrize("value", ["x", "2.5", ""])
+    def test_non_integer_window_names_line_and_value(self, value):
+        with pytest.raises(LexiconError) as err:
+            parse_lexicon_text(f"[category:alcoholism]\ndrunk\n[settings]\nnegation_window = {value}\n")
+        assert str(err.value) == f"line 4: negation_window must be an integer, got {value!r}"
+
 
 class TestNoteTokens:
     def test_boundary_inserted_between_notes(self):
