@@ -18,12 +18,20 @@ instead of each going alone, so the numpy calls per node stay few.
 
 * ``LockstepForest`` (random forest) grows all trees of a forest in
   lockstep. Each step pops one node from every tree's own depth-first stack,
-  so every tree draws its per-node ``rng.choice`` feature sample from its own
-  stream in the same pre-order as a tree grown alone; ``grow_classification_tree``
-  steps the forest until a given tree is finished. Gini cost with a
+  so every tree draws its per-node feature sample from its own stream in the
+  same pre-order as a tree grown alone; ``grow_classification_tree`` steps
+  the forest until a given tree is finished. Gini cost with a
   ``min_samples_leaf`` floor; nodes hold the positive-class fraction.
   A forest grown for more trees than a model keeps gives that model as a
-  prefix: tree t depends only on its own stream.
+  prefix: tree t depends only on its own stream. The forest records the
+  deepest depth at which each tree drew, which tells whether a tighter depth
+  cap would have grown the same tree.
+* ``FeatureSampler`` draws the feature samples of one forest step, for all
+  its trees at once, exactly as each tree's
+  ``Generator.choice(d, k, replace=False)`` would: Floyd's algorithm over
+  Lemire-bounded 32-bit draws, then numpy's shuffle, gathered from per-tree
+  buffers of raw generator output (Lemire, "Fast random integer generation
+  in an interval", ACM TOMACS 2019).
 * ``LockstepRound`` (boosting) holds one round's trees of several boosting
   lanes, one lane per (learning rate, depth cap) of a grid fit. The fit's
   codes are tiled once per lane and lane m's rows are offset by m * n, so
@@ -204,6 +212,110 @@ def _split_batch(bins: Bins, rows: list[np.ndarray], slots, weights, score):
     return feature, threshold, children, left_sums
 
 
+# numpy's ``Generator.choice(d, k, replace=False)`` uses Floyd's algorithm
+# unless d > _FLOYD_MAX_ITEMS and k > d // 50, where it takes a tail shuffle,
+# which FeatureSampler lacks; a forest's k = round(sqrt(d)) never gets there
+_FLOYD_MAX_ITEMS = 10_000
+_U32 = np.uint64(0xFFFFFFFF)
+# samples' worth of 32-bit draws a tree's buffer holds between refills
+_SAMPLES_PER_FILL = 64
+
+
+class FeatureSampler:
+    """Every tree's ``Generator.choice(d, k, replace=False)`` feature samples,
+    drawn for many trees at once and equal to numpy's, draw for draw.
+
+    numpy draws such a sample by Floyd's algorithm: for j = d - k .. d - 1, a
+    value v in [0, j] (no draw when j is 0), taking j instead when v is
+    already in the sample; then it shuffles the sample, swapping slot i with a
+    value in [0, i] for i = k - 1 .. 1. Each value in [0, j] is Lemire's
+    bounded draw, ``(u * (j + 1)) >> 32`` of a 32-bit draw u, redrawn while the
+    low 32 bits of that product fall below ``2^32 mod (j + 1)``. So every
+    sample takes the same draws, one per bound (Floyd's nonzero j, then the
+    shuffle's i), unless a draw is redrawn, at odds below (j + 1) / 2^32:
+    ``sample`` gathers them for all of a step's trees as one array and
+    redraws a row with such a draw one value at a time.
+
+    Tree t's buffer holds the next 32-bit draws of its generator: numpy
+    returns the low half of a 64-bit output first and holds the high half
+    back (``has_uint32``), read once per tree here, when the sampler is made.
+    A generator's later draws are undefined: the sampler reads ahead of it.
+    """
+
+    def __init__(self, rngs: Iterable[np.random.Generator], d: int, k: int):
+        if d > _FLOYD_MAX_ITEMS and k > d // 50:
+            raise ValueError(
+                f"feature sampling draws at most d // 50 of d > {_FLOYD_MAX_ITEMS:,} features, got {k:,} of {d:,}"
+            )
+        self.d, self.k = d, k
+        bounds = [j for j in range(d - k, d) if j] + list(range(k - 1, 0, -1))
+        self.excl = np.array(bounds, dtype=np.uint64) + np.uint64(1)
+        self.threshold = np.uint64(2**32) % self.excl
+        self.width = _SAMPLES_PER_FILL * max(1, len(bounds))
+        self.gens = [rng.bit_generator for rng in rngs]
+        states = [g.state for g in self.gens]
+        self.held = [st["uinteger"] if st["has_uint32"] else None for st in states]
+        self.buf = np.empty((len(self.gens), self.width), dtype=np.uint32)
+        self.pos = np.full(len(self.gens), self.width)  # every buffer used up
+
+    def _refill(self, t: int) -> None:
+        """Move tree t's unread draws to the front of its buffer and fill the rest."""
+        buf, width = self.buf[t], self.width
+        at = width - int(self.pos[t])
+        buf[:at] = buf[width - at :]
+        if self.held[t] is not None:
+            buf[at] = self.held[t]
+            at += 1
+        # each 64-bit output is two draws, low half first
+        new = self.gens[t].random_raw((width - at + 1) // 2).astype("<u8", copy=False).view("<u4")
+        buf[at:] = new[: width - at]
+        self.held[t] = int(new[-1]) if len(new) > width - at else None
+        self.pos[t] = 0
+
+    def _redraw(self, t: int) -> list[int]:
+        """Tree t's next sample's bounded draws, one value at a time."""
+        out = []
+        for excl, threshold in zip(self.excl.tolist(), self.threshold.tolist()):
+            while True:
+                if self.pos[t] == self.width:
+                    self._refill(t)
+                m = int(self.buf[t, self.pos[t]]) * excl
+                self.pos[t] += 1
+                if (m & 0xFFFFFFFF) >= threshold:
+                    break
+            out.append(m >> 32)
+        return out
+
+    def sample(self, trees: np.ndarray) -> np.ndarray:
+        """(len(trees), k) int64: row i is the next sample of tree ``trees[i]``;
+        the trees are distinct."""
+        n_draws = len(self.excl)
+        for t in trees[self.pos[trees] + n_draws > self.width].tolist():
+            self._refill(t)
+        start = self.pos[trees]
+        m = self.buf[trees[:, None], start[:, None] + np.arange(n_draws)].astype(np.uint64) * self.excl
+        draws = (m >> np.uint64(32)).astype(np.int64)
+        self.pos[trees] = start + n_draws
+        for i in np.flatnonzero(((m & _U32) < self.threshold).any(axis=1)).tolist():
+            self.pos[trees[i]] = start[i]
+            draws[i] = self._redraw(int(trees[i]))
+        rows, d, k = np.arange(len(trees)), self.d, self.k
+        out = np.zeros((len(trees), k), dtype=np.int64)
+        col = 0
+        for s, j in enumerate(range(d - k, d)):
+            if j:  # Floyd: the draw, or j when the draw is already taken
+                v = draws[:, col]
+                col += 1
+                out[:, s] = np.where((out[:, :s] == v[:, None]).any(axis=1), j, v)
+        for i in range(k - 1, 0, -1):
+            r = draws[:, col]
+            col += 1
+            swapped = out[rows, r]
+            out[rows, r] = out[:, i]
+            out[:, i] = swapped
+        return out
+
+
 class LockstepForest:
     """The Gini trees of one random forest, grown in lockstep.
 
@@ -214,7 +326,9 @@ class LockstepForest:
     ``max_depth``, when it is impure and has at least ``2 * min_samples_leaf``
     rows; only then does its tree's rng draw ``max_features`` candidate
     features, so each tree draws from its own stream in the same pre-order as
-    a tree grown alone.
+    a tree grown alone. The draws of a step go through one ``FeatureSampler``
+    call, and ``deepest_draw[t]`` is the deepest depth at which tree t drew
+    (-1 if it never did).
 
     Every unfinished tree gets one node per step, so a node's id in its tree
     is the step that popped it: ids are in depth-first pre-order, a left
@@ -227,11 +341,14 @@ class LockstepForest:
         self, bins: Bins, y: np.ndarray, roots: Iterable[np.ndarray], rngs: list[np.random.Generator],
         max_depth: int, min_samples_leaf: int, max_features: int,
     ):
-        self.bins, self.y, self.rngs = bins, y, list(rngs)
+        self.bins, self.y = bins, y
         self.max_depth, self.msl = max_depth, min_samples_leaf
-        self.n_slots = min(max_features, bins.codes.shape[1])
         # rows, positives, depth, parent, is right child
         self.stacks = [[(rows, int(y[rows].sum()), 0, -1, False)] for rows in roots]
+        # after the roots: a generator of roots draws them from the same rngs
+        d = bins.codes.shape[1]
+        self.sampler = FeatureSampler(rngs, d, min(max_features, d))
+        self.deepest_draw = np.full(len(self.stacks), -1)
         self.live = list(range(len(self.stacks)))
         self.done: dict[int, TreeArrays] = {}
         self.n_steps = 0
@@ -240,6 +357,7 @@ class LockstepForest:
 
     def step(self) -> None:
         live, msl, j = self.live, self.msl, self.n_steps
+        trees = np.array(live)
         popped = [self.stacks[t].pop() for t in live]
         rows = [p[0] for p in popped]
         k = np.array([len(r) for r in rows])
@@ -248,8 +366,9 @@ class LockstepForest:
         ids = np.flatnonzero((depth < self.max_depth) & (k >= 2 * msl) & (pos > 0) & (pos < k))
         feature, threshold = np.full(len(popped), -1, dtype=np.int32), np.zeros(len(popped))
         if len(ids):
-            d = self.bins.codes.shape[1]
-            slots = np.array([self.rngs[live[i]].choice(d, size=self.n_slots, replace=False) for i in ids])
+            drawing = trees[ids]
+            slots = self.sampler.sample(drawing)
+            self.deepest_draw[drawing] = np.maximum(self.deepest_draw[drawing], depth[ids])
             kk, pp = k[ids, None, None], pos[ids, None, None]
             # Python floats: ``x ** 2`` (libm pow) and numpy's x * x differ in the last bit
             # for about 1 in 1,300 fractions p / n
@@ -277,7 +396,6 @@ class LockstepForest:
             for f, old in enumerate(self.fields):
                 self.fields[f] = np.empty((2 * j, old.shape[1]), old.dtype)
                 self.fields[f][:j] = old
-        trees = np.array(live)
         node_feature, node_threshold, node_value, node_right = self.fields
         node_feature[j, trees], node_threshold[j, trees], node_value[j, trees] = feature, threshold, pos / k
         node_right[j, trees] = -1
@@ -292,7 +410,6 @@ class LockstepForest:
             left = np.where(feature >= 0, np.arange(1, j + 1, dtype=np.int32), np.int32(-1))
             for i, t in enumerate(finished):
                 self.done[t] = TreeArrays(feature[i], threshold[i], left[i], right[i], value[i])
-                self.rngs[t] = None
 
 
 def grow_classification_tree(forest: LockstepForest, t: int) -> TreeArrays:

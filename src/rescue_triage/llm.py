@@ -9,15 +9,11 @@ transcripts instead.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import re
 import time
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -181,6 +177,9 @@ class EndpointConfig:
 def _post(request: urllib.request.Request, timeout: float) -> tuple[int, bytes]:
     """(status, body) of one request; an error status is a response here,
     not an exception."""
+    import urllib.error
+    import urllib.request
+
     try:
         resp = urllib.request.urlopen(request, timeout=timeout)
     except urllib.error.HTTPError as exc:
@@ -195,6 +194,10 @@ def query(prompt: str, cfg: EndpointConfig) -> LlmVerdict:
     Retries transport failures and 5xx responses with exponential backoff,
     at most cfg.retries times; a hard timeout bounds every attempt.
     """
+    # imported here, so runs that never query an endpoint do not pay for them
+    import http.client
+    import urllib.request
+
     payload = {"model": cfg.model, "prompt": prompt, "stream": False}
     if cfg.options:
         payload["options"] = dict(cfg.options)
@@ -233,6 +236,8 @@ def query(prompt: str, cfg: EndpointConfig) -> LlmVerdict:
 
 def query_many(prompts: Sequence[str], cfg: EndpointConfig, max_in_flight: int = 1) -> list[LlmVerdict]:
     """Query independent prompts, preserving order, with an in-flight cap."""
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(lambda p: query(p, cfg), prompts))
 

@@ -113,12 +113,20 @@ class TestStagePool:
     one worker per usable core; no artifact depends on the worker count."""
 
     @pytest.fixture(scope="class")
-    def desk_runs(self, tmp_path_factory):
+    def search_calls(self):
+        """The kind of each ``pipeline.search`` call of the desk runs, per worker count."""
+        return {}
+
+    @pytest.fixture(scope="class")
+    def desk_runs(self, tmp_path_factory, search_calls):
         runs = {}
         for workers in (1, 2):
             out = tmp_path_factory.mktemp(f"desk{workers}")
+            calls = search_calls[workers] = []
+            real_search = pipeline.search
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(pipeline, "_usable_cores", lambda: workers)
+                mp.setattr(pipeline, "search", lambda kind, *a, **k: calls.append(kind) or real_search(kind, *a, **k))
                 runs[workers] = out, run_pipeline(from_dict(PipelineConfig, desk_pipeline_dict(out)))
             assert multiprocessing.active_children() == []
         return runs
@@ -134,6 +142,15 @@ class TestStagePool:
             stages = {s["name"]: s for s in manifest["stages"]}
             assert [stages[name]["workers"] for name in ("tune", "rfecv", "evaluate")] == [workers] * 3
             assert list(stages["tune"]["search_s"]) == [kind.value for kind in ModelKind]
+
+    def test_one_search_call_per_kind_in_kind_order(self, desk_runs, search_calls):
+        assert search_calls == {1: list(ModelKind), 2: list(ModelKind)}
+
+    def test_search_seconds_fit_in_the_tune_stage(self, desk_runs):
+        for _, manifest in desk_runs.values():
+            tune = next(s for s in manifest["stages"] if s["name"] == "tune")
+            assert all(seconds > 0 for seconds in tune["search_s"].values())
+            assert sum(tune["search_s"].values()) <= tune["elapsed_s"]
 
     def test_dead_worker_fails_the_stage_and_leaves_no_process(self, tmp_path, monkeypatch, caplog):
         parent = os.getpid()

@@ -481,6 +481,82 @@ class TestEnsembleScoring:
         assert np.array_equal(np.asarray(model.score(X)), np.clip(stable_sigmoid(margin), 0.0, 1.0))
 
 
+# PCG64's 128-bit LCG multiplier; a state is advanced by state * mult + inc
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _pcg64_state_before(stepped: int, inc: int) -> int:
+    """The PCG64 state whose next LCG step gives ``stepped``."""
+    return (stepped - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+
+
+class TestFeatureSampler:
+    """``FeatureSampler`` must give each tree the samples its own generator's
+    ``choice(d, k, replace=False)`` would, draw for draw."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_matches_generator_choice_for_every_k(self, d, monkeypatch):
+        schedule = np.random.default_rng(d)
+        for k in range(1, d + 1):
+            for fill in (1, 3, 64):  # samples per buffer refill: odd widths leave a held half
+                monkeypatch.setattr(tree, "_SAMPLES_PER_FILL", fill)
+                boots = [0, 1, 2, 5, 8, 13]  # bootstrap draws before the first sample: both has_uint32 states
+                streams = [np.random.default_rng([d, k, fill, t]) for t in range(len(boots))]
+                refs = [np.random.default_rng([d, k, fill, t]) for t in range(len(boots))]
+                for rng, ref, n in zip(streams, refs, boots):
+                    rng.integers(0, 50, n)
+                    ref.integers(0, 50, n)
+                assert {rng.bit_generator.state["has_uint32"] for rng in streams} == {0, 1}
+                sampler = tree.FeatureSampler(streams, d, k)
+                for _ in range(60):
+                    trees = schedule.permutation(len(boots))[: schedule.integers(1, len(boots) + 1)]
+                    got = sampler.sample(trees)
+                    assert got.dtype == np.int64 and got.shape == (len(trees), k)
+                    for t, row in zip(trees.tolist(), got.tolist()):
+                        assert row == refs[t].choice(d, k, replace=False).tolist(), (d, k, fill, t)
+
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh_output", "held_half"])
+    def test_rejected_draw_is_redrawn_as_numpy_does(self, held):
+        """The first bound of a (5, 3) sample is 2 (excl 3), whose threshold
+        ``2^32 mod 3`` is 1: a first 32-bit draw of 0 is rejected."""
+        inc = np.random.default_rng(9).bit_generator.state["state"]["inc"]
+        stepped = 0x9E3779B9_00000000  # high word 0: XSL-RR outputs the low word, whose low half is 0
+        state = {"state": _pcg64_state_before(stepped, inc), "inc": inc}
+        if held:  # the rejected draw is the pending high half of an earlier output
+            state = np.random.default_rng(9).bit_generator.state["state"]
+
+        def crafted():
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = {"bit_generator": "PCG64", "state": state,
+                                       "has_uint32": int(held), "uinteger": 0}
+            return rng
+
+        if not held:
+            assert int(crafted().bit_generator.random_raw()) == stepped
+        streams = [np.random.default_rng(3), crafted(), np.random.default_rng(4)]
+        refs = [np.random.default_rng(3), crafted(), np.random.default_rng(4)]
+        sampler = tree.FeatureSampler(streams, 5, 3)
+        for trees in ([0, 1, 2], [1], [2, 1], [1, 0]):
+            got = sampler.sample(np.array(trees))
+            assert got.tolist() == [refs[t].choice(5, 3, replace=False).tolist() for t in trees]
+
+    @pytest.mark.parametrize("d", [10_001, 40_000])
+    def test_forest_sample_of_many_features_matches_choice(self, d):
+        """Above 10,000 items numpy keeps Floyd's algorithm while k <= d // 50,
+        as a forest's k = round(sqrt(d)) is."""
+        k = round(math.sqrt(d))
+        sampler = tree.FeatureSampler([np.random.default_rng(s) for s in (1, 2)], d, k)
+        refs = [np.random.default_rng(s) for s in (1, 2)]
+        for trees in ([0, 1], [1], [1, 0]):
+            got = sampler.sample(np.array(trees))
+            assert got.tolist() == [refs[t].choice(d, k, replace=False).tolist() for t in trees]
+
+    def test_samples_numpy_would_tail_shuffle_are_refused(self):
+        tree.FeatureSampler([np.random.default_rng(0)], 10_001, 200)
+        with pytest.raises(ValueError, match="at most d // 50 of d > 10,000 features, got 201 of 10,001"):
+            tree.FeatureSampler([np.random.default_rng(0)], 10_001, 201)
+
+
 class TestLockstepForest:
     def _forest(self, X, y, n_trees=9):
         bins = tree.bin_columns(X, 32)
@@ -561,6 +637,44 @@ class TestTrainGrid:
         _assert_each_equals_its_own_train(specs, X, y)
         models = dict(train_grid(specs, X, y))
         assert model_to_dict(models[0])["state"] != model_to_dict(models[2])["state"]
+
+    def test_forests_with_mixed_depths_trees_leaves_and_bins(self):
+        X, y = _desk_matrix()
+        space = {"max_depth": [None, 1, 3, 10], "n_trees": [1, 7, 40], "min_samples_leaf": [1, 3], "n_bins": [2, 32]}
+        specs = _grid_specs(ModelKind.RF, space, seed=5) + _grid_specs(ModelKind.RF, space, seed=6)
+        picked = np.random.default_rng(43).permutation(len(specs))  # mixed group and spec order
+        _assert_each_equals_its_own_train([specs[i] for i in picked], X, y)
+
+    def _grown(self, monkeypatch, space) -> int:
+        """Trees grown for one grid fit of ``space`` on the desk rows."""
+        grown = []
+
+        def counting(forest_, t):
+            grown.append(t)
+            return tree.grow_classification_tree(forest_, t)
+
+        monkeypatch.setattr(forest, "grow_classification_tree", counting)
+        X, y = _desk_matrix()
+        list(train_grid(_grid_specs(ModelKind.RF, space), X, y))
+        return len(grown)
+
+    def test_cap_that_binds_nowhere_regrows_no_tree(self, monkeypatch):
+        assert self._grown(monkeypatch, {"n_trees": [9, 30], "max_depth": [None, 1000]}) == 30
+
+    def test_binding_cap_regrows_only_trees_that_drew_at_its_depth(self, monkeypatch):
+        X, y = _desk_matrix()
+        deep = train(ModelSpec(ModelKind.RF, {"n_trees": 30}, seed=5), X, y).state["trees"]
+
+        def drew_at(t, cap) -> bool:
+            """With ``min_samples_leaf`` 1 a node drew a sample iff it is impure."""
+            depth = np.zeros(len(t.feature), dtype=int)
+            for v in np.flatnonzero(t.feature >= 0):  # pre-order: a parent comes before its children
+                depth[t.left[v]] = depth[t.right[v]] = depth[v] + 1
+            return bool(((depth >= cap) & (t.value > 0) & (t.value < 1)).any())
+
+        regrown = sum(drew_at(t, 8) for t in deep)
+        assert 0 < regrown < 30
+        assert self._grown(monkeypatch, {"n_trees": [9, 30], "max_depth": [None, 8]}) == 30 + regrown
 
     def test_zero_hessian_spec_fails_its_group_as_it_fails_alone(self):
         X, _ = _golden_matrix()  # as in TestBoosting's zero-hessian test

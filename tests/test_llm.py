@@ -269,6 +269,21 @@ class TestQuery:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "true"
 
+    def test_importing_the_cli_leaves_the_http_modules_out(self):
+        """They are imported where an endpoint is queried; a run that never
+        queries one does not pay for them."""
+        code = (
+            "import sys\n"
+            "import rescue_triage.cli\n"
+            "print([m for m in ('http.client', 'urllib.request', 'urllib.error', 'concurrent.futures')"
+            " if m in sys.modules])\n"
+        )
+        src = os.path.dirname(os.path.dirname(rescue_triage.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("overrides,message", [
         ({"retries": -1}, "retries must be at least 0, got -1"),
         ({"timeout": 0.0}, "timeout must be a positive number of seconds, got 0.0"),
