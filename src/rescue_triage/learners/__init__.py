@@ -3,22 +3,22 @@
 ``train(spec, X, y)`` fits any of SVM, RF, XGB, K-NN, NB, LR or MLPC on raw
 feature rows; ``train_grid(specs, X, y)`` fits several specs on the same rows
 and shares what a kind can share between them. Scores are probability-like
-values in [0, 1] and predictions threshold them at 0.5. Models serialize to a
-versioned JSON text format that round-trips scores bit-exactly.
+values in [0, 1] and predictions threshold them at 0.5. A model file holds a
+``TrainedModel`` and its kind's ``State`` dataclass, read back bit-exactly.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..records import asjson, check_keys, read_json, rng_from
+from ..records import read_json, rng_from, write_json
 from . import boosting, forest, knn, logistic, mlp, naive_bayes, svm
 from .base import (
     DEFAULT_SEARCH_SPACES,
+    FORMAT_VERSION,
     ArityMismatch,
     InvalidHyperparameter,
     ModelKind,
@@ -28,8 +28,6 @@ from .base import (
     TrainedModel,
     check_training_inputs,
 )
-from .tree import TreeArrays
-
 __all__ = [
     "ModelKind",
     "ModelSpec",
@@ -44,14 +42,13 @@ __all__ = [
     "share_groups",
     "save_model",
     "load_model",
-    "model_to_dict",
-    "model_from_dict",
 ]
 
-# each kind's module, with score(state, Xs) on standardized Xs and either
-# fit(params, Xs, y, rng) -> state or, for a kind that fits candidates
-# together, share_key(params) and fit_grid(params list, Xs, y, rngs) yielding
-# (index, state) for one share group
+# each kind's module, with its State dataclass, score(state, Xs) on standardized
+# Xs, check(state, arity) for a state read from a file, and either fit(params,
+# Xs, y, rng) -> state or, for a kind that fits candidates together,
+# share_key(params) and fit_grid(params list, Xs, y, rngs) yielding (index,
+# state) for one share group
 _KINDS = {
     ModelKind.SVM: svm,
     ModelKind.RF: forest,
@@ -97,7 +94,8 @@ def train_grid(
         for j, state in fit_grid(params, Xs, y, rngs) if fit_grid else [(0, module.fit(params[0], Xs, y, rngs[0]))]:
             spec = specs[group[j]]
             yield group[j], TrainedModel(
-                spec=spec, standardizer=std, state=state, arity=X.shape[1], feature_names=tuple(feature_names)
+                format_version=FORMAT_VERSION, spec=spec, standardizer=std, arity=X.shape[1],
+                decision_threshold=0.5, feature_names=tuple(feature_names), state=state,
             )
 
 
@@ -107,70 +105,9 @@ def train(spec: ModelSpec, X, y, feature_names: tuple[str, ...] = ()) -> Trained
     return model
 
 
-# ---------------------------------------------------------------------------
-# JSON model format
-
-FORMAT_VERSION = 1
-
-
-def _jsonable(obj):
-    if isinstance(obj, TreeArrays):
-        return {"__tree__": obj.to_dict()}
-    if isinstance(obj, np.ndarray):
-        return {"__array__": obj.tolist()}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
-def _restore(obj):
-    if isinstance(obj, dict):
-        if "__tree__" in obj:
-            return TreeArrays.from_dict(obj["__tree__"])
-        if "__array__" in obj:
-            return np.asarray(obj["__array__"], dtype=np.float64)
-        return {k: _restore(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_restore(v) for v in obj]
-    return obj
-
-
-def model_to_dict(model: TrainedModel) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "spec": asjson(model.spec),
-        "standardizer": model.standardizer.to_dict(),
-        "arity": model.arity,
-        "decision_threshold": model.decision_threshold,
-        "feature_names": list(model.feature_names),
-        "state": _jsonable(model.state),
-    }
-
-
-_MODEL_KEYS = ("format_version", "spec", "standardizer", "arity", "decision_threshold", "feature_names", "state")
-
-
-def model_from_dict(d: dict) -> TrainedModel:
-    check_keys(d, _MODEL_KEYS, "model")
-    if d["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {d['format_version']!r}")
-    return TrainedModel(
-        spec=ModelSpec.from_dict(d["spec"]),
-        standardizer=Standardizer.from_dict(d["standardizer"]),
-        state=_restore(d["state"]),
-        arity=int(d["arity"]),
-        decision_threshold=float(d["decision_threshold"]),
-        feature_names=tuple(d["feature_names"]),
-    )
-
-
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model)), encoding="utf-8")
+    write_json(path, model)
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return model_from_dict(read_json(path, dict))
+    return read_json(path, TrainedModel)

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Mapping
 
 import numpy as np
+from numpy.typing import NDArray
 
 from ..records import check_keys, from_dict
 
@@ -160,9 +161,9 @@ class Standardizer:
     Bernoulli treatment and distance scales stay meaningful.
     """
 
-    mean: np.ndarray
-    std: np.ndarray
-    binary_mask: np.ndarray
+    mean: NDArray[np.float64]
+    std: NDArray[np.float64]
+    binary_mask: NDArray[np.bool_]
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
@@ -178,32 +179,40 @@ class Standardizer:
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "binary_mask": self.binary_mask.astype(int).tolist(),
-        }
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Standardizer":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            std=np.asarray(d["std"], dtype=np.float64),
-            binary_mask=np.asarray(d["binary_mask"], dtype=bool),
-        )
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """An opaque fitted classifier exposing hard predictions and [0, 1] scores."""
+    """An opaque fitted classifier with hard predictions and [0, 1] scores. As
+    read from a model file, its JSON spec, standardizer and state are built and
+    their shapes checked against arity once the format version is checked."""
 
-    spec: ModelSpec
-    standardizer: Standardizer
-    state: dict
+    format_version: int
+    spec: dict  # a ModelSpec once built
+    standardizer: dict  # a Standardizer once built
     arity: int
-    decision_threshold: float = 0.5
-    feature_names: tuple[str, ...] = ()
+    decision_threshold: float
+    feature_names: tuple[str, ...]
+    state: dict  # the kind module's State once built
+
+    def __post_init__(self):
+        if isinstance(self.spec, ModelSpec):
+            return
+        from . import _KINDS  # late import to avoid a cycle
+
+        if self.format_version != FORMAT_VERSION:
+            raise ValueError(f"format_version: got model format {self.format_version}, can read only {FORMAT_VERSION}")
+        object.__setattr__(self, "spec", ModelSpec.from_dict(self.spec))
+        module = _KINDS[self.spec.kind]
+        object.__setattr__(self, "standardizer", from_dict(Standardizer, self.standardizer, path="standardizer"))
+        object.__setattr__(self, "state", from_dict(module.State, self.state, path="state"))
+        for name in ("mean", "std", "binary_mask"):
+            check_shape(f"standardizer.{name}", getattr(self.standardizer, name), (self.arity,))
+        if self.feature_names and len(self.feature_names) != self.arity:
+            raise ValueError(f"feature_names: expected {self.arity} names, got {len(self.feature_names)}")
+        module.check(self.state, self.arity)
 
     def _check(self, X: np.ndarray) -> tuple[np.ndarray, bool]:
         X = np.asarray(X, dtype=np.float64)
@@ -212,6 +221,7 @@ class TrainedModel:
             X = X[None, :]
         if X.ndim != 2 or X.shape[1] != self.arity:
             raise ArityMismatch(f"expected {self.arity} features, got shape {X.shape}")
+        check_finite(X, "query")
         return X, single
 
     def score(self, X) -> np.ndarray | float:
@@ -244,11 +254,25 @@ def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / t, e / t)
 
 
+def check_shape(path: str, array: np.ndarray, shape: tuple) -> None:
+    """Fail, naming path, unless array has shape; a None entry matches any length."""
+    if array.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, array.shape)):
+        raise ValueError(f"{path}: expected shape {shape}, got {array.shape}")
+
+
+def check_finite(X: np.ndarray, what: str) -> None:
+    """Fail, naming its row and column, on the first NaN or infinite cell of X."""
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"{what} row {row}, column {col} is {X[row, col]}; inputs must be finite")
+
+
 def check_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).astype(np.int64)
     if X.ndim != 2:
         raise ValueError("X must be a 2-D matrix")
+    check_finite(X, "training")
     if len(X) != len(y):
         raise ValueError("X and y lengths differ")
     if len(X) < 2:

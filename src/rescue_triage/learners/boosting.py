@@ -8,12 +8,21 @@ training prior; the per-round training loss is recorded in the state.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .base import stable_sigmoid
-from .tree import Bins, LockstepRound, bin_columns, ensemble_values, grow_second_order_tree
+from .tree import Bins, LockstepRound, TreeArrays, bin_columns, check_trees, ensemble_values, grow_second_order_tree
+
+
+@dataclass(frozen=True)
+class State:
+    trees: tuple[TreeArrays, ...]
+    base_margin: float
+    learning_rate: float
+    train_loss: tuple[float, ...]  # before the first round, then after each
 
 
 def _logloss(margin: np.ndarray, y: np.ndarray) -> float:
@@ -27,7 +36,7 @@ def share_key(params: dict) -> tuple:
     return params["n_bins"], params["reg_lambda"]
 
 
-def fit_grid(group: list[dict], X: np.ndarray, y: np.ndarray, rngs) -> Iterator[tuple[int, dict]]:
+def fit_grid(group: list[dict], X: np.ndarray, y: np.ndarray, rngs) -> Iterator[tuple[int, State]]:
     """Yield ``(i, state)`` for every params dict of one share group as soon
     as its rounds are grown. The group grows in lockstep: each
     (``learning_rate``, ``max_depth``) pair is one lane that runs to the most
@@ -55,12 +64,7 @@ def fit_grid(group: list[dict], X: np.ndarray, y: np.ndarray, rngs) -> Iterator[
         for i, params in enumerate(group):
             if params["n_rounds"] == r:
                 m = lanes.index(lane_of[i])
-                yield i, {
-                    "trees": trees[m][:r],
-                    "base_margin": base,
-                    "learning_rate": params["learning_rate"],
-                    "train_loss": losses[m][: r + 1],
-                }
+                yield i, State(tuple(trees[m][:r]), base, params["learning_rate"], tuple(losses[m][: r + 1]))
         k = sum(rounds[lane] > r for lane in lanes)
         if k == 0:
             break
@@ -78,14 +82,20 @@ def fit_grid(group: list[dict], X: np.ndarray, y: np.ndarray, rngs) -> Iterator[
             losses[m].append(_logloss(margin[m], y))
 
 
-def decision_margin(state: dict, X: np.ndarray) -> np.ndarray:
-    margin = np.full(len(X), state["base_margin"])
-    for lo, block in ensemble_values(state["trees"], X):
+def check(state: State, arity: int) -> None:
+    check_trees(state.trees, arity)
+    if len(state.train_loss) != len(state.trees) + 1:
+        raise ValueError(f"state.train_loss: expected {len(state.trees) + 1} entries, got {len(state.train_loss)}")
+
+
+def decision_margin(state: State, X: np.ndarray) -> np.ndarray:
+    margin = np.full(len(X), state.base_margin)
+    for lo, block in ensemble_values(state.trees, X):
         part = margin[lo : lo + block.shape[1]]
         for values in block:  # added in tree order
-            part += state["learning_rate"] * values
+            part += state.learning_rate * values
     return margin
 
 
-def score(state: dict, X: np.ndarray) -> np.ndarray:
+def score(state: State, X: np.ndarray) -> np.ndarray:
     return stable_sigmoid(decision_margin(state, X))

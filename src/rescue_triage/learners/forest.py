@@ -11,15 +11,21 @@ are leaves under either cap, and above them it drew the same samples.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
 from ..records import rng_from
-from .tree import Bins, LockstepForest, TreeArrays, bin_columns, ensemble_values, grow_classification_tree
+from .tree import Bins, LockstepForest, TreeArrays, bin_columns, check_trees, ensemble_values, grow_classification_tree
 
 _TREE_STREAM = 101
 _NO_CAP = 2**31
+
+
+@dataclass(frozen=True)
+class State:
+    trees: tuple[TreeArrays, ...]
 
 
 def share_key(params: dict) -> tuple:
@@ -27,7 +33,7 @@ def share_key(params: dict) -> tuple:
     return params["min_samples_leaf"], params["n_bins"]
 
 
-def fit_grid(group: list[dict], X: np.ndarray, y: np.ndarray, rngs) -> Iterator[tuple[int, dict]]:
+def fit_grid(group: list[dict], X: np.ndarray, y: np.ndarray, rngs) -> Iterator[tuple[int, State]]:
     """Yield ``(i, state)`` for every params dict of one share group. Its specs
     draw the same forest seed. The loosest depth cap's forest grows to the
     largest ``n_trees``; each other cap c keeps its trees but regrows, from
@@ -49,7 +55,7 @@ def fit_grid(group: list[dict], X: np.ndarray, y: np.ndarray, rngs) -> Iterator[
             regrown = dict(zip(redo, _grow(bins, y, seed, redo, cap, min_samples_leaf, max_features)[0]))
             forests[cap] = [regrown.get(t, trees[t]) for t in range(n_trees)]
     for i, p in enumerate(group):
-        yield i, {"trees": forests[_cap(p["max_depth"])][: p["n_trees"]]}
+        yield i, State(tuple(forests[_cap(p["max_depth"])][: p["n_trees"]]))
 
 
 def _cap(max_depth: Optional[int]) -> int:
@@ -70,8 +76,14 @@ def _grow(
     return [grow_classification_tree(forest, t) for t in range(len(rngs))], forest.deepest_draw
 
 
-def score(state: dict, X: np.ndarray) -> np.ndarray:
+def check(state: State, arity: int) -> None:
+    if not state.trees:
+        raise ValueError("state.trees: a forest needs at least one tree")
+    check_trees(state.trees, arity)
+
+
+def score(state: State, X: np.ndarray) -> np.ndarray:
     votes = np.zeros(len(X), dtype=np.int64)
-    for lo, block in ensemble_values(state["trees"], X):
+    for lo, block in ensemble_values(state.trees, X):
         votes[lo : lo + block.shape[1]] += (block >= 0.5).sum(axis=0)
-    return votes / len(state["trees"])
+    return votes / len(state.trees)

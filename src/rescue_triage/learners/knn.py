@@ -12,13 +12,32 @@ stable sort of the row puts first, NaN distances last.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+from numpy.typing import NDArray
+
+from .base import check_shape
 
 _BLOCK_CELLS = 1 << 18
 
 
-def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
-    return {"X": X.tolist(), "y": y.tolist(), "k": params["k"]}
+@dataclass(frozen=True)
+class State:
+    X: NDArray[np.float64]  # the standardized training rows
+    y: NDArray[np.int64]
+    k: int
+
+
+def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> State:
+    return State(X=X, y=y, k=params["k"])
+
+
+def check(state: State, arity: int) -> None:
+    check_shape("state.X", state.X, (None, arity))
+    check_shape("state.y", state.y, (len(state.X),))
+    if state.k < 1:
+        raise ValueError(f"state.k: expected at least 1, got {state.k}")
 
 
 def _positives_among_nearest(d2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
@@ -41,17 +60,16 @@ def _positives_among_nearest(d2: np.ndarray, positive: np.ndarray, k: int) -> np
     return np.count_nonzero((below | tied) & positive, axis=1)
 
 
-def score(state: dict, X: np.ndarray) -> np.ndarray:
-    train = np.asarray(state["X"], dtype=np.float64)
-    positive = np.asarray(state["y"]) == 1
-    k = min(state["k"], len(train))
+def score(state: State, X: np.ndarray) -> np.ndarray:
+    positive = state.y == 1
+    k = min(state.k, len(state.X))
     x_sq = np.sum(X * X, axis=1)
-    train_sq = np.sum(train * train, axis=1)
-    step = max(1, _BLOCK_CELLS // max(1, len(train)))
+    train_sq = np.sum(state.X * state.X, axis=1)
+    step = max(1, _BLOCK_CELLS // max(1, len(state.X)))
     out = np.empty(len(X))
     for lo in range(0, len(X), step):
         hi = lo + step
-        d2 = 2.0 * X[lo:hi] @ train.T
+        d2 = 2.0 * X[lo:hi] @ state.X.T
         np.subtract(x_sq[lo:hi, None], d2, out=d2)
         d2 += train_sq
         out[lo:hi] = _positives_among_nearest(d2, positive, k) / k

@@ -7,12 +7,22 @@ infinity norm or the epoch cap.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+from numpy.typing import NDArray
 
-from .base import stable_sigmoid
+from .base import check_shape, stable_sigmoid
 
 
-def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
+@dataclass(frozen=True)
+class State:
+    w: NDArray[np.float64]
+    b: float
+    epochs_run: int
+
+
+def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> State:
     lam = params["l2"]
     lr = params["learning_rate"]
     n, d = X.shape
@@ -29,9 +39,12 @@ def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
             break
         w -= lr * gw
         b -= lr * gb
-    return {"w": w.tolist(), "b": b, "epochs_run": epochs_run}
+    return State(w=w, b=b, epochs_run=epochs_run)
 
 
-def score(state: dict, X: np.ndarray) -> np.ndarray:
-    w = np.asarray(state["w"])
-    return stable_sigmoid(X @ w + state["b"])
+def check(state: State, arity: int) -> None:
+    check_shape("state.w", state.w, (arity,))
+
+
+def score(state: State, X: np.ndarray) -> np.ndarray:
+    return stable_sigmoid(X @ state.w + state.b)

@@ -7,9 +7,20 @@ and relabelled training mirrors the whole trajectory.
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
-from .base import stable_sigmoid
+import numpy as np
+from numpy.typing import NDArray
+
+from .base import check_shape, stable_sigmoid
+
+
+@dataclass(frozen=True)
+class State:
+    W1: NDArray[np.float64]  # (d, hidden)
+    b1: NDArray[np.float64]
+    w2: NDArray[np.float64]
+    b2: float
 
 
 def init_params(d: int, hidden: int, rng: np.random.Generator) -> dict:
@@ -57,7 +68,7 @@ def loss_and_grads(params: dict, X: np.ndarray, y: np.ndarray) -> tuple[float, d
     return loss, {"W1": gW1, "b1": gb1, "w2": gw2, "b2": float(gb2[0])}
 
 
-def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
+def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> State:
     """Mini-batch descent: each epoch gathers the rows once in a fresh random
     order and steps over consecutive slices; all parameters live in one flat
     ``theta`` and take one update per step."""
@@ -76,9 +87,16 @@ def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
             _backprop(net, Xp[start : start + batch_size], yp[start : start + batch_size], grads)
             theta -= lr * g
     W1, b1, w2, b2 = net
-    return {"W1": W1, "b1": b1, "w2": w2, "b2": float(b2[0])}
+    return State(W1=W1, b1=b1, w2=w2, b2=float(b2[0]))
 
 
-def score(state: dict, X: np.ndarray) -> np.ndarray:
-    act = np.maximum(X @ np.asarray(state["W1"]) + np.asarray(state["b1"]), 0.0)
-    return stable_sigmoid(act @ np.asarray(state["w2"]) + state["b2"])
+def check(state: State, arity: int) -> None:
+    check_shape("state.W1", state.W1, (arity, None))
+    hidden = state.W1.shape[1]
+    check_shape("state.b1", state.b1, (hidden,))
+    check_shape("state.w2", state.w2, (hidden,))
+
+
+def score(state: State, X: np.ndarray) -> np.ndarray:
+    act = np.maximum(X @ state.W1 + state.b1, 0.0)
+    return stable_sigmoid(act @ state.w2 + state.b2)

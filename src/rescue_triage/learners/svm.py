@@ -5,9 +5,20 @@ subgradient descent (decreasing Pegasos step), scores calibrated onto
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
-from .base import stable_sigmoid
+import numpy as np
+from numpy.typing import NDArray
+
+from .base import check_shape, stable_sigmoid
+
+
+@dataclass(frozen=True)
+class State:
+    w: NDArray[np.float64]
+    b: float
+    platt_a: float
+    platt_b: float
 
 
 def _platt_calibrate(margins: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -39,7 +50,7 @@ def _platt_calibrate(margins: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return a, b
 
 
-def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
+def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> State:
     lam = params["l2"]
     batch_size = params["batch_size"]
     n, d = X.shape
@@ -65,10 +76,13 @@ def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> dict:
     a, c = _platt_calibrate(train_margins, y)
     # the documented contract keeps score non-decreasing in the margin
     a = max(a, 1e-6)
-    return {"w": w.tolist(), "b": b, "platt_a": a, "platt_b": c}
+    return State(w=w, b=b, platt_a=a, platt_b=c)
 
 
-def score(state: dict, X: np.ndarray) -> np.ndarray:
-    w = np.asarray(state["w"])
-    margins = X @ w + state["b"]
-    return stable_sigmoid(state["platt_a"] * margins + state["platt_b"])
+def check(state: State, arity: int) -> None:
+    check_shape("state.w", state.w, (arity,))
+
+
+def score(state: State, X: np.ndarray) -> np.ndarray:
+    margins = X @ state.w + state.b
+    return stable_sigmoid(state.platt_a * margins + state.platt_b)

@@ -55,38 +55,38 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .base import InvalidHyperparameter
+from .base import InvalidHyperparameter, check_shape
 
 
 @dataclass(frozen=True)
 class TreeArrays:
     """Flat tree: internal nodes carry feature/threshold, leaves carry value."""
 
-    feature: np.ndarray   # int32, -1 for leaves
-    threshold: np.ndarray  # float64, split point in original units
-    left: np.ndarray      # int32 child ids
-    right: np.ndarray
-    value: np.ndarray     # float64 node payload (class fraction or leaf weight)
+    feature: NDArray[np.int32]  # -1 for leaves
+    threshold: NDArray[np.float64]  # split point in original units
+    left: NDArray[np.int32]  # child ids
+    right: NDArray[np.int32]
+    value: NDArray[np.float64]  # node payload (class fraction or leaf weight)
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeArrays":
-        return cls(
-            feature=np.asarray(d["feature"], dtype=np.int32),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int32),
-            right=np.asarray(d["right"], dtype=np.int32),
-            value=np.asarray(d["value"], dtype=np.float64),
-        )
+def check_trees(trees: Iterable[TreeArrays], arity: int) -> None:
+    """Fail, naming ``state.trees[i]`` and the array, unless every tree's
+    arrays are one non-empty length, its feature indices lie in [-1, arity),
+    and every internal node's children come after it (trees are stored in
+    pre-order), so a walk ends."""
+    for i, t in enumerate(trees):
+        path, n = f"state.trees[{i}]", len(t.feature)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            check_shape(f"{path}.{name}", getattr(t, name), (max(n, 1),))
+        if ((t.feature < -1) | (t.feature >= arity)).any():
+            raise ValueError(f"{path}.feature: feature index outside [-1, {arity})")
+        internal = np.flatnonzero(t.feature >= 0)
+        for name in ("left", "right"):
+            child = getattr(t, name)[internal]
+            if ((child <= internal) | (child >= n)).any():
+                raise ValueError(f"{path}.{name}: child id not between its node and {n}")
 
 
 @dataclass(frozen=True)

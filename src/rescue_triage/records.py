@@ -444,9 +444,11 @@ def record_from_dict(d: Mapping[str, object]) -> RescueRecord:
 
 def asjson(obj):
     """JSON data of obj: a dataclass as ``asdict`` gives it, with every enum,
-    as a value or a key, written as its value."""
+    as a value or a key, written as its value, and every array as a list."""
     if isinstance(obj, Enum):
         return obj.value
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if is_dataclass(obj):
         return {f.name: asjson(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
@@ -526,9 +528,10 @@ def from_dict(cls, d, error: type[ValueError] = ConfigError, path: str = ""):
 
     Unknown and missing required keys fail; Optional, nested dataclass,
     ``dict[K, X]`` and tuple fields are built recursively, an enum from its
-    value; scalars are type-checked (a JSON bool only fills a bool, an
-    integer fills a float and is converted). Errors, including the class's
-    own validation, are raised as ``error`` and name the dotted key path.
+    value, an ``NDArray[dtype]`` from a rectangular list; scalars are
+    type-checked (a JSON bool only fills a bool, an integer fills a float and
+    is converted). Errors, including the class's own validation, are raised
+    as ``error`` and name the dotted key path.
     """
     path = path or cls.__name__
     hints, names, required = _schema(cls)
@@ -562,6 +565,17 @@ def _build(hint, value, error: type[ValueError], path: str):
         if len(types) != len(value):
             raise error(f"{path}: expected {len(types)} items, got {len(value)}")
         return tuple(_build(t, v, error, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
+    if origin is np.ndarray:  # NDArray[dtype]
+        dtype = np.dtype(get_args(args[1])[0])
+        try:
+            array = np.array(value if isinstance(value, list) else None)
+        except ValueError:  # a ragged list
+            array = np.array(None)
+        if array.ndim == 0 or (array.size and array.dtype.kind not in {"b": "b", "i": "i", "f": "if"}[dtype.kind]):
+            raise error(f"{path}: expected a rectangular list of {dtype} values")
+        if dtype.kind == "i" and np.any(array.astype(dtype) != array):
+            raise error(f"{path}: values out of range for {dtype}")
+        return array.astype(dtype)
     if isinstance(hint, type) and issubclass(hint, Enum):
         try:
             return hint(value)
@@ -572,3 +586,4 @@ def _build(hint, value, error: type[ValueError], path: str):
     if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
         return value
     raise error(f"{path}: expected {hint.__name__}, got {type(value).__name__} {value!r}")
+

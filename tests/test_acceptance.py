@@ -203,7 +203,7 @@ def test_learner_properties(tmp_path):
     # boosting loss monotone
     Xb, yb = make_blobs(n=150, d=5, seed=17, noise=1.5)
     model = train(ModelSpec(ModelKind.XGB, {"n_rounds": 60}), Xb, yb)
-    losses = model.state["train_loss"]
+    losses = model.state.train_loss
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     # nearest-neighbor equivalence on 200 random points
@@ -291,7 +291,7 @@ def test_end_to_end_feature_elimination(e2e_run):
 # with numpy 2.4.6. best_model.json holds MLPC weights that come from BLAS
 # matmuls, so another numpy or BLAS build may change that one hash.
 PINNED_ARTIFACTS = {
-    "best_model.json": "fce39404f2f7b85c59199321f812a851565f89fa01573f82277bb6c1b2c60076",
+    "best_model.json": "87654e4e54f5fcd05f5e904bdd4ba7c357369af983f6a5828e7b6528dee4b0ef",
     "corpus.jsonl": "6a6e9bdd21977d30c7322975f7c8f47f4fa01476fbdaa9a5b4fe5530edad29e6",
     "features.jsonl": "6e492e7b1493f4b28d9ce37a878a31f6a381c15f6b9d24ec68223b9128f90dc1",
     "leaderboard.json": "4d657a041ce472df44e0e31e67880f86fe2671b7100ee53995bb24df33e8c909",

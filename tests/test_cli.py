@@ -568,6 +568,17 @@ CORRUPTED_ARTIFACTS = {
     "rfecv_unknown_feature": ("evaluate", "rfecv_report.json",
                               _edit_json(lambda d: d.update(best_features=["gcs", "bogus"])),
                               "unknown feature names ['bogus']"),
+    "model_without_state_key": ("llm-compare", "best_model.json", _edit_json(lambda d: d["state"].pop("b1")),
+                                "TrainedModel: state: missing keys ['b1']"),
+    "model_unknown_state_key": ("llm-compare", "best_model.json", _edit_json(lambda d: d["state"].update(W3=[])),
+                                "TrainedModel: state: unknown keys ['W3']"),
+    "model_mean_cut_to_one": ("llm-compare", "best_model.json",
+                              _edit_json(lambda d: d["standardizer"].update(mean=d["standardizer"]["mean"][:1])),
+                              "TrainedModel: standardizer.mean: expected shape (7,), got (1,)"),
+    "model_format_version_1": ("llm-compare", "best_model.json", _edit_json(lambda d: d.update(format_version=1)),
+                               "TrainedModel: format_version: got model format 1, can read only 2"),
+    "model_arity_string": ("llm-compare", "best_model.json", _edit_json(lambda d: d.update(arity="7")),
+                           "TrainedModel.arity: expected int, got str '7'"),
     "transcript_string": ("llm-compare", "answers.json", _replace(json.dumps("true false")),
                           "expected a list, got str"),
     "transcript_object": ("llm-compare", "answers.json", _replace(json.dumps({"true": "false"})),
@@ -587,6 +598,7 @@ class TestCorruptedArtifacts:
         paths = {name: str(chain / name) for name in (
             "features.jsonl", "selection_report.json", "leaderboard.json", "rfecv_report.json", "best_model.json",
         )}
+        paths["answers.json"] = str(chain.parent / "answers.json")
         paths[artifact] = str(bad)
         assert main(_COMMANDS[command](paths, str(tmp_path / "out"))) == 2
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]

@@ -19,8 +19,6 @@ from rescue_triage.learners import (
     SingleClassTraining,
     Standardizer,
     load_model,
-    model_from_dict,
-    model_to_dict,
     save_model,
     train,
     train_grid,
@@ -28,7 +26,7 @@ from rescue_triage.learners import (
 from rescue_triage.learners.mlp import init_params, loss_and_grads
 from rescue_triage.learners import boosting, forest, knn, mlp, tree
 from rescue_triage.learners.base import binary_columns, stable_sigmoid
-from rescue_triage.records import Dataset, asjson
+from rescue_triage.records import ConfigError, Dataset, asjson
 from rescue_triage.tuning import CvSpec, SearchSpec, evaluate_all, search
 
 from conftest import make_blobs
@@ -83,6 +81,20 @@ class TestTrainContract:
         model = train(ModelSpec(ModelKind.NB), X, y)
         with pytest.raises(ArityMismatch):
             model.predict(np.zeros(4))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_rejected_in_training_and_query_rows(self, kind, bad):
+        X, y = make_blobs(n=60, d=3, seed=24)
+        X_bad = X.copy()
+        X_bad[17, 2] = bad
+        with pytest.raises(ValueError, match=rf"^training row 17, column 2 is {bad}; inputs must be finite$"):
+            train(ModelSpec(kind), X_bad, y)
+        model = train(ModelSpec(kind), X, y)
+        with pytest.raises(ValueError, match=rf"^query row 17, column 2 is {bad}; inputs must be finite$"):
+            model.score(X_bad)
+        with pytest.raises(ValueError, match=rf"^query row 0, column 2 is {bad}; inputs must be finite$"):
+            model.predict(X_bad[17])
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_scores_in_unit_interval_and_consistent(self, kind):
@@ -205,9 +217,9 @@ class TestKnn:
 
 def _knn_score_oracle(state, X):
     """K-NN scoring as a whole distance matrix and a stable sort."""
-    train = np.asarray(state["X"], dtype=np.float64)
-    labels = np.asarray(state["y"], dtype=np.float64)
-    k = min(state["k"], len(train))
+    train = state.X
+    labels = state.y.astype(np.float64)
+    k = min(state.k, len(train))
     d2 = (
         np.sum(X * X, axis=1)[:, None]
         - 2.0 * X @ train.T
@@ -230,11 +242,11 @@ def _knn_cases(draw):
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, len(queries) - 1)), draw(st.integers(0, d - 1))
         queries[i, j] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
-    state = {
-        "X": train_rows,
-        "y": draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)),
-        "k": draw(st.sampled_from([k for k in (1, 2, 5, n - 1, n, n + 3) if k >= 1])),
-    }
+    state = knn.State(
+        X=np.array(train_rows),
+        y=np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))),
+        k=draw(st.sampled_from([k for k in (1, 2, 5, n - 1, n, n + 3) if k >= 1])),
+    )
     # one-row blocks, two-row blocks (ragged after an odd row count), one block
     cells = draw(st.sampled_from([1, 2 * n, 2 * n + 1, 1 << 18]))
     return state, queries, cells
@@ -252,7 +264,7 @@ class TestKnnBlocks:
         assert got.tobytes() == expected.tobytes()
 
     def test_non_finite_query_takes_numbers_first_then_nan_by_index(self):
-        state = {"X": [[0.0], [-1.0], [2.0], [-3.0], [5.0]], "y": [1, 0, 0, 0, 1], "k": 3}
+        state = knn.State(X=np.array([[0.0], [-1.0], [2.0], [-3.0], [5.0]]), y=np.array([1, 0, 0, 0, 1]), k=3)
         queries = np.array([[-np.inf], [np.nan]])
         with np.errstate(invalid="ignore"):
             got = knn.score(state, queries)
@@ -265,7 +277,7 @@ class TestKnnBlocks:
         real = knn._positives_among_nearest
         monkeypatch.setattr(knn, "_BLOCK_CELLS", 50)
         monkeypatch.setattr(knn, "_positives_among_nearest", lambda d2, *a: seen.append(d2.shape) or real(d2, *a))
-        knn.score({"X": [[float(i)] for i in range(20)], "y": [0, 1] * 10, "k": 3}, np.zeros((7, 1)))
+        knn.score(knn.State(X=np.arange(20.0)[:, None], y=np.array([0, 1] * 10), k=3), np.zeros((7, 1)))
         assert seen == [(2, 20), (2, 20), (2, 20), (1, 20)]
 
 
@@ -285,8 +297,7 @@ class TestSvm:
     def test_score_monotone_in_margin(self):
         X, y = make_blobs(n=80, d=3, seed=13)
         model = train(ModelSpec(ModelKind.SVM), X, y)
-        w = np.asarray(model.state["w"])
-        margins = model.standardizer.transform(X) @ w + model.state["b"]
+        margins = model.standardizer.transform(X) @ model.state.w + model.state.b
         s = np.asarray(model.score(X))
         order = np.argsort(margins)
         assert np.all(np.diff(s[order]) >= -1e-12)
@@ -311,7 +322,7 @@ class TestForest:
                 return 0
             return 1 + max(depth(tree, tree.left[node]), depth(tree, tree.right[node]))
 
-        assert all(depth(t) <= 2 for t in model.state["trees"])
+        assert all(depth(t) <= 2 for t in model.state.trees)
 
 
 class TestBoosting:
@@ -319,12 +330,12 @@ class TestBoosting:
         X, y = make_blobs(n=40, d=3, seed=16)
         model = train(ModelSpec(ModelKind.XGB, {"n_rounds": 0}), X, y)
         prior = y.mean()
-        base = model.state["base_margin"]
+        base = model.state.base_margin
         assert base == pytest.approx(math.log(prior / (1 - prior)))
         s = np.asarray(model.score(X))
         assert np.allclose(s, prior)
         assert np.ptp(s) == 0.0  # constant for every input
-        assert model.state["train_loss"][0] == pytest.approx(
+        assert model.state.train_loss[0] == pytest.approx(
             float(np.mean(-(y * np.log(stable_sigmoid(np.full(len(y), base)))
                            + (1 - y) * np.log(1 - stable_sigmoid(np.full(len(y), base))))))
         )
@@ -333,7 +344,7 @@ class TestBoosting:
         X, y = make_blobs(n=150, d=5, seed=17, noise=1.5)
         for lr in (0.1, 0.3):
             model = train(ModelSpec(ModelKind.XGB, {"n_rounds": 60, "learning_rate": lr}), X, y)
-            losses = model.state["train_loss"]
+            losses = model.state.train_loss
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_zero_hessian_sum_without_reg_lambda_is_rejected(self):
@@ -385,7 +396,7 @@ def _separable_matrix():
     return X, (X[:, 2] > 1.4).astype(np.int64)
 
 
-# (rows, kind, hyperparameters, sha256 of the saved-model JSON); any change to
+# (rows, kind, hyperparameters, sha256 of the saved model file); any change to
 # a split, threshold or leaf value shows. The cases on the golden rows were
 # recorded from the two tree growers before they were merged into one, the
 # others from that depth-first per-node grower, for what a batched grower
@@ -393,43 +404,43 @@ def _separable_matrix():
 # column, a leaf-size floor, and NaN cut gains
 GOLDEN_TREES = [
     (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 1, "n_bins": 2},
-     "cf9a338ed56c8309e50edf48f95605d18b36c49b0eaa36692f70cfe019ea8193"),
+     "715ab7677b16b381ceac8bf9b767e7a7a68c879a6f264e14b09e0a5d961d5161"),
     (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 1, "n_bins": 32},
-     "59388c8af7bef5b9d96e0d117da2a3839ce3aaa718e7492841600d5b70cbd3ad"),
+     "808ef0d47752fa6524690a0745eedcc5c67c47d8f54b66b3c594b68aa15d344e"),
     (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 3, "n_bins": 2},
-     "34cbaeb28339dce6b119a809604ceb74078913e8f45a77548ccaf9124db74b76"),
+     "b863a7b2856f356fc5a27bc84370788087d3ba71cd5f9468fe92701a4eec5914"),
     (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": None, "min_samples_leaf": 3, "n_bins": 32},
-     "aa2a6587d2bed9a898057c3d2b5ea5c3343061a74857e09e0c8b86be87f16938"),
+     "69dbdb05e268f99f503d44ed4198d165489ff68df20a400b443a741168092543"),
     (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 1, "n_bins": 2},
-     "7b687e84aae26e8fc702c43aba92e6354f1bc69e0e89a9c7e221e208b85868f1"),
+     "a3bc49a18118967200acac04f1452f253c1a6fb73046fb335b5374c74aebb20e"),
     (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 1, "n_bins": 32},
-     "c85ce71a3e733bc303f19043820fb43026120a82ff73ece65b7110052b280878"),
+     "b51ff25da68c7e456cfbb9d1a10db5a3d9db4211283110957f995210d92c6acb"),
     (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 3, "n_bins": 2},
-     "31a2399e04babe09074eeff03372bf633d4491c07ee792e569e27d3f0f9e597a"),
+     "eecd2f6d0e625e37821867dfc3078d4dcc26c01859ebb018b9af1df5e5385c23"),
     (_golden_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 3, "n_bins": 32},
-     "3e21429c1d66a8e40be94b1c551b650dcc5baab4f365259ab41230f7224b5654"),
+     "f08ef1739b5ebaa357d7bc2d11d4a815f0996464f7fa43cf39641e0530eaae6b"),
     (_golden_matrix, ModelKind.XGB, {"n_rounds": 0, "max_depth": 1},
-     "300d44e7aa86720eb5a5cf21d22942e4d2acf6380de3d7cf298279da846da6db"),
+     "9b700eca8c422a4672580f6aaed201d1d123e224931636720fd1216d31538e34"),
     (_golden_matrix, ModelKind.XGB, {"n_rounds": 0, "max_depth": 3},
-     "fe78ed5df8b2bd5332e0eb38330fa3ce445c8e6207859f901cbb2e3d4a0d8926"),
+     "97b5c730cb9d62e5d5491cc2f43222a7f1cb64b573083389edff6ea485957a4d"),
     (_golden_matrix, ModelKind.XGB, {"n_rounds": 20, "max_depth": 1},
-     "7d6483a19a6a0fbbdabfe645f682b3fa14013e20b8b1918dc00c22f66b7343a6"),
+     "28481c3c06ee5f524d46594ebe70ecbb4de85e9936af7873b1ea8824e88ea822"),
     (_golden_matrix, ModelKind.XGB, {"n_rounds": 20, "max_depth": 3},
-     "9d23a07ed07f5a9ea48c0b93a6afaaa5e5b235c90e97fe8830f1df905429c46c"),
+     "5b96ef15fd858e15cf0462a7a85415fcb435667f2df14b0d151e1fbe2a411d42"),
     (_golden_matrix, ModelKind.XGB, {"n_rounds": 20, "max_depth": 3, "reg_lambda": 0.0, "n_bins": 4},
-     "aa964de455dba79ea91a8428a96c62059e9692d9fff1870d1ee0ab2aa12968bd"),
+     "cee4d19554d40dee6a47a309c6af655e614d8be45d225b2938f0e66570767284"),
     (_desk_matrix, ModelKind.RF, {"n_trees": 300},
-     "02918c89647af73cb453423ae6bdd390b046d115f9c23f63a7892fe277ff4c9d"),
+     "4cd72f96351e098627759f5f2dfab574a3e3ead7197833d47a719f3843b93b68"),
     (_desk_matrix, ModelKind.RF, {"n_trees": 300, "max_depth": 10, "min_samples_leaf": 3},
-     "f95e4854399f6f921a880945697e087429bca90b7e85bff99a6c944570fada9f"),
+     "6476dc5776ab0d2bfd85c9b1c17dada18daf0f80aa0a900106a19fd7428e674a"),
     (_constant_column_matrix, ModelKind.RF, {"n_trees": 4},
-     "ea18a1c9413e7d47525fafb3ca0b2946a8c5f00506266a9f8db20815d1e08b22"),
+     "7b72ddc6efc16178f77044f8a2ce2ca0a994c8d7b589805ca7cc87bb6922f359"),
     (_constant_column_matrix, ModelKind.RF, {"n_trees": 4, "max_depth": 3, "min_samples_leaf": 3},
-     "dd4126fcaf0c2735abc36c3ba8093ac3a1b3e84b248e83585e5eac3c802c753e"),
+     "972ce54441e73075aa7571a12fc7eda36efe5f0d9b1fd47275a16808b4420901"),
     (_constant_column_matrix, ModelKind.XGB, {"n_rounds": 20, "max_depth": 3},
-     "e364d412ff7b51dc24135d08591b105d215ac54ae4d6953832badd849aae592b"),
+     "730436967aeee071f2534fe488a5418167988549edae2177389ab19e913ca421"),
     (_separable_matrix, ModelKind.XGB, {"n_rounds": 30, "max_depth": 3, "learning_rate": 1.0, "reg_lambda": 0.0},
-     "52979074f6ef0dfcfb6913e589b814bad5d225d94fedd730194b065ab6652eec"),
+     "47414256ea8994896e8a7bc657605197276baf88e00665514e2174772bf4035a"),
 ]
 
 
@@ -442,10 +453,10 @@ class TestGoldenTrees:
     @pytest.mark.parametrize(
         "rows,kind,params,digest", GOLDEN_TREES, ids=[_golden_id(r, k, p) for r, k, p, _ in GOLDEN_TREES]
     )
-    def test_saved_model_hash(self, rows, kind, params, digest):
+    def test_saved_model_hash(self, rows, kind, params, digest, tmp_path):
         X, y = rows()
-        model = train(ModelSpec(kind, params, seed=5), X, y)
-        assert hashlib.sha256(json.dumps(model_to_dict(model)).encode()).hexdigest() == digest
+        save_model(train(ModelSpec(kind, params, seed=5), X, y), tmp_path / "model.json")
+        assert hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest() == digest
 
 
 def _walk(tree, x) -> float:
@@ -465,7 +476,7 @@ class TestEnsembleScoring:
         X, y = _desk_matrix()
         model = train(ModelSpec(ModelKind.RF, params, seed=3), X[:120], y[:120])
         Xs = model.standardizer.transform(X)
-        trees = model.state["trees"]
+        trees = model.state.trees
         expected = np.array([sum(_walk(t, x) >= 0.5 for t in trees) for x in Xs]) / len(trees)
         assert np.array_equal(np.asarray(model.score(X)), expected)
 
@@ -475,9 +486,9 @@ class TestEnsembleScoring:
         model = train(ModelSpec(ModelKind.XGB, params, seed=3), X[:120], y[:120])
         Xs = model.standardizer.transform(X)
         state = model.state
-        margin = np.full(len(X), state["base_margin"])
-        for t in state["trees"]:
-            margin += state["learning_rate"] * np.array([_walk(t, x) for x in Xs])
+        margin = np.full(len(X), state.base_margin)
+        for t in state.trees:
+            margin += state.learning_rate * np.array([_walk(t, x) for x in Xs])
         assert np.array_equal(np.asarray(model.score(X)), np.clip(stable_sigmoid(margin), 0.0, 1.0))
 
 
@@ -568,8 +579,8 @@ class TestLockstepForest:
         X, y = _desk_matrix()
         forward = self._forest(X, y)
         backward = self._forest(X, y)
-        ahead = [tree.grow_classification_tree(forward, t).to_dict() for t in range(9)]
-        behind = [tree.grow_classification_tree(backward, t).to_dict() for t in reversed(range(9))]
+        ahead = [asjson(tree.grow_classification_tree(forward, t)) for t in range(9)]
+        behind = [asjson(tree.grow_classification_tree(backward, t)) for t in reversed(range(9))]
         assert ahead == behind[::-1]
         assert not forward.done and not forward.live
         for t in ahead:
@@ -596,7 +607,7 @@ class TestLockstepForest:
         scores = np.asarray(model.score(X_score))
         monkeypatch.setattr(tree, "_BATCH_CELLS", 64)
         small = train(ModelSpec(kind, params, seed=3), X, y)
-        assert model_to_dict(small) == model_to_dict(model)
+        assert asjson(small) == asjson(model)
         assert np.array_equal(np.asarray(small.score(X_score)), scores)
         assert np.array_equal(np.asarray(model.score(X_score)), scores)
 
@@ -611,7 +622,7 @@ def _assert_each_equals_its_own_train(specs, X, y):
     models = dict(train_grid(specs, X, y))
     assert sorted(models) == list(range(len(specs)))
     for i, spec in enumerate(specs):
-        assert model_to_dict(models[i]) == model_to_dict(train(spec, X, y)), spec
+        assert asjson(models[i]) == asjson(train(spec, X, y)), spec
 
 
 class TestTrainGrid:
@@ -636,7 +647,7 @@ class TestTrainGrid:
         specs = [ModelSpec(ModelKind.RF, {"n_trees": n}, seed=s) for n, s in ((5, 1), (9, 2), (5, 2), (9, 1))]
         _assert_each_equals_its_own_train(specs, X, y)
         models = dict(train_grid(specs, X, y))
-        assert model_to_dict(models[0])["state"] != model_to_dict(models[2])["state"]
+        assert asjson(models[0].state) != asjson(models[2].state)
 
     def test_forests_with_mixed_depths_trees_leaves_and_bins(self):
         X, y = _desk_matrix()
@@ -663,7 +674,7 @@ class TestTrainGrid:
 
     def test_binding_cap_regrows_only_trees_that_drew_at_its_depth(self, monkeypatch):
         X, y = _desk_matrix()
-        deep = train(ModelSpec(ModelKind.RF, {"n_trees": 30}, seed=5), X, y).state["trees"]
+        deep = train(ModelSpec(ModelKind.RF, {"n_trees": 30}, seed=5), X, y).state.trees
 
         def drew_at(t, cap) -> bool:
             """With ``min_samples_leaf`` 1 a node drew a sample iff it is impure."""
@@ -783,14 +794,14 @@ class TestMlp:
         params = {"hidden": hidden, "learning_rate": learning_rate, "epochs": 4, "batch_size": 32}
         got = mlp.fit(params, X, y, np.random.default_rng(7))
         expected = _mlp_fit_oracle(params, X, y, np.random.default_rng(7))
-        assert type(got["b2"]) is float
+        assert type(got.b2) is float
         for key in ("W1", "b1", "w2", "b2"):
-            assert np.asarray(got[key]).tobytes() == np.asarray(expected[key]).tobytes(), key
+            assert np.asarray(getattr(got, key)).tobytes() == np.asarray(expected[key]).tobytes(), key
 
     def test_zeroed_output_layer_scores_half(self):
         X, y = make_blobs(n=30, d=3, seed=18)
         params = init_params(3, 4, np.random.default_rng(0))
-        s = mlp.score(params, X)
+        s = mlp.score(mlp.State(**params), X)
         assert np.all(s == 0.5)
 
     def test_gradients_match_central_differences(self):
@@ -825,6 +836,53 @@ class TestMlp:
                 assert rel < 1e-4, f"{key}[{i}]: analytic {g} vs fd {fd}"
 
 
+def _cut(*keys):
+    """An edit of a model's JSON object that drops the last entry of the list at ``d[keys...]``."""
+    def edit(d):
+        for key in keys[:-1]:
+            d = d[key]
+        d[keys[-1]] = d[keys[-1]][:-1]
+    return edit
+
+
+def _put(value, *keys):
+    """An edit of a model's JSON object that sets ``d[keys...]`` to value."""
+    def edit(d):
+        for key in keys[:-1]:
+            d = d[key]
+        d[keys[-1]] = value
+    return edit
+
+
+# (kind, edit of the saved JSON, what the error must say after the file name)
+CORRUPTED_MODELS = {
+    "svm_w": (ModelKind.SVM, _cut("state", "w"), "state.w: expected shape (4,), got (3,)"),
+    "lr_w": (ModelKind.LR, _cut("state", "w"), "state.w: expected shape (4,), got (3,)"),
+    "mlpc_b1": (ModelKind.MLPC, _cut("state", "b1"), "state.b1: expected shape (8,), got (7,)"),
+    "mlpc_W1": (ModelKind.MLPC, _cut("state", "W1"), "state.W1: expected shape (4, None), got (3, 8)"),
+    "knn_y": (ModelKind.KNN, _cut("state", "y"), "state.y: expected shape (50,), got (49,)"),
+    "knn_ragged_X": (ModelKind.KNN, _cut("state", "X", 7),
+                     "state.X: expected a rectangular list of float64 values"),
+    "nb_var": (ModelKind.NB, _cut("state", "class1", "var"), "state.class1.var: expected shape (4,), got (3,)"),
+    "nb_binary": (ModelKind.NB, _put([0, 0, 0, 0], "state", "binary"),
+                  "state.binary: expected a rectangular list of bool values"),
+    "rf_threshold": (ModelKind.RF, _cut("state", "trees", 3, "threshold"), "state.trees[3].threshold: expected shape"),
+    "rf_feature": (ModelKind.RF, _put([4], "state", "trees", 0, "feature", slice(0, 1)),
+                   "state.trees[0].feature: feature index outside [-1, 4)"),
+    "rf_no_trees": (ModelKind.RF, _put([], "state", "trees"), "state.trees: a forest needs at least one tree"),
+    "xgb_left": (ModelKind.XGB, _cut("state", "trees", 3, "left"), "state.trees[3].left: expected shape"),
+    "xgb_cycle": (ModelKind.XGB, _put([0], "state", "trees", 2, "right", slice(0, 1)),
+                  "state.trees[2].right: child id not between its node and"),
+    "xgb_train_loss": (ModelKind.XGB, _cut("state", "train_loss"), "state.train_loss: expected 51 entries, got 50"),
+    "standardizer_mean": (ModelKind.LR, _cut("standardizer", "mean"),
+                          "standardizer.mean: expected shape (4,), got (3,)"),
+    "feature_names": (ModelKind.LR, _cut("feature_names"), "feature_names: expected 4 names, got 3"),
+    "unknown_state_key": (ModelKind.LR, _put(1, "state", "epochs"), "state: unknown keys ['epochs']"),
+    "missing_state_key": (ModelKind.MLPC, lambda d: d["state"].pop("w2"), "state: missing keys ['w2']"),
+    "arity_string": (ModelKind.LR, _put("4", "arity"), "TrainedModel.arity: expected int, got str '4'"),
+}
+
+
 class TestSaveLoad:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_json_roundtrip_preserves_scores(self, kind, tmp_path):
@@ -835,28 +893,39 @@ class TestSaveLoad:
         loaded = load_model(path)
         assert loaded.spec == model.spec
         assert loaded.feature_names == ("a", "b", "c", "d")
+        assert asjson(loaded) == asjson(model)
         assert np.array_equal(np.asarray(loaded.score(X)), np.asarray(model.score(X)))
 
-    def test_format_version_checked(self):
-        X, y = make_blobs(n=30, d=2, seed=22)
-        d = model_to_dict(train(ModelSpec(ModelKind.NB), X, y))
-        d["format_version"] = 99
-        with pytest.raises(ValueError):
-            model_from_dict(d)
+    def _saved(self, tmp_path, edit, kind=ModelKind.NB):
+        X, y = make_blobs(n=50, d=4, seed=20)
+        d = asjson(train(ModelSpec(kind, seed=2), X, y, feature_names=("a", "b", "c", "d")))
+        edit(d)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(d))
+        return path
 
-    @pytest.mark.parametrize("key", ["decision_threshold", "feature_names", "spec"])
-    def test_missing_key_rejected(self, key):
-        X, y = make_blobs(n=30, d=2, seed=22)
-        d = model_to_dict(train(ModelSpec(ModelKind.NB), X, y))
-        del d[key]
-        with pytest.raises(ValueError, match=re.escape(f"model: missing keys ['{key}']")):
-            model_from_dict(d)
+    def test_format_version_checked(self, tmp_path):
+        path = self._saved(tmp_path, _put(1, "format_version"))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: TrainedModel: format_version: got model format 1,")):
+            load_model(path)
 
-    def test_unknown_key_rejected(self):
-        X, y = make_blobs(n=30, d=2, seed=22)
-        d = {**model_to_dict(train(ModelSpec(ModelKind.NB), X, y)), "threshold": 0.4}
-        with pytest.raises(ValueError, match=re.escape("model: unknown keys ['threshold']")):
-            model_from_dict(d)
+    @pytest.mark.parametrize("key", ["decision_threshold", "feature_names", "spec", "format_version"])
+    def test_missing_key_rejected(self, key, tmp_path):
+        path = self._saved(tmp_path, lambda d: d.pop(key))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: TrainedModel: missing keys ['{key}']")):
+            load_model(path)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = self._saved(tmp_path, _put(0.4, "threshold"))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: TrainedModel: unknown keys ['threshold']")):
+            load_model(path)
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTED_MODELS))
+    def test_corrupted_state_names_the_file_and_key(self, case, tmp_path):
+        kind, edit, message = CORRUPTED_MODELS[case]
+        path = self._saved(tmp_path, edit, kind)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            load_model(path)
 
     def test_json_text_is_plain(self, tmp_path):
         X, y = make_blobs(n=30, d=2, seed=23)

@@ -1,9 +1,13 @@
 import json
 import logging
+import re
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.typing import NDArray
 
 from rescue_triage.cli import main
 from rescue_triage.records import (
@@ -12,6 +16,7 @@ from rescue_triage.records import (
     FEATURE_ORDER,
     GCS_OUT_OF_RANGE,
     NEGATIVE_VITAL,
+    ConfigError,
     ConfusionMatrix,
     Dataset,
     FeatureVector,
@@ -21,7 +26,9 @@ from rescue_triage.records import (
     RescueRecord,
     TextFeatures,
     Vitals,
+    asjson,
     check_unique_case_ids,
+    from_dict,
     record_from_dict,
     record_to_dict,
     to_feature_vector,
@@ -238,6 +245,41 @@ class TestSerialization:
         a = RescueRecord(case_id="a")
         with pytest.raises(ValueError):
             check_unique_case_ids([a, RescueRecord(case_id="a")])
+
+
+@dataclass(frozen=True)
+class _Arrays:
+    w: NDArray[np.float64]
+    mask: NDArray[np.bool_]
+    ids: NDArray[np.int32]
+
+
+class TestArrayFields:
+    def test_roundtrip_keeps_values_shapes_and_dtypes(self):
+        arrays = _Arrays(
+            np.array([[0.1, -2.5], [1e300, 3.0]]), np.array([True, False]), np.array([3, -1], dtype=np.int32)
+        )
+        back = from_dict(_Arrays, json.loads(json.dumps(asjson(arrays))))
+        for name in ("w", "mask", "ids"):
+            got, want = getattr(back, name), getattr(arrays, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes() and got.shape == want.shape
+
+    def test_an_integer_list_fills_a_float_array(self):
+        assert from_dict(_Arrays, {"w": [1, 2], "mask": [], "ids": []}).w.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("w", "1.5", "_Arrays.w: expected a rectangular list of float64 values"),
+        ("w", ["1.5", "2"], "_Arrays.w: expected a rectangular list of float64 values"),
+        ("w", [[1.0, 2.0], [3.0]], "_Arrays.w: expected a rectangular list of float64 values"),
+        ("w", [1.0, None], "_Arrays.w: expected a rectangular list of float64 values"),
+        ("mask", [0, 1], "_Arrays.mask: expected a rectangular list of bool values"),
+        ("ids", [1.5], "_Arrays.ids: expected a rectangular list of int32 values"),
+        ("ids", [2**40], "_Arrays.ids: values out of range for int32"),
+    ])
+    def test_anything_but_a_rectangular_list_of_numbers_is_refused(self, key, value, message):
+        d = {"w": [1.0], "mask": [True], "ids": [1], key: value}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            from_dict(_Arrays, d)
 
 
 class TestDataset:
