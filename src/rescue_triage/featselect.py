@@ -11,9 +11,8 @@ keeps the subset with the best mean CV score.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,43 +23,20 @@ from .tuning import CvSpec, fold_accuracy, fold_pairs
 log = logging.getLogger(__name__)
 
 
-class ZeroReference(ValueError):
-    pass
-
-
-def relative_deviation(x: float, y: float) -> float:
-    """|x - y| / |y| * 100; undefined (error) when the reference y is zero."""
-    if y == 0:
-        raise ZeroReference("reference value is zero")
-    return abs(x - y) / abs(y) * 100.0
+def relative_deviation(x: float, y: float) -> Optional[float]:
+    """|x - y| / |y|, the deviation of x relative to the reference y; None
+    when the reference is zero."""
+    return None if y == 0 else abs(x - y) / abs(y)
 
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """Outcome of the relevance filter over the scored features."""
+    """selection_report.json: the relevance filter's outcome over the scored features."""
 
-    scores: tuple[RelevanceScore, ...]
     threshold: float
     selected: tuple[str, ...]
     rejected: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "selected": list(self.selected),
-            "rejected": list(self.rejected),
-            "scores": [
-                {
-                    "feature_name": s.feature_name,
-                    "observed_mean": s.observed_mean,
-                    "reference_mean": s.reference_mean,
-                    "score": None if math.isinf(s.score) else s.score,
-                    "score_percent": None if math.isinf(s.score) else s.score * 100.0,
-                    "zero_reference": s.zero_reference,
-                }
-                for s in self.scores
-            ],
-        }
+    scores: tuple[RelevanceScore, ...]
 
 
 def filter_select(
@@ -70,10 +46,10 @@ def filter_select(
     feature_names: Sequence[str] = TEXT_FEATURE_NAMES,
     select_zero_reference: bool = True,
 ) -> SelectionReport:
-    """Score features by |x - y| / |y| on group means and apply the threshold.
+    """Score features by relative_deviation of their group means and apply the threshold.
 
     x is the mean over psychiatric cases, y over everyone else. A zero
-    reference mean is flagged per feature (score = inf) rather than raised;
+    reference mean is flagged per feature (score None) rather than raised;
     such maximally discriminative features are selected unless
     ``select_zero_reference`` is False.
     """
@@ -85,17 +61,14 @@ def filter_select(
     for name in feature_names:
         x = float(np.mean([getattr(v, name) for v in patient_vectors]))
         y = float(np.mean([getattr(v, name) for v in nonpatient_vectors]))
-        if y == 0.0:
-            score = math.inf
-            flagged = True
+        score = relative_deviation(x, y)
+        if score is None:
             log.warning("feature %r has zero reference mean; flagged", name)
-        else:
-            score = abs(x - y) / abs(y)
-            flagged = False
-        scores.append(RelevanceScore(name, x, y, score, zero_reference=flagged))
-        keep = score >= threshold if not flagged else select_zero_reference
+        percent = None if score is None else score * 100.0
+        scores.append(RelevanceScore(name, x, y, score, percent, zero_reference=score is None))
+        keep = select_zero_reference if score is None else score >= threshold
         (selected if keep else rejected).append(name)
-    return SelectionReport(tuple(scores), threshold, tuple(selected), tuple(rejected))
+    return SelectionReport(threshold, tuple(selected), tuple(rejected), tuple(scores))
 
 
 @dataclass(frozen=True)

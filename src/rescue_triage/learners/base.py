@@ -147,10 +147,11 @@ class ModelSpec:
         return "K-NN" if self.kind is ModelKind.KNN else self.kind.value
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "ModelSpec":
-        """Strict inverse of records.asjson: every key it writes, and no other."""
-        check_keys(d, ("kind", "hyperparameters", "seed"), "ModelSpec")
-        return from_dict(cls, d)
+    def from_dict(cls, d: Mapping, path: str = "ModelSpec") -> "ModelSpec":
+        """Strict inverse of records.asjson: every key it writes, and no other;
+        errors name the key path."""
+        check_keys(d, ("kind", "hyperparameters", "seed"), path)
+        return from_dict(cls, d, path=path)
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,8 @@ class Standardizer:
     """Per-feature z-scoring learned from training rows only.
 
     Columns whose training values are all 0/1 pass through unchanged so that
-    Bernoulli treatment and distance scales stay meaningful.
+    Bernoulli treatment and distance scales stay meaningful. A column whose
+    mean or std is not finite (it overflows float64) is refused, naming it.
     """
 
     mean: NDArray[np.float64]
@@ -169,11 +171,16 @@ class Standardizer:
     def fit(cls, X: np.ndarray) -> "Standardizer":
         X = np.asarray(X, dtype=np.float64)
         binary = binary_columns(X)
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            mean = X.mean(axis=0)
+            std = X.std(axis=0)
         mean[binary] = 0.0
         std[binary] = 1.0
         std[std == 0.0] = 1.0
+        for name, stat in (("mean", mean), ("std", std)):
+            bad = np.flatnonzero(~np.isfinite(stat))
+            if bad.size:
+                raise ValueError(f"training column {bad[0]}: its {name} is {stat[bad[0]]}, not a finite float64")
         return cls(mean=mean, std=std, binary_mask=binary)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -204,7 +211,7 @@ class TrainedModel:
 
         if self.format_version != FORMAT_VERSION:
             raise ValueError(f"format_version: got model format {self.format_version}, can read only {FORMAT_VERSION}")
-        object.__setattr__(self, "spec", ModelSpec.from_dict(self.spec))
+        object.__setattr__(self, "spec", ModelSpec.from_dict(self.spec, "spec"))
         module = _KINDS[self.spec.kind]
         object.__setattr__(self, "standardizer", from_dict(Standardizer, self.standardizer, path="standardizer"))
         object.__setattr__(self, "state", from_dict(module.State, self.state, path="state"))
@@ -230,6 +237,9 @@ class TrainedModel:
 
         X, single = self._check(X)
         s = _KINDS[self.spec.kind].score(self.state, self.standardizer.transform(X))
+        nan = np.flatnonzero(np.isnan(s))
+        if nan.size:
+            raise ValueError(f"{self.spec.kind.value} score of query row {nan[0]} is NaN; its values overflow the model")
         s = np.clip(s, 0.0, 1.0)
         return float(s[0]) if single else s
 

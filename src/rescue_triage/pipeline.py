@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .featselect import RfecvResult, filter_select, rfecv
+from .featselect import RfecvResult, SelectionReport, filter_select, rfecv
 from .ingest import IngestConfig, ingest_tables, load_csv
 from .learners import DEFAULT_SEARCH_SPACES, ModelKind, ModelSpec, load_model, save_model, train
 from .llm import (
@@ -42,7 +42,6 @@ from .records import (
     Label,
     TEXT_FEATURE_NAMES,
     asjson,
-    check_keys,
     check_unique_case_ids,
     read_json,
     read_jsonl,
@@ -147,7 +146,7 @@ class Winner:
 
     def __post_init__(self):
         if not isinstance(self.spec, ModelSpec):
-            object.__setattr__(self, "spec", ModelSpec.from_dict(self.spec))
+            object.__setattr__(self, "spec", ModelSpec.from_dict(self.spec, "spec"))
 
 
 @dataclass(frozen=True)
@@ -207,10 +206,8 @@ def _split(cfg: PipelineConfig, features_path, names=None, names_path=None) -> t
 
 
 def _filter_features(selection_path) -> list[str]:
-    """The vitals plus the text features selected in SelectionReport.to_dict's file."""
-    report = read_json(selection_path, dict)
-    check_keys(report, ("threshold", "selected", "rejected", "scores"), str(selection_path))
-    return [*VITAL_FEATURE_NAMES, *report["selected"]]
+    """The vitals plus the text features selected in the selection report."""
+    return [*VITAL_FEATURE_NAMES, *read_json(selection_path, SelectionReport).selected]
 
 
 def read_winner(leaderboard_path: str | Path) -> ModelSpec:
@@ -304,7 +301,7 @@ def stage_select_features(cfg: PipelineConfig, features_path, selection_path):
     rows = _labeled_rows(features_path)
     psy, non = ([r.features for r in rows if r.label is label] for label in (Label.PSYCHIATRIC, Label.NON_PSYCHIATRIC))
     report = filter_select(psy, non, threshold=cfg.filter_threshold)
-    write_json(selection_path, report.to_dict())
+    write_json(selection_path, report)
     return [Path(selection_path)], {"selected": list(report.selected)}
 
 

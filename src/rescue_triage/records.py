@@ -261,13 +261,15 @@ class ConfusionMatrix:
 @dataclass(frozen=True)
 class RelevanceScore:
     """Relevance of one feature: mean occurrence in the observed group (x)
-    against the reference group (y), scored as the relative deviation ratio."""
+    against the reference group (y), scored as the relative deviation ratio
+    and its percent; both scores are None when the reference mean is zero."""
 
     feature_name: str
     observed_mean: float
     reference_mean: float
-    score: float
-    zero_reference: bool = False
+    score: Optional[float]
+    score_percent: Optional[float]
+    zero_reference: bool
 
 
 def validate_record(raw: Mapping[str, object]) -> RescueRecord:

@@ -222,16 +222,6 @@ def _scan(tokens: Sequence[str], categories: tuple[KeywordCategory, ...], lex: L
     return found
 
 
-def match_category(tokens: Sequence[str], cat: KeywordCategory, lex: Lexicons) -> Optional[str]:
-    """Return the first unnegated category keyword occurring in the tokens.
-
-    Phrases match as consecutive tokens; when several keywords match at the
-    same position the longest wins. A suppressed (negated) hit does not stop
-    the scan: a later unnegated occurrence still matches.
-    """
-    return _scan(tokens, (cat,), lex)[0]
-
-
 def note_tokens(notes: Sequence[str]) -> list[str]:
     """Tokenize and concatenate notes, separated by sentence boundaries so
     negation cannot leak from one note into the next."""

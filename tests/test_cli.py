@@ -10,8 +10,9 @@ import pytest
 
 from rescue_triage import pipeline, tuning
 from rescue_triage.cli import main
+from rescue_triage.featselect import RfecvResult, SelectionReport
 from rescue_triage.ingest import IngestConfig
-from rescue_triage.learners import ModelKind
+from rescue_triage.learners import ModelKind, TrainedModel
 from rescue_triage.llm import EndpointConfig
 from rescue_triage.pipeline import (
     PipelineConfig,
@@ -21,7 +22,7 @@ from rescue_triage.pipeline import (
     stage_select_features,
     validate_config,
 )
-from rescue_triage.records import from_dict, read_json
+from rescue_triage.records import FeatureRow, asjson, from_dict, read_json, read_jsonl, write_json
 from rescue_triage.synthgen import default_config
 
 
@@ -136,6 +137,23 @@ class TestStagePool:
         for name in ("leaderboard.json", "rfecv_report.json", "metrics_table.csv"):
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
         assert first["artifacts"] == second["artifacts"]
+
+    @pytest.mark.parametrize("name,cls", [
+        ("selection_report.json", SelectionReport), ("leaderboard.json", pipeline.Leaderboard),
+        ("rfecv_report.json", RfecvResult), ("best_model.json", TrainedModel),
+    ])
+    def test_read_back_artifact_rewrites_byte_for_byte(self, desk_runs, name, cls, tmp_path):
+        out, _ = desk_runs[1]
+        write_json(tmp_path / name, read_json(out / name, cls))
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+    def test_every_feature_row_rewrites_byte_for_byte(self, desk_runs):
+        out, _ = desk_runs[1]
+        lines = (out / "features.jsonl").read_text(encoding="utf-8").splitlines()
+        rows = list(read_jsonl(out / "features.jsonl", FeatureRow))
+        assert len(rows) == len(lines) > 0
+        for row, line in zip(rows, lines):
+            assert json.dumps(asjson(row), ensure_ascii=False) == line
 
     def test_manifest_records_workers_and_search_seconds(self, desk_runs):
         for workers, (_, manifest) in desk_runs.items():
@@ -414,7 +432,7 @@ class TestChainedSubcommands:
         argv = ["evaluate", "--in", str(chain / "features.jsonl"), "--leaderboard", str(tmp_path / "leaderboard.json"),
                 "--rfecv-report", str(chain / "rfecv_report.json"), "--out", str(tmp_path / "table.csv")]
         assert main(argv) == 2
-        assert "ModelSpec: missing keys ['seed']" in caplog.text
+        assert "Leaderboard.winner: spec: missing keys ['seed']" in caplog.text
         assert not (tmp_path / "table.csv").exists()
 
     @pytest.mark.parametrize("names,message", [
@@ -548,6 +566,8 @@ CORRUPTED_ARTIFACTS = {
                                 "per_kind.RF: no candidates"),
     "unknown_kind": ("evaluate", "leaderboard.json", _edit_json(lambda d: d["per_kind"].update(FOO=[])),
                      "Leaderboard.per_kind: 'FOO' is not a valid ModelKind"),
+    "winner_spec_without_seed": ("evaluate", "leaderboard.json", _edit_json(lambda d: d["winner"]["spec"].pop("seed")),
+                                 "Leaderboard.winner: spec: missing keys ['seed']"),
     "leaderboard_not_json": ("evaluate", "leaderboard.json", lambda text: text[:40], "line "),
     "row_without_label": ("select-features", "features.jsonl", _edit_first_row(lambda r: r.pop("label")),
                           ":1: FeatureRow: missing keys ['label']"),
@@ -563,6 +583,15 @@ CORRUPTED_ARTIFACTS = {
                                     "RfecvResult: missing keys ['best_features']"),
     "selection_without_selected": ("tune", "selection_report.json", _edit_json(lambda d: d.pop("selected")),
                                    "missing keys ['selected']"),
+    "selection_selected_null": ("tune", "selection_report.json", _edit_json(lambda d: d.update(selected=None)),
+                                "SelectionReport.selected: expected a list, got NoneType"),
+    "selection_selected_dict": ("tune", "selection_report.json",
+                                _edit_json(lambda d: d.update(selected={"psychiatric_symptoms": 1})),
+                                "SelectionReport.selected: expected a list, got dict"),
+    "selection_threshold_string": ("tune", "selection_report.json", _edit_json(lambda d: d.update(threshold="x")),
+                                   "SelectionReport.threshold: expected float, got str 'x'"),
+    "selection_score_an_int": ("tune", "selection_report.json", _edit_json(lambda d: d["scores"].__setitem__(0, 1)),
+                               "SelectionReport.scores[0]: expected an object, got int"),
     "selection_unknown_feature": ("tune", "selection_report.json", _edit_json(lambda d: d.update(selected=["bogus"])),
                                   "unknown feature names ['bogus']"),
     "rfecv_unknown_feature": ("evaluate", "rfecv_report.json",
@@ -575,6 +604,8 @@ CORRUPTED_ARTIFACTS = {
     "model_mean_cut_to_one": ("llm-compare", "best_model.json",
                               _edit_json(lambda d: d["standardizer"].update(mean=d["standardizer"]["mean"][:1])),
                               "TrainedModel: standardizer.mean: expected shape (7,), got (1,)"),
+    "model_spec_without_seed": ("llm-compare", "best_model.json", _edit_json(lambda d: d["spec"].pop("seed")),
+                                "TrainedModel: spec: missing keys ['seed']"),
     "model_format_version_1": ("llm-compare", "best_model.json", _edit_json(lambda d: d.update(format_version=1)),
                                "TrainedModel: format_version: got model format 1, can read only 2"),
     "model_arity_string": ("llm-compare", "best_model.json", _edit_json(lambda d: d.update(arity="7")),

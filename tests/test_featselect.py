@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescue_triage.featselect import (
-    ZeroReference,
+    SelectionReport,
     filter_select,
     relative_deviation,
     rfecv,
 )
 from rescue_triage.learners import ModelKind, ModelSpec
-from rescue_triage.records import Dataset, FeatureVector, TEXT_FEATURE_NAMES
+from rescue_triage.records import Dataset, FeatureVector, TEXT_FEATURE_NAMES, asjson, read_json, write_json
 from rescue_triage.tuning import CvSpec, cross_validate
 
 
@@ -22,11 +23,10 @@ class TestRelativeDeviation:
         assert relative_deviation(7, 7) == 0.0
 
     def test_direct_substitution(self):
-        assert relative_deviation(8, 2) == 300.0
+        assert relative_deviation(8, 2) == 3.0
 
-    def test_zero_reference_error(self):
-        with pytest.raises(ZeroReference):
-            relative_deviation(1, 0)
+    def test_zero_reference_is_none(self):
+        assert relative_deviation(1, 0) is None
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -89,7 +89,7 @@ class TestFilterSelect:
         report = filter_select(patients, others, threshold=3.0)
         entry = next(s for s in report.scores if s.feature_name == "psychiatric_symptoms")
         assert entry.zero_reference
-        assert math.isinf(entry.score)
+        assert entry.score is None
         assert "psychiatric_symptoms" in report.selected
         off = filter_select(patients, others, threshold=3.0, select_zero_reference=False)
         assert "psychiatric_symptoms" in off.rejected
@@ -119,9 +119,16 @@ class TestFilterSelect:
     def test_report_json_shape(self):
         patients = _vectors({"alcoholism": 0.6}, 10)
         others = _vectors({"alcoholism": 0.1}, 10)
-        d = filter_select(patients, others).to_dict()
+        d = asjson(filter_select(patients, others))
         entry = next(s for s in d["scores"] if s["feature_name"] == "alcoholism")
         assert entry["score_percent"] == pytest.approx(500.0)
+
+    def test_zero_reference_report_round_trips_with_null_scores(self, tmp_path):
+        report = filter_select(_vectors({"psychiatric_symptoms": 0.5}, 10), _vectors({}, 10))
+        write_json(tmp_path / "selection_report.json", report)
+        scores = json.loads((tmp_path / "selection_report.json").read_text())["scores"]
+        assert [(s["score"], s["score_percent"], s["zero_reference"]) for s in scores] == [(None, None, True)] * 5
+        assert read_json(tmp_path / "selection_report.json", SelectionReport) == report
 
 
 def _toy_dataset(seed=0, n=160):

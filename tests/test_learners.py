@@ -7,8 +7,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rescue_triage.learners import (
     DEFAULT_SEARCH_SPACES,
@@ -143,7 +144,10 @@ class TestStandardizer:
         ])
         by_value_set = [set(np.unique(X[:, j])) <= {0.0, 1.0} for j in range(X.shape[1])]
         assert binary_columns(X).tolist() == by_value_set == [True] * 4 + [False] * 4
-        assert Standardizer.fit(X).binary_mask.tolist() == by_value_set
+        finite = np.delete(X, 4, axis=1)
+        assert Standardizer.fit(finite).binary_mask.tolist() == by_value_set[:4] + by_value_set[5:]
+        with pytest.raises(ValueError, match=r"^training column 4: its mean is nan, not a finite float64$"):
+            Standardizer.fit(X)
 
     def test_training_shift_does_not_leak_validation(self):
         X_train, y = make_blobs(n=60, d=3, seed=7)
@@ -154,6 +158,77 @@ class TestStandardizer:
         assert np.array_equal(model.standardizer.std, recomputed.std)
         model.score(X_val)  # shifted validation rows never touch the parameters
         assert np.array_equal(model.standardizer.mean, recomputed.mean)
+
+
+_FLOAT_MAX = np.finfo(np.float64).max
+# hyperparameters small enough that a property example fits in milliseconds
+_SMALL_HYPERPARAMETERS = {
+    ModelKind.SVM: {"epochs": 2, "batch_size": 4},
+    ModelKind.RF: {"n_trees": 3, "max_depth": 3},
+    ModelKind.XGB: {"n_rounds": 3, "max_depth": 2},
+    ModelKind.KNN: {"k": 3},
+    ModelKind.NB: {},
+    ModelKind.LR: {"max_epochs": 20},
+    ModelKind.MLPC: {"hidden": 3, "epochs": 3, "batch_size": 4},
+}
+
+
+@st.composite
+def _finite_cases(draw):
+    """(X, y, query): a finite training matrix with both classes, up to the
+    float64 maximum in magnitude, and one finite query row."""
+    n, d = draw(st.integers(4, 12)), draw(st.integers(1, 3))
+    cells = st.floats(-_FLOAT_MAX, _FLOAT_MAX, allow_nan=False, allow_infinity=False)
+    X = draw(hnp.arrays(np.float64, (n, d), elements=cells))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    y[:2] = (0, 1)
+    return X, y, draw(hnp.arrays(np.float64, d, elements=cells))
+
+
+def _blobs_with_query(query):
+    X, y = make_blobs(n=40, d=3, seed=8)
+    return X, y, np.array(query)
+
+
+def _huge_cells():
+    X = np.random.default_rng(0).uniform(1e307, _FLOAT_MAX, (40, 3))
+    return X, np.arange(40) % 2, X[0]
+
+
+def _wide_column():
+    X, y = make_blobs(n=40, d=3, seed=8)
+    X[:, 1] *= 1e160  # its spread overflows float64 when squared
+    return X, y, X[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow inside a kind's score is expected here
+class TestFiniteScores:
+    """Finite inputs never give a NaN score: each kind returns finite scores in
+    [0, 1] from a finite standardizer, or refuses naming the column or row."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @settings(max_examples=25, deadline=None)
+    @given(case=_finite_cases())
+    @example(case=_huge_cells())
+    @example(case=_blobs_with_query([1.7e308, -1.7e308, 1.7e308]))
+    @example(case=_blobs_with_query([1e300, -1e300, 5.0]))
+    @example(case=_wide_column())
+    def test_finite_scores_or_a_named_refusal(self, kind, case):
+        X, y, query = case
+        try:
+            model = train(ModelSpec(kind, _SMALL_HYPERPARAMETERS[kind], seed=1), X, y)
+            s = np.append(model.score(X), model.score(query))
+        except ValueError as exc:
+            assert re.search(r"\b(column|row) \d+", str(exc)), exc
+            return
+        assert np.isfinite(model.standardizer.mean).all() and np.isfinite(model.standardizer.std).all()
+        assert np.all(np.isfinite(s) & (s >= 0.0) & (s <= 1.0)), s
+
+    def test_nan_score_names_the_query_row_and_kind(self):
+        X, y, query = _blobs_with_query([1e300, -1e300, 5.0])
+        model = train(ModelSpec(ModelKind.NB), X, y)
+        with pytest.raises(ValueError, match=r"^NB score of query row 1 is NaN"):
+            model.predict(np.vstack([X[0], query]))
 
 
 class TestNaiveBayes:

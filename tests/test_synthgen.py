@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rescue_triage.records import Label, from_dict, validate_record, record_to_dict
+from rescue_triage.records import Label, asjson, from_dict, validate_record, record_to_dict
 from rescue_triage.synthgen import (
     NON,
     PSY,
@@ -109,8 +109,8 @@ class TestOracle:
     def test_separated_classes_near_one(self):
         cfg = small_config(
             vitals={
-                PSY: VitalsModel((240, 4), (30, 1), (4, 0.5), 0.0, 0.0).to_dict(),
-                NON: VitalsModel((90, 4), (10, 1), (15, 0.5), 1.0, 1.0).to_dict(),
+                PSY: asjson(VitalsModel((240, 4), (30, 1), (4, 0.5), 0.0, 0.0)),
+                NON: asjson(VitalsModel((90, 4), (10, 1), (15, 0.5), 1.0, 1.0)),
             },
         )
         est = oracle_accuracy(cfg, draws=30_000)

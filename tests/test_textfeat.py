@@ -11,10 +11,10 @@ from rescue_triage.textfeat import (
     LexiconError,
     Lexicons,
     _negated,
+    _scan,
     default_lexicons,
     extract_features,
     load_lexicon_file,
-    match_category,
     note_tokens,
     parse_lexicon_text,
     tokenize,
@@ -114,41 +114,41 @@ class TestWordCount:
 class TestMatchCategory:
     def test_direct_hit(self):
         tokens = tokenize("patient ist depressed heute")
-        assert match_category(tokens, BY_NAME["psychiatric_symptoms"], LEX) == "depressed"
+        assert _scan(tokens, (BY_NAME["psychiatric_symptoms"],), LEX)[0] == "depressed"
 
     def test_negated_one_token_before(self):
         tokens = tokenize("not suicidal")
-        assert match_category(tokens, BY_NAME["psychiatric_symptoms"], LEX) is None
+        assert _scan(tokens, (BY_NAME["psychiatric_symptoms"],), LEX)[0] is None
 
     def test_negation_stops_at_sentence_boundary(self):
         tokens = tokenize("no fear. panic at night")
-        assert match_category(tokens, BY_NAME["mental_abnormality"], LEX) == "panic"
+        assert _scan(tokens, (BY_NAME["mental_abnormality"],), LEX)[0] == "panic"
 
     def test_negation_outside_window(self):
         tokens = tokenize("kein besuch heute abend panic")
-        assert match_category(tokens, BY_NAME["mental_abnormality"], LEX) == "panic"
+        assert _scan(tokens, (BY_NAME["mental_abnormality"],), LEX)[0] == "panic"
 
     def test_phrase_matching(self):
         tokens = tokenize("zustand heavily intoxicated heute")
-        assert match_category(tokens, BY_NAME["alcoholism"], LEX) == "heavily intoxicated"
+        assert _scan(tokens, (BY_NAME["alcoholism"],), LEX)[0] == "heavily intoxicated"
 
     def test_longest_phrase_wins_at_same_position(self):
         tokens = tokenize("diagnose borderline syndrome seit jahren")
-        assert match_category(tokens, BY_NAME["psychiatric_symptoms"], LEX) == "borderline syndrome"
+        assert _scan(tokens, (BY_NAME["psychiatric_symptoms"],), LEX)[0] == "borderline syndrome"
 
     def test_first_match_rule(self):
         tokens = tokenize("crying und spaeter aggressive")
-        assert match_category(tokens, BY_NAME["psychiatric_symptoms"], LEX) == "crying"
+        assert _scan(tokens, (BY_NAME["psychiatric_symptoms"],), LEX)[0] == "crying"
         earlier = tokenize("anxious heute. crying und spaeter aggressive")
-        assert match_category(earlier, BY_NAME["psychiatric_symptoms"], LEX) == "anxious"
+        assert _scan(earlier, (BY_NAME["psychiatric_symptoms"],), LEX)[0] == "anxious"
 
     def test_negated_hit_does_not_stop_scan(self):
         tokens = tokenize("nicht panic aber spaeter panic")
-        assert match_category(tokens, BY_NAME["mental_abnormality"], LEX) == "panic"
+        assert _scan(tokens, (BY_NAME["mental_abnormality"],), LEX)[0] == "panic"
 
 
 class TestOnePassScan:
-    """extract_features and match_category agree with the per-category
+    """extract_features and a one-category _scan agree with the per-category
     reference matcher, for the shipped and for random lexicons."""
 
     @settings(max_examples=300, deadline=None)
@@ -161,7 +161,7 @@ class TestOnePassScan:
         tf = extract_features(rec, categories, lex)
         assert {n: tf.slot(n) for n in TEXT_FEATURE_NAMES} == expected
         for cat in categories:
-            assert match_category(tokens, cat, lex) == reference_match(tokens, cat, lex)
+            assert _scan(tokens, (cat,), lex)[0] == reference_match(tokens, cat, lex)
 
     def test_phrases_sharing_a_first_token_across_categories(self):
         cats = [
