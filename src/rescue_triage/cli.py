@@ -8,14 +8,18 @@ calls, so chained subcommands write the artifacts run-all writes. An
 option left out keeps PipelineConfig's default; config files load
 strictly (unknown or missing keys and wrong types exit 2, naming the key).
 
-* tune reads the relevance filter's report (--selection) and tunes on the
-  selected features; --rfecv-report also runs RFECV on the winner;
-* evaluate needs the RFECV report, takes its seed from the leaderboard's
-  winner (a different --seed is an error), and --save-best saves the
-  leaderboard's CV winner refitted on the train split;
-* llm-compare samples --limit cases from the test split like run-all and
-  takes its seed from the model file (a different --seed is an error); an
-  endpoint that fails exits 1 naming the stage, as in run-all.
+* tune reads the relevance filter's report (--selection), tunes on the
+  selected features and records its train/test split (--split,
+  --stratified) and seed in the leaderboard; --rfecv-report also runs RFECV
+  on the winner;
+* evaluate needs the RFECV report, and --save-best saves the leaderboard's
+  CV winner refitted on the train split;
+* llm-compare samples --limit cases from the test split like run-all; the
+  model must be the winner of its --leaderboard. An endpoint that fails
+  exits 1 naming the stage, as in run-all.
+
+evaluate and llm-compare take the split and the seed from leaderboard.json,
+so they have no --split or --stratified option and exit 2 when given --seed.
 
 Logs go to stderr; artifacts go to files only.
 """
@@ -28,12 +32,10 @@ import sys
 from dataclasses import replace
 
 from .ingest import IngestConfig
-from .learners import load_model
 from .llm import EndpointConfig, TransportError
 from .pipeline import (
     PipelineConfig,
     PipelineError,
-    read_winner,
     run_pipeline,
     stage_evaluate,
     stage_extract_features,
@@ -52,6 +54,8 @@ log = logging.getLogger("rescue_triage")
 # --config is a generator file for synth, an ingest file for ingest and a
 # pipeline file for run-all; the stage subcommands take options only
 _READS_CONFIG = ("synth", "ingest", "run-all")
+# the stages after tune take the seed that tune stored in leaderboard.json
+_SEED_FROM_LEADERBOARD = ("evaluate", "llm-compare")
 
 
 def _config(args, base: PipelineConfig | None = None, **fields) -> PipelineConfig:
@@ -106,11 +110,8 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _config(
-        args, seed=read_winner(args.leaderboard).seed, split_ratio=args.split, stratified=args.stratified
-    )
     return _done(stage_evaluate(
-        cfg, args.input, args.leaderboard, args.rfecv_report, args.out, args.roc_dir, args.save_best
+        args.input, args.leaderboard, args.rfecv_report, args.out, args.roc_dir, args.save_best
     ))
 
 
@@ -120,10 +121,11 @@ def _cmd_llm_compare(args) -> int:
     else:
         endpoint = EndpointConfig.from_env(base_url=args.endpoint) if args.endpoint else EndpointConfig.from_env()
         llm = {"llm_mode": "endpoint", "llm_endpoint": endpoint}
-    cfg = _config(args, seed=load_model(args.ml_model).spec.seed, llm_cases=args.limit,
-                  split_ratio=args.split, stratified=args.stratified, **llm)
+    cfg = _config(args, llm_cases=args.limit, **llm)
     try:
-        result = stage_llm_compare(cfg, args.cases, args.ml_model, args.out, max_in_flight=args.in_flight)
+        result = stage_llm_compare(
+            cfg, args.cases, args.leaderboard, args.ml_model, args.out, max_in_flight=args.in_flight
+        )
     except TransportError as exc:  # an endpoint failure, as run-all reports it
         raise PipelineError("llm_compare", str(exc)) from exc
     return _done(result)
@@ -193,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--leaderboard", required=True)
     p.add_argument("--rfecv-report", required=True, help="RFECV report naming the feature subset")
-    p.add_argument("--split", type=float)
-    p.add_argument("--stratified", action=argparse.BooleanOptionalAction)
     p.add_argument("--out", required=True)
     p.add_argument("--roc-dir", default=None)
     p.add_argument("--save-best", default=None, help="save the leaderboard's CV winner here")
@@ -202,12 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("llm-compare", help="zero-shot LLM verdicts vs model predictions")
     p.add_argument("--cases", required=True)
-    p.add_argument("--ml-model", required=True)
+    p.add_argument("--leaderboard", required=True, help="tune's leaderboard: the split, the seed and the winner")
+    p.add_argument("--ml-model", required=True, help="the leaderboard's winner, as evaluate --save-best saves it")
     p.add_argument("--endpoint", default=None)
     p.add_argument("--stub", default=None, help="canned transcript JSON instead of a live endpoint")
     p.add_argument("--limit", type=int, help="number of test-split cases (llm_cases)")
-    p.add_argument("--split", type=float)
-    p.add_argument("--stratified", action=argparse.BooleanOptionalAction)
     p.add_argument("--in-flight", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_llm_compare)
@@ -227,6 +226,9 @@ def main(argv=None) -> int:
     )
     if args.config and args.command not in _READS_CONFIG:
         log.error("%s does not read --config; give its settings as options", args.command)
+        return 2
+    if args.seed is not None and args.command in _SEED_FROM_LEADERBOARD:
+        log.error("%s takes its seed from leaderboard.json, where tune stored it; drop --seed", args.command)
         return 2
     try:
         return args.func(args)

@@ -40,12 +40,12 @@ from .records import (
     FeatureRow,
     FeatureVector,
     Label,
+    RescueRecord,
     TEXT_FEATURE_NAMES,
     asjson,
     check_unique_case_ids,
     read_json,
     read_jsonl,
-    record_from_dict,
     record_to_dict,
     to_feature_vector,
     write_json,
@@ -150,16 +150,30 @@ class Winner:
 
 
 @dataclass(frozen=True)
+class Split:
+    """The train/test split tune drew from the labeled feature rows, with the
+    winner's seed: the train share, and whether each class keeps that share.
+    Stratified also applies to the CV folds of tune and rfecv."""
+
+    ratio: float
+    stratified: bool
+
+
+@dataclass(frozen=True)
 class Leaderboard:
-    """leaderboard.json: the CV winner and every kind's candidates, best first."""
+    """leaderboard.json: the CV winner, the split it was tuned on, and every
+    kind's candidates, best first."""
 
     winner: Winner
+    split: Split
     per_kind: dict[ModelKind, tuple[Candidate, ...]]
 
     def __post_init__(self):
         for kind, candidates in self.per_kind.items():
             if not candidates:
                 raise ValueError(f"per_kind.{kind.value}: no candidates")
+        if self.winner.spec.kind not in self.per_kind:
+            raise ValueError(f"per_kind: no candidates of the winner's kind {self.winner.spec.kind.value}")
 
 
 def _sha256(path: Path) -> str:
@@ -192,8 +206,8 @@ def _labeled_rows(features_path: str | Path) -> list[FeatureRow]:
     return [r for r in read_jsonl(features_path, FeatureRow) if r.label is not Label.UNKNOWN]
 
 
-def _split(cfg: PipelineConfig, features_path, names=None, names_path=None) -> tuple[Dataset, Dataset]:
-    """The config's train/test split of the labeled feature rows, restricted
+def _split(split: Split, seed: int, features_path, names=None, names_path=None) -> tuple[Dataset, Dataset]:
+    """The seeded train/test split of the labeled feature rows, restricted
     to the feature columns named by the file names_path when names are given."""
     rows = _labeled_rows(features_path)
     data = Dataset.from_vectors([r.features for r in rows], [r.label for r in rows], [r.case_id for r in rows])
@@ -202,17 +216,12 @@ def _split(cfg: PipelineConfig, features_path, names=None, names_path=None) -> t
             data = data.select(names)
         except ValueError as exc:
             raise ValueError(f"{names_path}: {exc}") from None
-    return split_train_test(data, cfg.split_ratio, cfg.seed, cfg.stratified)
+    return split_train_test(data, split.ratio, seed, split.stratified)
 
 
 def _filter_features(selection_path) -> list[str]:
     """The vitals plus the text features selected in the selection report."""
     return [*VITAL_FEATURE_NAMES, *read_json(selection_path, SelectionReport).selected]
-
-
-def read_winner(leaderboard_path: str | Path) -> ModelSpec:
-    """The CV winner's spec from a leaderboard written by stage_tune."""
-    return read_json(leaderboard_path, Leaderboard).winner.spec
 
 
 def _stub_response(fv: FeatureVector) -> str:
@@ -245,9 +254,11 @@ def _stage_pool(jobs: int):
     yield map, 1
 
 
-# Stage functions. Each takes the config plus artifact paths, writes its
-# artifacts and returns (artifacts written, manifest extras). run_pipeline
-# and the CLI subcommands both call them.
+# Stage functions. Each takes the config (evaluate needs none) plus artifact
+# paths, writes its artifacts and returns (artifacts written, manifest
+# extras). run_pipeline and the CLI subcommands both call them. tune owns
+# the train/test split: it records it in leaderboard.json, and rfecv,
+# evaluate and llm-compare take it, and the seed, from there.
 
 
 def stage_synth(cfg: PipelineConfig, corpus_path, truth_path=None, delimiter: str = ","):
@@ -273,7 +284,7 @@ def stage_synth(cfg: PipelineConfig, corpus_path, truth_path=None, delimiter: st
 
 def stage_wordcount(cfg: PipelineConfig, corpus_path, counts_path):
     _, lexicons = _load_lexicons(cfg)
-    corpus_tokens = [note_tokens(r.notes) for r in map(record_from_dict, read_jsonl(corpus_path, dict))]
+    corpus_tokens = [note_tokens(r.notes) for r in read_jsonl(corpus_path, RescueRecord)]
     counts = word_count(corpus_tokens, lexicons, min_count=cfg.min_count)
     with open(counts_path, "w", encoding="utf-8") as fh:
         fh.write("word,count\n")
@@ -287,7 +298,7 @@ def stage_extract_features(cfg: PipelineConfig, corpus_path, features_path):
     categories, lexicons = _load_lexicons(cfg)
     rows = []
     skipped = 0
-    for r in map(record_from_dict, read_jsonl(corpus_path, dict)):
+    for r in read_jsonl(corpus_path, RescueRecord):
         if r.vitals is None or not r.vitals.complete:
             skipped += 1
             continue
@@ -307,9 +318,11 @@ def stage_select_features(cfg: PipelineConfig, features_path, selection_path):
 
 def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_path):
     """Hyperparameter search per model kind on the train split's selected
-    features; the CV jobs of every kind run on one pool."""
-    train_set, _ = _split(cfg, features_path, _filter_features(selection_path), selection_path)
-    cv = CvSpec(folds=cfg.cv_folds, stratified=cfg.stratified, seed=cfg.seed)
+    features; the CV jobs of every kind run on one pool. The config's split
+    is recorded in the leaderboard for the stages after tune."""
+    split = Split(cfg.split_ratio, cfg.stratified)
+    train_set, _ = _split(split, cfg.seed, features_path, _filter_features(selection_path), selection_path)
+    cv = CvSpec(folds=cfg.cv_folds, stratified=split.stratified, seed=cfg.seed)
     per_kind = {}
     search_s = {}
     with _stage_pool(len(ModelKind) * cv.folds) as (map_fn, workers):
@@ -321,6 +334,7 @@ def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_p
     best = max(per_kind.values(), key=lambda entries: entries[0].mean_score)[0]
     board = Leaderboard(
         Winner(best.spec, best.mean_score),
+        split,
         {kind: tuple(Candidate(e.spec.hyperparameters, e.mean_score, e.fold_scores) for e in entries)
          for kind, entries in per_kind.items()},
     )
@@ -329,32 +343,39 @@ def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_p
 
 
 def stage_rfecv(cfg: PipelineConfig, features_path, selection_path, leaderboard_path, rfecv_path):
-    """RFECV on the tuned winner over the same train split as stage_tune."""
-    train_set, _ = _split(cfg, features_path, _filter_features(selection_path), selection_path)
-    cv = CvSpec(folds=cfg.rfecv_folds, stratified=cfg.stratified, seed=cfg.seed)
+    """RFECV on the tuned winner over the leaderboard's train split. With as
+    many folds as tune, its first step refits the winner on tune's folds, so
+    its fold scores must equal the winner's fold accuracies."""
+    board = read_json(leaderboard_path, Leaderboard)
+    winner = board.winner.spec
+    train_set, _ = _split(board.split, winner.seed, features_path, _filter_features(selection_path), selection_path)
+    cv = CvSpec(folds=cfg.rfecv_folds, stratified=board.split.stratified, seed=winner.seed)
     with _stage_pool(cv.folds) as (map_fn, workers):
-        rfe = rfecv(train_set, read_winner(leaderboard_path), cv, map_fn=map_fn)
+        rfe = rfecv(train_set, winner, cv, map_fn=map_fn)
+    tuned = board.per_kind[winner.kind][0].fold_accuracies
+    if cv.folds == len(tuned) and rfe.steps[0].fold_scores != tuned:
+        raise ValueError(
+            f"{leaderboard_path}: the winner's fold accuracies {list(tuned)} differ from its refit "
+            f"on the same folds in RFECV's first step {list(rfe.steps[0].fold_scores)}"
+        )
     write_json(rfecv_path, rfe)
     return [Path(rfecv_path)], {"best_features": list(rfe.best_features), "workers": workers}
 
 
-def stage_evaluate(
-    cfg: PipelineConfig, features_path, leaderboard_path, rfecv_path, table_path, roc_dir=None, best_model_path=None
-):
+def stage_evaluate(features_path, leaderboard_path, rfecv_path, table_path, roc_dir=None, best_model_path=None):
     """Every kind's tuned spec on the held-out test split of the RFECV subset.
 
     Writes the metrics table, optionally one ROC curve per model and the CV
-    winner refitted on the train split. The seed is the leaderboard's; a
-    config seed that differs from it is an error.
+    winner refitted on the train split. The split and the seed are the
+    leaderboard's.
     """
     board = read_json(leaderboard_path, Leaderboard)
     winner = board.winner.spec
-    if cfg.seed != winner.seed:
-        raise ValueError(f"seed {cfg.seed} differs from the leaderboard's seed {winner.seed}")
     specs = [
         ModelSpec(kind, candidates[0].hyperparameters, seed=winner.seed) for kind, candidates in board.per_kind.items()
     ]
-    train_set, test_set = _split(cfg, features_path, read_json(rfecv_path, RfecvResult).best_features, rfecv_path)
+    best_features = read_json(rfecv_path, RfecvResult).best_features
+    train_set, test_set = _split(board.split, winner.seed, features_path, best_features, rfecv_path)
     with _stage_pool(len(specs)) as (map_fn, workers):
         eval_rows = evaluate_all(specs, train_set, test_set, map_fn=map_fn)
     write_metrics_csv(eval_rows, table_path)
@@ -373,18 +394,24 @@ def stage_evaluate(
     return artifacts + roc_paths, {"workers": workers}
 
 
-def stage_llm_compare(cfg: PipelineConfig, features_path, model_path, agreement_path, max_in_flight: int = 1):
+def stage_llm_compare(
+    cfg: PipelineConfig, features_path, leaderboard_path, model_path, agreement_path, max_in_flight: int = 1
+):
     """Zero-shot comparison on a class-balanced sample of the test split.
 
     Prompts the LLM (per cfg.llm_mode) and the model on each sampled case
     and writes the per-case agreement payload with the prompts; the extras
-    count the ambiguous verdicts and give each case's LLM latency. The seed
-    is the model's; a config seed that differs from it is an error.
+    count the ambiguous verdicts and give each case's LLM latency. The split
+    and the seed are the leaderboard's, and the model must be its winner.
     """
+    board = read_json(leaderboard_path, Leaderboard)
     model = load_model(model_path)
-    if cfg.seed != model.spec.seed:
-        raise ValueError(f"seed {cfg.seed} differs from the model's seed {model.spec.seed}")
-    _, test_set = _split(cfg, features_path)
+    if model.spec != board.winner.spec:
+        raise ValueError(
+            f"{model_path}: model {asjson(model.spec)} is not the winner of {leaderboard_path}, "
+            f"{asjson(board.winner.spec)}"
+        )
+    _, test_set = _split(board.split, board.winner.spec.seed, features_path)
     picked = _pick_llm_cases(test_set, cfg.llm_cases)
     vectors = [FeatureVector.from_array(test_set.X[i]) for i in picked]
     prompts = [build_prompt(prompt_values_from_vector(v), TEMPLATE_DEFAULT) for v in vectors]
@@ -393,7 +420,12 @@ def stage_llm_compare(cfg: PipelineConfig, features_path, model_path, agreement_
     if cfg.llm_mode == "stub":
         verdicts = transcript_verdicts([_stub_response(v) for v in vectors])
     elif cfg.llm_mode == "transcript":
-        verdicts = transcript_verdicts(list(read_json(cfg.llm_transcript, tuple[str, ...])[: len(prompts)]))
+        answers = read_json(cfg.llm_transcript, tuple[str, ...])
+        if len(answers) < len(prompts):
+            raise ValueError(
+                f"{cfg.llm_transcript}: {len(prompts)} sampled cases need as many answers, got {len(answers)}"
+            )
+        verdicts = transcript_verdicts(list(answers[: len(prompts)]))
     else:
         verdicts = query_many(prompts, cfg.llm_endpoint, max_in_flight=max_in_flight)
     case_ids = [test_set.case_ids[i] for i in picked]
@@ -435,9 +467,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "tune": lambda: stage_tune(cfg, features, selection, leaderboard),
         "rfecv": lambda: stage_rfecv(cfg, features, selection, leaderboard, rfecv_report),
         "evaluate": lambda: stage_evaluate(
-            cfg, features, leaderboard, rfecv_report, out / "metrics_table.csv", out / "roc", best_model
+            features, leaderboard, rfecv_report, out / "metrics_table.csv", out / "roc", best_model
         ),
-        "llm_compare": lambda: stage_llm_compare(cfg, features, best_model, out / "llm_agreement.json"),
+        "llm_compare": lambda: stage_llm_compare(cfg, features, leaderboard, best_model, out / "llm_agreement.json"),
     }
 
     # config, seeds and input hashes make the run reproducible from the manifest

@@ -5,9 +5,10 @@ immutable after construction and safe to share across parallel workers.
 
 JSONL wire format (one UTF-8 JSON object per line):
 
-* rescue record: ``{"case_id": str, "vitals": {...}|null, "notes": [str],
-  "label": "psychiatric"|"non_psychiatric"|"unknown"}`` where the vitals
-  object holds ``systolic_bp``, ``respiratory_rate``, ``gcs``,
+* rescue record (``corpus.jsonl``): ``RescueRecord``, written by
+  ``record_to_dict``: ``{"case_id": str, "vitals": {...}|null, "notes":
+  [str], "label": "psychiatric"|"non_psychiatric"|"unknown"}`` where the
+  vitals object holds ``systolic_bp``, ``respiratory_rate``, ``gcs``,
   ``circulation_normal``, ``pulse_rhythm_regular`` (each nullable).
 * feature vector: an object with the ten keys of ``FEATURE_ORDER``.
 * feature row (``features.jsonl``): ``FeatureRow``, written by ``asjson``.
@@ -436,12 +437,6 @@ def record_to_dict(rec: RescueRecord) -> dict:
         "notes": list(rec.notes),
         "label": rec.label.value,
     }
-
-
-def record_from_dict(d: Mapping[str, object]) -> RescueRecord:
-    """Read one corpus.jsonl object by the rules of validate_record, with
-    the ``vitals`` object flattened into the row."""
-    return validate_record({**d, **(d.get("vitals") or {})})
 
 
 def asjson(obj):

@@ -293,7 +293,7 @@ PINNED_ARTIFACTS = {
     "best_model.json": "87654e4e54f5fcd05f5e904bdd4ba7c357369af983f6a5828e7b6528dee4b0ef",
     "corpus.jsonl": "6a6e9bdd21977d30c7322975f7c8f47f4fa01476fbdaa9a5b4fe5530edad29e6",
     "features.jsonl": "6e492e7b1493f4b28d9ce37a878a31f6a381c15f6b9d24ec68223b9128f90dc1",
-    "leaderboard.json": "4d657a041ce472df44e0e31e67880f86fe2671b7100ee53995bb24df33e8c909",
+    "leaderboard.json": "c43f69d5de411b21b5d69e32a9f9bd88686b599848a8d6ecf97b4438ca0c5154",
     "llm_agreement.json": "04d94d0d6e7fd67c037d128f71139400b840293d6f3b78f6c7db37431788d55e",
     "metrics_table.csv": "5c735b0337a309bea6f6398a2ca06232ec4d188f3cfdea368bfaa599035be02b",
     "rfecv_report.json": "3b39c25d0aecdccc76cfaecdca678688de55c74059025e98253824fce524e10e",

@@ -3,13 +3,14 @@ import hashlib
 import json
 import multiprocessing
 import os
+import shlex
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from rescue_triage import pipeline, tuning
-from rescue_triage.cli import main
+from rescue_triage.cli import build_parser, main
 from rescue_triage.featselect import RfecvResult, SelectionReport
 from rescue_triage.ingest import IngestConfig
 from rescue_triage.learners import ModelKind, TrainedModel
@@ -19,10 +20,11 @@ from rescue_triage.pipeline import (
     PipelineError,
     run_pipeline,
     stage_llm_compare,
+    stage_rfecv,
     stage_select_features,
     validate_config,
 )
-from rescue_triage.records import FeatureRow, asjson, from_dict, read_json, read_jsonl, write_json
+from rescue_triage.records import Dataset, FeatureRow, Label, asjson, from_dict, read_json, read_jsonl, write_json
 from rescue_triage.synthgen import default_config
 
 
@@ -264,10 +266,10 @@ class TestStageCommands:
         assert set(board["per_kind"]) == {"SVM", "RF", "XGB", "KNN", "NB", "LR", "MLPC"}
         assert json.loads((work / "rfecv.json").read_text())["best_features"]
 
-        assert main(["--seed", "11", "evaluate", "--in", str(work / "features.jsonl"),
+        assert main(["evaluate", "--in", str(work / "features.jsonl"),
                      "--leaderboard", str(work / "leaderboard.json"),
                      "--rfecv-report", str(work / "rfecv.json"),
-                     "--split", "0.8", "--out", str(work / "table.csv"),
+                     "--out", str(work / "table.csv"),
                      "--roc-dir", str(work / "roc"),
                      "--save-best", str(work / "model.json")]) == 0
         with open(work / "table.csv") as fh:
@@ -279,12 +281,54 @@ class TestStageCommands:
         transcript = work / "transcript.json"
         transcript.write_text(json.dumps(["true", "false", "true", "false"]))
         assert main(["llm-compare", "--cases", str(work / "features.jsonl"),
+                     "--leaderboard", str(work / "leaderboard.json"),
                      "--ml-model", str(work / "model.json"),
                      "--stub", str(transcript), "--limit", "4",
                      "--out", str(work / "agree.json")]) == 0
         agree = json.loads((work / "agree.json").read_text())
         assert len(agree["rows"]) == 4
         assert len(agree["prompts"]) == 4
+
+    def test_evaluate_and_llm_compare_use_the_split_tune_recorded(self, work, tmp_path, monkeypatch):
+        features, board, rfecv, model = (str(work / "features.jsonl"), str(tmp_path / "leaderboard.json"),
+                                         str(tmp_path / "rfecv.json"), str(tmp_path / "model.json"))
+        assert main(["--seed", "11", "tune", "--in", features, "--selection", str(work / "sel.json"),
+                     "--mode", "random", "--budget", "1", "--folds", "2", "--split", "0.5",
+                     "--out", board, "--rfecv-report", rfecv]) == 0
+        assert json.loads(Path(board).read_text())["split"] == {"ratio": 0.5, "stratified": True}
+        rows = [r for r in read_jsonl(features, FeatureRow) if r.label is not Label.UNKNOWN]
+        data = Dataset.from_vectors([r.features for r in rows], [r.label for r in rows], [r.case_id for r in rows])
+        test_set = tuning.split_train_test(data, 0.5, 11)[1]
+
+        scored = []
+        real_evaluate_all = pipeline.evaluate_all
+        monkeypatch.setattr(pipeline, "evaluate_all", lambda specs, train_set, test_set, **kw: scored.append(
+            test_set.case_ids) or real_evaluate_all(specs, train_set, test_set, **kw))
+        assert main(["evaluate", "--in", features, "--leaderboard", board, "--rfecv-report", rfecv,
+                     "--out", str(tmp_path / "table.csv"), "--save-best", model]) == 0
+        assert scored == [test_set.case_ids]
+
+        (tmp_path / "answers.json").write_text(json.dumps(["true", "false", "true", "false"]))
+        assert main(["llm-compare", "--cases", features, "--leaderboard", board, "--ml-model", model,
+                     "--stub", str(tmp_path / "answers.json"), "--limit", "4",
+                     "--out", str(tmp_path / "agree.json")]) == 0
+        # the first two positives, then the first two negatives, of the 0.5 test side; with the same seed
+        # the 0.8 test side is a subset of it, so the exact ids are what tell the two apart
+        by_label = [[c for c, y in zip(test_set.case_ids, test_set.y) if y == label] for label in (1, 0)]
+        case_ids = [r["case_id"] for r in json.loads((tmp_path / "agree.json").read_text())["rows"]]
+        assert case_ids == by_label[0][:2] + by_label[1][:2]
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--in", "f.jsonl", "--leaderboard", "l.json", "--rfecv-report", "r.json", "--out", "t.csv",
+         "--split", "0.5"],
+        ["llm-compare", "--cases", "f.jsonl", "--leaderboard", "l.json", "--ml-model", "m.json", "--out", "a.json",
+         "--stratified"],
+    ], ids=["evaluate_split", "llm_compare_stratified"])
+    def test_stages_after_tune_take_no_split_option(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_ingest_command(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -345,8 +389,9 @@ def chained(tmp_path_factory):
         ["evaluate", "--in", c["features.jsonl"], "--leaderboard", c["leaderboard.json"],
          "--rfecv-report", c["rfecv_report.json"], "--out", c["metrics_table.csv"],
          "--roc-dir", c["roc"], "--save-best", c["best_model.json"]],
-        ["llm-compare", "--cases", c["features.jsonl"], "--ml-model", c["best_model.json"],
-         "--stub", str(base / "answers.json"), "--limit", "4", "--out", c["llm_agreement.json"]],
+        ["llm-compare", "--cases", c["features.jsonl"], "--leaderboard", c["leaderboard.json"],
+         "--ml-model", c["best_model.json"], "--stub", str(base / "answers.json"), "--limit", "4",
+         "--out", c["llm_agreement.json"]],
     ]
     for argv in steps:
         assert main(argv) == 0, argv
@@ -368,14 +413,13 @@ class TestChainedSubcommands:
         for rel, digest in compared.items():
             assert hashlib.sha256((chain / rel).read_bytes()).hexdigest() == digest, rel
 
-    def test_evaluate_rejects_a_seed_other_than_the_leaderboards(self, chained, tmp_path, caplog):
+    @pytest.mark.parametrize("command", ["evaluate", "llm-compare"])
+    def test_stages_after_tune_refuse_a_seed(self, chained, tmp_path, caplog, command):
         _, _, chain = chained
-        argv = ["--seed", "8", "evaluate", "--in", str(chain / "features.jsonl"),
-                "--leaderboard", str(chain / "leaderboard.json"),
-                "--rfecv-report", str(chain / "rfecv_report.json"), "--out", str(tmp_path / "table.csv")]
-        assert main(argv) != 0
-        assert "seed 8" in caplog.text and "seed 7" in caplog.text
-        assert not (tmp_path / "table.csv").exists()
+        assert main(["--seed", "8", *_COMMANDS[command](_chain_paths(chain), str(tmp_path / "out"))]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{command} takes its seed from leaderboard.json, where tune stored it; drop --seed"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_llm_compare_samples_run_alls_test_cases(self, chained):
         run_dir, _, chain = chained
@@ -387,16 +431,37 @@ class TestChainedSubcommands:
         assert len(cases(run_dir / "llm_agreement.json")) == 4
         assert cases(chain / "llm_agreement.json") == cases(run_dir / "llm_agreement.json")
 
-    def test_llm_compare_rejects_a_seed_other_than_the_models(self, chained, tmp_path, caplog):
+    def test_llm_compare_refuses_a_model_that_is_not_the_leaderboards_winner(self, chained, tmp_path, caplog):
         _, _, chain = chained
-        transcript = tmp_path / "answers.json"
-        transcript.write_text(json.dumps(["true"] * 4))
-        argv = ["--seed", "8", "llm-compare", "--cases", str(chain / "features.jsonl"),
-                "--ml-model", str(chain / "best_model.json"), "--stub", str(transcript),
+        model = json.loads((chain / "best_model.json").read_text())
+        model["spec"]["seed"] = 8
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        argv = ["llm-compare", "--cases", str(chain / "features.jsonl"),
+                "--leaderboard", str(chain / "leaderboard.json"),
+                "--ml-model", str(tmp_path / "model.json"), "--stub", str(chain.parent / "answers.json"),
                 "--out", str(tmp_path / "agree.json")]
-        assert main(argv) != 0
-        assert "seed 8" in caplog.text and "seed 7" in caplog.text
+        assert main(argv) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "is not the winner of" in errors[0], errors
+        assert str(tmp_path / "model.json") in errors[0] and str(chain / "leaderboard.json") in errors[0]
         assert not (tmp_path / "agree.json").exists()
+
+    def test_rfecv_refuses_fold_accuracies_its_first_step_does_not_reproduce(self, chained, tmp_path):
+        _, _, chain = chained
+        board = json.loads((chain / "leaderboard.json").read_text())
+        tuned = board["per_kind"][board["winner"]["spec"]["kind"]][0]
+        first_step = json.loads((chain / "rfecv_report.json").read_text())["steps"][0]["fold_scores"]
+        assert tuned["fold_accuracies"] == first_step
+        tuned["fold_accuracies"] = [0.0, 0.0]
+        (tmp_path / "leaderboard.json").write_text(json.dumps(board))
+        args = (chain / "features.jsonl", chain / "selection_report.json", tmp_path / "leaderboard.json")
+        with pytest.raises(ValueError) as err:
+            stage_rfecv(PipelineConfig(rfecv_folds=2), *args, tmp_path / "rfecv.json")
+        assert str(tmp_path / "leaderboard.json") in str(err.value)
+        assert "[0.0, 0.0]" in str(err.value) and str(first_step) in str(err.value)
+        assert not (tmp_path / "rfecv.json").exists()
+        # with another fold count the first step is not tune's folds, so nothing is compared
+        stage_rfecv(PipelineConfig(rfecv_folds=3), *args, tmp_path / "rfecv.json")
 
     def test_llm_compare_through_an_endpoint_reports_latency_and_ambiguity(self, chained, stub_server, tmp_path):
         _, _, chain = chained
@@ -405,8 +470,8 @@ class TestChainedSubcommands:
         state.delay = 0.01
         cfg = PipelineConfig(seed=7, llm_cases=4, llm_mode="endpoint",
                              llm_endpoint=EndpointConfig(base_url=url, timeout=5.0, retries=0))
-        _, extras = stage_llm_compare(cfg, chain / "features.jsonl", chain / "best_model.json",
-                                      tmp_path / "agree.json")
+        _, extras = stage_llm_compare(cfg, chain / "features.jsonl", chain / "leaderboard.json",
+                                      chain / "best_model.json", tmp_path / "agree.json")
         agreement = json.loads((tmp_path / "agree.json").read_text())
         assert len(state.requests) == 4
         assert extras["ambiguous"] == len(agreement["ambiguous_cases"]) == 1
@@ -417,8 +482,10 @@ class TestChainedSubcommands:
         _, _, chain = chained
         url, state = stub_server
         state.reply = (404, b"model not found")
-        argv = ["llm-compare", "--cases", str(chain / "features.jsonl"), "--ml-model", str(chain / "best_model.json"),
-                "--endpoint", url, "--limit", "2", "--out", str(tmp_path / "agree.json")]
+        argv = ["llm-compare", "--cases", str(chain / "features.jsonl"),
+                "--leaderboard", str(chain / "leaderboard.json"),
+                "--ml-model", str(chain / "best_model.json"), "--endpoint", url, "--limit", "2",
+                "--out", str(tmp_path / "agree.json")]
         assert main(argv) == 1
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == ["stage 'llm_compare': generate endpoint returned 404: model not found"]
@@ -505,8 +572,10 @@ class TestStrictConfig:
 
     def test_llm_compare_rejects_an_endpoint_without_a_scheme(self, chained, tmp_path, caplog):
         _, _, chain = chained
-        argv = ["llm-compare", "--cases", str(chain / "features.jsonl"), "--ml-model", str(chain / "best_model.json"),
-                "--endpoint", "localhost:11434", "--out", str(tmp_path / "agree.json")]
+        argv = ["llm-compare", "--cases", str(chain / "features.jsonl"),
+                "--leaderboard", str(chain / "leaderboard.json"),
+                "--ml-model", str(chain / "best_model.json"), "--endpoint", "localhost:11434",
+                "--out", str(tmp_path / "agree.json")]
         assert main(argv) == 2
         assert "base_url must be an http:// or https:// URL with a host, got 'localhost:11434'" in caplog.text
         assert not (tmp_path / "agree.json").exists()
@@ -546,18 +615,37 @@ def _replace(text):
     return lambda _: text
 
 
+def _chain_paths(chain) -> dict[str, str]:
+    """The chain's artifacts that the stage commands below read, and its transcript, by file name."""
+    names = ("corpus.jsonl", "features.jsonl", "selection_report.json", "leaderboard.json", "rfecv_report.json",
+             "best_model.json")
+    return {**{name: str(chain / name) for name in names}, "answers.json": str(chain.parent / "answers.json")}
+
 _COMMANDS = {
+    "wordcount": lambda p, out: ["wordcount", "--in", p["corpus.jsonl"], "--out", out],
+    "extract-features": lambda p, out: ["extract-features", "--in", p["corpus.jsonl"], "--out", out],
     "select-features": lambda p, out: ["select-features", "--in", p["features.jsonl"], "--report", out],
     "tune": lambda p, out: ["tune", "--in", p["features.jsonl"], "--selection", p["selection_report.json"],
                             "--folds", "2", "--out", out],
     "evaluate": lambda p, out: ["evaluate", "--in", p["features.jsonl"], "--leaderboard", p["leaderboard.json"],
                                 "--rfecv-report", p["rfecv_report.json"], "--out", out],
-    "llm-compare": lambda p, out: ["llm-compare", "--cases", p["features.jsonl"], "--ml-model", p["best_model.json"],
+    "llm-compare": lambda p, out: ["llm-compare", "--cases", p["features.jsonl"],
+                                   "--leaderboard", p["leaderboard.json"], "--ml-model", p["best_model.json"],
                                    "--stub", p["answers.json"], "--limit", "4", "--out", out],
 }
 
 # name -> (command, corrupted artifact, corruption of the chain's copy, what the error must say besides the file)
 CORRUPTED_ARTIFACTS = {
+    "corpus_unknown_key": ("wordcount", "corpus.jsonl", _edit_first_row(lambda r: r.update(lable=r.pop("label"))),
+                           ":1: RescueRecord: unknown keys ['lable']"),
+    "corpus_gcs_a_string": ("extract-features", "corpus.jsonl",
+                            _edit_first_row(lambda r: r["vitals"].update(gcs=str(r["vitals"]["gcs"]))),
+                            ":1: RescueRecord.vitals.gcs: expected int, got str"),
+    "corpus_labelled_psych": ("extract-features", "corpus.jsonl", _edit_first_row(lambda r: r.update(label="psych")),
+                              ":1: RescueRecord.label: 'psych' is not a valid Label"),
+    "corpus_vitals_key_typo": ("wordcount", "corpus.jsonl",
+                               _edit_first_row(lambda r: r["vitals"].update(gsc=r["vitals"].pop("gcs"))),
+                               ":1: RescueRecord.vitals: unknown keys ['gsc']"),
     "leaderboard_without_per_kind": ("evaluate", "leaderboard.json", _edit_json(lambda d: d.pop("per_kind")),
                                      "Leaderboard: missing keys ['per_kind']"),
     "leaderboard_without_winner": ("evaluate", "leaderboard.json", _edit_json(lambda d: d.pop("winner")),
@@ -566,6 +654,11 @@ CORRUPTED_ARTIFACTS = {
                                 "per_kind.RF: no candidates"),
     "unknown_kind": ("evaluate", "leaderboard.json", _edit_json(lambda d: d["per_kind"].update(FOO=[])),
                      "Leaderboard.per_kind: 'FOO' is not a valid ModelKind"),
+    "winner_kind_without_candidates": ("evaluate", "leaderboard.json",
+                                       _edit_json(lambda d: d["per_kind"].pop(d["winner"]["spec"]["kind"])),
+                                       "Leaderboard: per_kind: no candidates of the winner's kind"),
+    "leaderboard_without_split": ("evaluate", "leaderboard.json", _edit_json(lambda d: d.pop("split")),
+                                  "Leaderboard: missing keys ['split']"),
     "winner_spec_without_seed": ("evaluate", "leaderboard.json", _edit_json(lambda d: d["winner"]["spec"].pop("seed")),
                                  "Leaderboard.winner: spec: missing keys ['seed']"),
     "leaderboard_not_json": ("evaluate", "leaderboard.json", lambda text: text[:40], "line "),
@@ -615,6 +708,8 @@ CORRUPTED_ARTIFACTS = {
     "transcript_object": ("llm-compare", "answers.json", _replace(json.dumps({"true": "false"})),
                           "expected a list, got dict"),
     "transcript_number": ("llm-compare", "answers.json", _replace("42"), "expected a list, got int"),
+    "transcript_too_short": ("llm-compare", "answers.json", _replace(json.dumps(["true"])),
+                             "4 sampled cases need as many answers, got 1"),
 }
 
 
@@ -626,13 +721,27 @@ class TestCorruptedArtifacts:
         source = chain / artifact
         bad = tmp_path / artifact
         bad.write_text(corrupt(source.read_text() if source.exists() else ""))
-        paths = {name: str(chain / name) for name in (
-            "features.jsonl", "selection_report.json", "leaderboard.json", "rfecv_report.json", "best_model.json",
-        )}
-        paths["answers.json"] = str(chain.parent / "answers.json")
-        paths[artifact] = str(bad)
-        assert main(_COMMANDS[command](paths, str(tmp_path / "out"))) == 2
+        assert main(_COMMANDS[command]({**_chain_paths(chain), artifact: str(bad)}, str(tmp_path / "out"))) == 2
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and str(bad) in errors[0] and message in errors[0], errors
         assert "Traceback" not in "".join(capfd.readouterr())
         assert list(tmp_path.iterdir()) == [bad]
+
+
+def _readme_cli_commands() -> list[str]:
+    """The rescue-triage command lines of README's CLI block, continuations
+    joined and comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = (line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines())
+    return [line for line in lines if line.startswith("rescue-triage ")]
+
+
+def test_readme_cli_commands_parse():
+    commands = set()
+    for line in _readme_cli_commands():
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert args.seed is None or args.command not in ("evaluate", "llm-compare"), line
+        commands.add(args.command)
+    assert commands == {"run-all", "synth", "ingest", "wordcount", "extract-features", "select-features", "tune",
+                        "evaluate", "llm-compare"}

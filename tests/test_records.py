@@ -29,7 +29,6 @@ from rescue_triage.records import (
     asjson,
     check_unique_case_ids,
     from_dict,
-    record_from_dict,
     record_to_dict,
     to_feature_vector,
     validate_record,
@@ -218,15 +217,14 @@ class TestSerialization:
              "circulation_normal": False, "pulse_rhythm_regular": True,
              "notes": ["erste notiz", "zweite notiz"], "label": "non_psychiatric"}
         )
-        back = record_from_dict(json.loads(json.dumps(record_to_dict(rec))))
+        back = from_dict(RescueRecord, json.loads(json.dumps(record_to_dict(rec))))
         assert back == rec
 
     def test_corpus_line_validated_like_an_ingest_row(self):
         line = record_to_dict(validate_record({"case_id": "x9", "gcs": 12, "systolic_bp": 140}))
         line["vitals"]["gcs"] = 2
-        with pytest.raises(RecordValidationError, match="x9") as err:
-            record_from_dict(line)
-        assert {(i.kind, i.field) for i in err.value.issues} == {(GCS_OUT_OF_RANGE, "gcs")}
+        with pytest.raises(ConfigError, match=r"RescueRecord\.vitals: .*gcs_out_of_range: field 'gcs' = 2$"):
+            from_dict(RescueRecord, line)
 
     def test_ingest_drops_a_row_with_infinite_gcs(self, tmp_path, caplog):
         export = tmp_path / "export.csv"
