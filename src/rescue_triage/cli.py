@@ -10,8 +10,8 @@ strictly (unknown or missing keys and wrong types exit 2, naming the key).
 
 * tune reads the relevance filter's report (--selection), tunes on the
   selected features and records its train/test split (--split,
-  --stratified) and seed in the leaderboard; --rfecv-report also runs RFECV
-  on the winner;
+  --stratified), seed and fold accuracies in the leaderboard;
+  --rfecv-report also runs RFECV on the winner, on tune's --folds;
 * evaluate needs the RFECV report, and --save-best saves the leaderboard's
   CV winner refitted on the train split;
 * llm-compare samples --limit cases from the test split like run-all; the
@@ -101,11 +101,11 @@ def _cmd_select(args) -> int:
 def _cmd_tune(args) -> int:
     cfg = _config(
         args, search_mode=args.mode, search_budget=args.budget, cv_folds=args.folds,
-        rfecv_folds=args.folds, stratified=args.stratified, split_ratio=args.split,
+        stratified=args.stratified, split_ratio=args.split,
     )
     _done(stage_tune(cfg, args.input, args.selection, args.out))
     if args.rfecv_report:
-        _done(stage_rfecv(cfg, args.input, args.selection, args.out, args.rfecv_report))
+        _done(stage_rfecv(args.input, args.selection, args.out, args.rfecv_report))
     return 0
 
 

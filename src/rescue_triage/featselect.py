@@ -44,14 +44,12 @@ def filter_select(
     nonpatient_vectors: Sequence[FeatureVector],
     threshold: float = 3.0,
     feature_names: Sequence[str] = TEXT_FEATURE_NAMES,
-    select_zero_reference: bool = True,
 ) -> SelectionReport:
     """Score features by relative_deviation of their group means and apply the threshold.
 
     x is the mean over psychiatric cases, y over everyone else. A zero
     reference mean is flagged per feature (score None) rather than raised;
-    such maximally discriminative features are selected unless
-    ``select_zero_reference`` is False.
+    such maximally discriminative features are selected.
     """
     if not patient_vectors or not nonpatient_vectors:
         raise ValueError("both groups must be non-empty")
@@ -66,7 +64,7 @@ def filter_select(
             log.warning("feature %r has zero reference mean; flagged", name)
         percent = None if score is None else score * 100.0
         scores.append(RelevanceScore(name, x, y, score, percent, zero_reference=score is None))
-        keep = select_zero_reference if score is None else score >= threshold
+        keep = score is None or score >= threshold
         (selected if keep else rejected).append(name)
     return SelectionReport(threshold, tuple(selected), tuple(rejected), tuple(scores))
 

@@ -55,6 +55,7 @@ from .records import (
 from .synthgen import GeneratorConfig, default_config, generate
 from .textfeat import default_lexicons, extract_features, load_lexicon_file, note_tokens, word_count
 from .tuning import (
+    Candidate,
     CvSpec,
     SearchSpec,
     evaluate_all,
@@ -100,7 +101,6 @@ class PipelineConfig:
     search_budget: int = 20
     cv_folds: int = 5
     stratified: bool = True
-    rfecv_folds: int = 5
     split_ratio: float = 0.8
     llm_mode: str = "stub"  # stub | transcript | endpoint | off
     llm_transcript: Optional[str] = None
@@ -120,21 +120,11 @@ class PipelineConfig:
             ("search_mode", lambda: SearchSpec(self.search_mode)),
             ("search_budget", lambda: SearchSpec(self.search_mode, budget=self.search_budget)),
             ("cv_folds", lambda: CvSpec(self.cv_folds)),
-            ("rfecv_folds", lambda: CvSpec(self.rfecv_folds)),
         ):
             try:
                 build()
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One search candidate of a kind, as leaderboard.json lists it."""
-
-    hyperparameters: dict
-    mean_accuracy: float
-    fold_accuracies: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -162,16 +152,24 @@ class Split:
 @dataclass(frozen=True)
 class Leaderboard:
     """leaderboard.json: the CV winner, the split it was tuned on, and every
-    kind's candidates, best first."""
+    kind's candidates, best first, each with one accuracy per tune fold."""
 
     winner: Winner
     split: Split
     per_kind: dict[ModelKind, tuple[Candidate, ...]]
 
     def __post_init__(self):
+        first = None
         for kind, candidates in self.per_kind.items():
             if not candidates:
                 raise ValueError(f"per_kind.{kind.value}: no candidates")
+            for i, candidate in enumerate(candidates):
+                key, n = f"per_kind.{kind.value}[{i}].fold_accuracies", len(candidate.fold_accuracies)
+                if n < 2:
+                    raise ValueError(f"{key}: needs at least 2 entries, got {n}")
+                first = first or (key, n)
+                if n != first[1]:
+                    raise ValueError(f"{key}: {n} entries, where {first[0]} has {first[1]}")
         if self.winner.spec.kind not in self.per_kind:
             raise ValueError(f"per_kind: no candidates of the winner's kind {self.winner.spec.kind.value}")
 
@@ -254,15 +252,17 @@ def _stage_pool(jobs: int):
     yield map, 1
 
 
-# Stage functions. Each takes the config (evaluate needs none) plus artifact
-# paths, writes its artifacts and returns (artifacts written, manifest
-# extras). run_pipeline and the CLI subcommands both call them. tune owns
-# the train/test split: it records it in leaderboard.json, and rfecv,
-# evaluate and llm-compare take it, and the seed, from there.
+# Stage functions. Each takes the config (rfecv and evaluate need none) plus
+# artifact paths, writes its artifacts and returns (artifacts written,
+# manifest extras). run_pipeline and the CLI subcommands both call them. tune
+# owns the split and the CV folds: leaderboard.json records them, and rfecv,
+# evaluate and llm-compare take them, and the seed, from there.
 
 
 def stage_synth(cfg: PipelineConfig, corpus_path, truth_path=None, delimiter: str = ","):
-    """Generate the synthetic corpus, or ingest cfg.input_csvs when set."""
+    """Generate the synthetic corpus, or ingest cfg.input_csvs when set,
+    counting the ingested rows dropped as invalid."""
+    row_errors = []
     if cfg.input_csvs:
         tables = [load_csv(p, delimiter=delimiter) for p in cfg.input_csvs]
         records, row_errors = ingest_tables(tables, cfg.ingest or IngestConfig())
@@ -279,7 +279,8 @@ def stage_synth(cfg: PipelineConfig, corpus_path, truth_path=None, delimiter: st
             for r in records:
                 fh.write(f"{r.case_id},{r.label.value}\n")
         artifacts.append(Path(truth_path))
-    return artifacts, {"records": len(records), "mode": "csv" if cfg.input_csvs else "synthetic"}
+    mode = "csv" if cfg.input_csvs else "synthetic"
+    return artifacts, {"records": len(records), "rejected": len(row_errors), "mode": mode}
 
 
 def stage_wordcount(cfg: PipelineConfig, corpus_path, counts_path):
@@ -294,7 +295,8 @@ def stage_wordcount(cfg: PipelineConfig, corpus_path, counts_path):
 
 
 def stage_extract_features(cfg: PipelineConfig, corpus_path, features_path):
-    """Keyword features plus vitals per case; cases with incomplete vitals are skipped."""
+    """Keyword features plus vitals per case; cases with incomplete vitals are
+    skipped, and unlabeled rows, which later stages leave out, are counted."""
     categories, lexicons = _load_lexicons(cfg)
     rows = []
     skipped = 0
@@ -305,7 +307,8 @@ def stage_extract_features(cfg: PipelineConfig, corpus_path, features_path):
         fv = to_feature_vector(r.vitals, extract_features(r, categories, lexicons))
         rows.append(FeatureRow(r.case_id, r.label, fv))
     write_jsonl(features_path, rows, asjson)
-    return [Path(features_path)], {"rows": len(rows), "skipped": skipped}
+    unlabeled = sum(r.label is Label.UNKNOWN for r in rows)
+    return [Path(features_path)], {"rows": len(rows), "skipped": skipped, "unlabeled": unlabeled}
 
 
 def stage_select_features(cfg: PipelineConfig, features_path, selection_path):
@@ -318,8 +321,9 @@ def stage_select_features(cfg: PipelineConfig, features_path, selection_path):
 
 def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_path):
     """Hyperparameter search per model kind on the train split's selected
-    features; the CV jobs of every kind run on one pool. The config's split
-    is recorded in the leaderboard for the stages after tune."""
+    features, the CV jobs of every kind on one pool. The leaderboard records
+    the config's split and the candidates search returns; the winner is the
+    first kind, in ModelKind order, with the best mean CV accuracy."""
     split = Split(cfg.split_ratio, cfg.stratified)
     train_set, _ = _split(split, cfg.seed, features_path, _filter_features(selection_path), selection_path)
     cv = CvSpec(folds=cfg.cv_folds, stratified=split.stratified, seed=cfg.seed)
@@ -329,31 +333,26 @@ def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_p
         for kind in ModelKind:
             spec = SearchSpec(cfg.search_mode, DEFAULT_SEARCH_SPACES[kind], cfg.search_budget, cfg.seed)
             t0 = time.perf_counter()
-            per_kind[kind] = search(kind, spec, cv, train_set, model_seed=cfg.seed, map_fn=map_fn).leaderboard
+            per_kind[kind] = search(kind, spec, cv, train_set, model_seed=cfg.seed, map_fn=map_fn)
             search_s[kind.value] = round(time.perf_counter() - t0, 3)
-    best = max(per_kind.values(), key=lambda entries: entries[0].mean_score)[0]
-    board = Leaderboard(
-        Winner(best.spec, best.mean_score),
-        split,
-        {kind: tuple(Candidate(e.spec.hyperparameters, e.mean_score, e.fold_scores) for e in entries)
-         for kind, entries in per_kind.items()},
-    )
-    write_json(leaderboard_path, board)
-    return [Path(leaderboard_path)], {"winner": asjson(best.spec), "workers": workers, "search_s": search_s}
+    kind, candidates = max(per_kind.items(), key=lambda item: item[1][0].mean_accuracy)
+    winner = ModelSpec(kind, candidates[0].hyperparameters, seed=cfg.seed)
+    write_json(leaderboard_path, Leaderboard(Winner(winner, candidates[0].mean_accuracy), split, per_kind))
+    return [Path(leaderboard_path)], {"winner": asjson(winner), "workers": workers, "search_s": search_s}
 
 
-def stage_rfecv(cfg: PipelineConfig, features_path, selection_path, leaderboard_path, rfecv_path):
-    """RFECV on the tuned winner over the leaderboard's train split. With as
-    many folds as tune, its first step refits the winner on tune's folds, so
-    its fold scores must equal the winner's fold accuracies."""
+def stage_rfecv(features_path, selection_path, leaderboard_path, rfecv_path):
+    """RFECV on the tuned winner over the leaderboard's train split, on tune's
+    folds. Its first step refits the winner on those folds, so its fold
+    scores must equal the winner's fold accuracies."""
     board = read_json(leaderboard_path, Leaderboard)
     winner = board.winner.spec
     train_set, _ = _split(board.split, winner.seed, features_path, _filter_features(selection_path), selection_path)
-    cv = CvSpec(folds=cfg.rfecv_folds, stratified=board.split.stratified, seed=winner.seed)
+    tuned = board.per_kind[winner.kind][0].fold_accuracies
+    cv = CvSpec(folds=len(tuned), stratified=board.split.stratified, seed=winner.seed)
     with _stage_pool(cv.folds) as (map_fn, workers):
         rfe = rfecv(train_set, winner, cv, map_fn=map_fn)
-    tuned = board.per_kind[winner.kind][0].fold_accuracies
-    if cv.folds == len(tuned) and rfe.steps[0].fold_scores != tuned:
+    if rfe.steps[0].fold_scores != tuned:
         raise ValueError(
             f"{leaderboard_path}: the winner's fold accuracies {list(tuned)} differ from its refit "
             f"on the same folds in RFECV's first step {list(rfe.steps[0].fold_scores)}"
@@ -465,7 +464,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "extract_features": lambda: stage_extract_features(cfg, corpus, features),
         "select_features": lambda: stage_select_features(cfg, features, selection),
         "tune": lambda: stage_tune(cfg, features, selection, leaderboard),
-        "rfecv": lambda: stage_rfecv(cfg, features, selection, leaderboard, rfecv_report),
+        "rfecv": lambda: stage_rfecv(features, selection, leaderboard, rfecv_report),
         "evaluate": lambda: stage_evaluate(
             features, leaderboard, rfecv_report, out / "metrics_table.csv", out / "roc", best_model
         ),

@@ -87,7 +87,7 @@ class RecordValidationError(ValueError):
         self.issues = list(issues)
         self.case_id = case_id
         detail = "; ".join(str(i) for i in self.issues)
-        super().__init__(f"invalid record {case_id!r}: {detail}")
+        super().__init__(f"invalid record {case_id!r}: {detail}" if case_id else detail)
 
 
 class MissingVitalError(ValueError):

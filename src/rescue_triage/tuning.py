@@ -146,12 +146,6 @@ def fold_accuracy(model, X: np.ndarray, y: np.ndarray) -> float:
     return _metrics.metrics(_metrics.confusion(y, model.predict(X))).accuracy
 
 
-@dataclass(frozen=True)
-class CvResult:
-    fold_scores: tuple[float, ...]
-    mean: float
-
-
 def _fold_scores(job) -> list[float]:
     """One CV job: fit a share group of specs on a fold's training rows and
     return each model's accuracy on the fold's validation rows."""
@@ -163,9 +157,11 @@ def _fold_scores(job) -> list[float]:
     return scores
 
 
-def cross_validate(specs: Sequence[ModelSpec], data: Dataset, cv: CvSpec, map_fn: Callable = map) -> list[CvResult]:
+def cross_validate(
+    specs: Sequence[ModelSpec], data: Dataset, cv: CvSpec, map_fn: Callable = map
+) -> list[tuple[float, ...]]:
     """Per fold, train every spec on the k-1 other folds, evaluate on the
-    held-out one; one CvResult of fold accuracies and their mean per spec.
+    held-out one; each spec's fold accuracies, in fold order.
 
     One job per (fold, ``share_groups`` group), fold-major, run by ``map_fn``:
     the builtin ``map`` here or a process pool's in its workers. Results are
@@ -182,7 +178,7 @@ def cross_validate(specs: Sequence[ModelSpec], data: Dataset, cv: CvSpec, map_fn
     for k, fold_scores in enumerate(map_fn(_fold_scores, jobs)):
         for i, score in zip(groups[k % len(groups)], fold_scores):
             scores[i].append(score)
-    return [CvResult(tuple(s), float(np.mean(s))) for s in scores]
+    return [tuple(s) for s in scores]
 
 
 def _enumerate_grid(space: dict) -> list[dict]:
@@ -210,16 +206,13 @@ def _draw_candidates(search: SearchSpec) -> list[dict]:
 
 
 @dataclass(frozen=True)
-class LeaderboardEntry:
-    spec: ModelSpec
-    mean_score: float
-    fold_scores: tuple[float, ...]
+class Candidate:
+    """One search candidate of a kind, as leaderboard.json lists it: its
+    resolved hyperparameters and its CV accuracy, mean and per fold."""
 
-
-@dataclass(frozen=True)
-class SearchResult:
-    best: ModelSpec
-    leaderboard: tuple[LeaderboardEntry, ...]
+    hyperparameters: dict
+    mean_accuracy: float
+    fold_accuracies: tuple[float, ...]
 
 
 def search(
@@ -229,20 +222,18 @@ def search(
     data: Dataset,
     model_seed: int = 0,
     map_fn: Callable = map,
-) -> SearchResult:
-    """Evaluate every candidate by mean CV accuracy and return the winner;
-    ``map_fn`` runs the CV jobs, as in ``cross_validate``.
+) -> tuple[Candidate, ...]:
+    """Every candidate with its CV accuracy, best mean first; ``map_fn`` runs
+    the CV jobs, as in ``cross_validate``.
 
     Ties resolve to the earliest candidate in enumeration order.
     """
     specs = [ModelSpec(kind, params, seed=model_seed) for params in _draw_candidates(search_spec)]
-    entries = [
-        LeaderboardEntry(spec, result.mean, result.fold_scores)
-        for spec, result in zip(specs, cross_validate(specs, data, cv, map_fn))
+    candidates = [
+        Candidate(spec.hyperparameters, float(np.mean(scores)), scores)
+        for spec, scores in zip(specs, cross_validate(specs, data, cv, map_fn))
     ]
-    ranked = sorted(range(len(entries)), key=lambda i: (-entries[i].mean_score, i))
-    leaderboard = tuple(entries[i] for i in ranked)
-    return SearchResult(best=leaderboard[0].spec, leaderboard=leaderboard)
+    return tuple(sorted(candidates, key=lambda c: -c.mean_accuracy))
 
 
 @dataclass(frozen=True)

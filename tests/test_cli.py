@@ -35,7 +35,6 @@ def small_pipeline_dict(out_dir, seed=7):
         "out_dir": str(out_dir),
         "generator": gen,
         "cv_folds": 2,
-        "rfecv_folds": 2,
         "llm_cases": 4,
     }
 
@@ -239,6 +238,27 @@ class TestStageCommands:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and all(part in errors[0] for part in [str(lexicon), *named]), errors
         assert not out.exists()
+
+    def test_extract_features_counts_unlabeled_rows(self, work, tmp_path):
+        lines = (work / "corpus.jsonl").read_text().splitlines()
+        stripped = [json.dumps({k: v for k, v in json.loads(line).items() if k != "label"}) for line in lines[:20]]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(stripped + lines[20:]) + "\n")
+        _, extra = pipeline.stage_extract_features(PipelineConfig(), corpus, tmp_path / "features.jsonl")
+        assert extra == {"rows": 110, "skipped": 0, "unlabeled": 20}
+
+    def test_synth_counts_rejected_ingest_rows(self, tmp_path):
+        export = tmp_path / "export.csv"
+        export.write_text(
+            "case_id,systolic_bp,respiratory_rate,gcs,circulation,pulse_rhythm,notes,label\n"
+            "k1,130,16,15,normal,false,ruhig,psychiatric\n"
+            "k2,120,18,2,abnormal,true,unruhig,non_psychiatric\n"
+        )
+        cfg = PipelineConfig(input_csvs=(str(export),))
+        _, extra = pipeline.stage_synth(cfg, tmp_path / "corpus.jsonl")
+        assert extra == {"records": 1, "rejected": 1, "mode": "csv"}
+        _, extra = pipeline.stage_synth(PipelineConfig(generator=default_config(6, 4)), tmp_path / "synth.jsonl")
+        assert extra == {"records": 10, "rejected": 0, "mode": "synthetic"}
 
     def test_select_features(self, work):
         assert main(["select-features", "--in", str(work / "features.jsonl"),
@@ -456,12 +476,17 @@ class TestChainedSubcommands:
         (tmp_path / "leaderboard.json").write_text(json.dumps(board))
         args = (chain / "features.jsonl", chain / "selection_report.json", tmp_path / "leaderboard.json")
         with pytest.raises(ValueError) as err:
-            stage_rfecv(PipelineConfig(rfecv_folds=2), *args, tmp_path / "rfecv.json")
+            stage_rfecv(*args, tmp_path / "rfecv.json")
         assert str(tmp_path / "leaderboard.json") in str(err.value)
         assert "[0.0, 0.0]" in str(err.value) and str(first_step) in str(err.value)
         assert not (tmp_path / "rfecv.json").exists()
-        # with another fold count the first step is not tune's folds, so nothing is compared
-        stage_rfecv(PipelineConfig(rfecv_folds=3), *args, tmp_path / "rfecv.json")
+
+    def test_rfecv_runs_on_as_many_folds_as_tune(self, chained):
+        run_dir, _, _ = chained
+        board = read_json(run_dir / "leaderboard.json", pipeline.Leaderboard)
+        assert {len(c.fold_accuracies) for cs in board.per_kind.values() for c in cs} == {2}
+        steps = read_json(run_dir / "rfecv_report.json", RfecvResult).steps
+        assert {len(step.fold_scores) for step in steps} == {2}
 
     def test_llm_compare_through_an_endpoint_reports_latency_and_ambiguity(self, chained, stub_server, tmp_path):
         _, _, chain = chained
@@ -544,6 +569,7 @@ CONFIG_MISUSE = {
                                  "PipelineConfig.generator: missing keys ['vitals']"),
     "search_mode_typo": ("run-all", {"search_mode": "grd"}, "PipelineConfig: search_mode: unknown search mode 'grd'"),
     "one_cv_fold": ("run-all", {"cv_folds": 1}, "PipelineConfig: cv_folds: folds must be >= 2"),
+    "rfecv_folds_set": ("run-all", {"rfecv_folds": 3}, "PipelineConfig: unknown keys ['rfecv_folds']"),
     "split_ratio_of_one": ("run-all", {"split_ratio": 1.0}, "PipelineConfig: split_ratio must lie strictly between 0 and 1"),
     "negative_llm_cases": ("run-all", {"llm_cases": -1}, "PipelineConfig: llm_cases must be at least 1, got -1"),
     "negative_endpoint_retries": ("run-all", {"llm_endpoint": {"retries": -1}, "llm_mode": "endpoint"},
@@ -659,6 +685,13 @@ CORRUPTED_ARTIFACTS = {
                                        "Leaderboard: per_kind: no candidates of the winner's kind"),
     "leaderboard_without_split": ("evaluate", "leaderboard.json", _edit_json(lambda d: d.pop("split")),
                                   "Leaderboard: missing keys ['split']"),
+    "ragged_fold_accuracies": ("evaluate", "leaderboard.json",
+                               _edit_json(lambda d: d["per_kind"]["NB"][0]["fold_accuracies"].append(0.5)),
+                               "Leaderboard: per_kind.NB[0].fold_accuracies: 3 entries, "
+                               "where per_kind.SVM[0].fold_accuracies has 2"),
+    "one_fold_accuracy": ("evaluate", "leaderboard.json",
+                          _edit_json(lambda d: d["per_kind"]["LR"][1].update(fold_accuracies=[0.5])),
+                          "Leaderboard: per_kind.LR[1].fold_accuracies: needs at least 2 entries, got 1"),
     "winner_spec_without_seed": ("evaluate", "leaderboard.json", _edit_json(lambda d: d["winner"]["spec"].pop("seed")),
                                  "Leaderboard.winner: spec: missing keys ['seed']"),
     "leaderboard_not_json": ("evaluate", "leaderboard.json", lambda text: text[:40], "line "),

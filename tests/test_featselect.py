@@ -83,7 +83,7 @@ class TestFilterSelect:
         assert entry.score == 0.0
         assert "intoxication" in report.rejected
 
-    def test_zero_reference_flagged_and_selected_by_default(self):
+    def test_zero_reference_flagged_and_selected(self):
         patients = _vectors({"psychiatric_symptoms": 0.5}, 10)
         others = _vectors({}, 10)
         report = filter_select(patients, others, threshold=3.0)
@@ -91,8 +91,6 @@ class TestFilterSelect:
         assert entry.zero_reference
         assert entry.score is None
         assert "psychiatric_symptoms" in report.selected
-        off = filter_select(patients, others, threshold=3.0, select_zero_reference=False)
-        assert "psychiatric_symptoms" in off.rejected
 
     def test_selected_union_rejected_covers_scored(self):
         patients = _vectors({"alcoholism": 0.9, "intoxication": 0.2}, 20)
@@ -157,8 +155,8 @@ class TestRfecv:
         candidates = []
         for r in (1, 2):
             for names in itertools.combinations(data.feature_names, r):
-                [cv_result] = cross_validate([spec], data.select(names), cv)
-                score = cv_result.mean
+                [fold_scores] = cross_validate([spec], data.select(names), cv)
+                score = float(np.mean(fold_scores))
                 candidates.append((score, -r, names))
         _, _, best_subset = max(candidates)
         assert set(result.best_features) == set(best_subset)

@@ -96,23 +96,23 @@ class TestFolds:
 class TestCrossValidate:
     def test_learnable_fixture_scores_one(self):
         data = dataset(n=60, sep=8.0, noise=0.0)
-        [result] = cross_validate([ModelSpec(ModelKind.KNN, {"k": 3})], data, CvSpec(folds=4, seed=1))
-        assert result.mean == 1.0
-        assert all(s == 1.0 for s in result.fold_scores)
+        [scores] = cross_validate([ModelSpec(ModelKind.KNN, {"k": 3})], data, CvSpec(folds=4, seed=1))
+        assert scores == (1.0,) * 4
 
     def test_leave_one_out_matches_bruteforce(self):
         X = np.array([[0.0], [0.2], [0.9], [1.1], [1.9], [2.1]])
         y = np.array([0, 0, 1, 1, 0, 0])
         data = Dataset(X, y, ("x",))
         spec = ModelSpec(ModelKind.KNN, {"k": 1})
-        [result] = cross_validate([spec], data, CvSpec(folds=6, stratified=False, seed=5))
+        [scores] = cross_validate([spec], data, CvSpec(folds=6, stratified=False, seed=5))
 
         expected = []
         for i in range(6):
             keep = [j for j in range(6) if j != i]
             model = train(spec, X[keep], y[keep])
             expected.append(float(model.predict(X[i]) == y[i]))
-        assert result.mean == pytest.approx(np.mean(expected))
+        assert float(np.mean(scores)) == pytest.approx(np.mean(expected))
+        assert sorted(scores) == sorted(expected)
 
     def test_degenerate_training_fold_rejected(self):
         # the fold holding the lone positive leaves a single-class train side
@@ -141,21 +141,18 @@ class TestCrossValidate:
 class TestSearch:
     def test_single_point_space(self):
         data = dataset(n=60)
-        result = search(
-            ModelKind.KNN, SearchSpec("grid", {"k": [3]}), CvSpec(folds=3, seed=1), data
-        )
-        assert result.best.hyperparameters["k"] == 3
-        assert len(result.leaderboard) == 1
+        [best] = search(ModelKind.KNN, SearchSpec("grid", {"k": [3]}), CvSpec(folds=3, seed=1), data)
+        assert best.hyperparameters["k"] == 3
 
     def test_grid_product_size(self):
         data = dataset(n=60)
-        result = search(
+        candidates = search(
             ModelKind.RF,
             SearchSpec("grid", {"n_trees": [3, 5], "max_depth": [2, 4]}),
             CvSpec(folds=3, seed=1),
             data,
         )
-        assert len(result.leaderboard) == 4
+        assert len(candidates) == 4
 
     def test_empty_space_rejected(self):
         with pytest.raises(EmptySpace):
@@ -167,8 +164,8 @@ class TestSearch:
         cv = CvSpec(folds=4, seed=2)
         grid = search(ModelKind.KNN, SearchSpec("grid", space), cv, data)
         rand = search(ModelKind.KNN, SearchSpec("random", space, budget=4, seed=11), cv, data)
-        assert grid.best == rand.best
-        assert {e.spec.hyperparameters["k"] for e in rand.leaderboard} == set(space["k"])
+        assert grid[0] == rand[0]
+        assert {c.hyperparameters["k"] for c in rand} == set(space["k"])
 
     def test_planted_optimum_found_by_both_modes(self):
         # k=1 memorizes a noiseless fixture perfectly; large k underfits it
@@ -176,16 +173,21 @@ class TestSearch:
         space = {"k": [1, 39]}
         cv = CvSpec(folds=4, seed=6)
         for mode, budget in (("grid", 1), ("random", 2)):
-            result = search(ModelKind.KNN, SearchSpec(mode, space, budget=budget, seed=6), cv, data)
-            assert result.best.hyperparameters["k"] == 1
+            best = search(ModelKind.KNN, SearchSpec(mode, space, budget=budget, seed=6), cv, data)[0]
+            assert best.hyperparameters["k"] == 1
 
     def test_ranked_by_mean_then_order(self):
         data = dataset(n=60, seed=5)
-        result = search(
-            ModelKind.KNN, SearchSpec("grid", {"k": [3, 5, 7]}), CvSpec(folds=3, seed=9), data
-        )
-        means = [e.mean_score for e in result.leaderboard]
+        candidates = search(ModelKind.KNN, SearchSpec("grid", {"k": [3, 5, 7]}), CvSpec(folds=3, seed=9), data)
+        means = [c.mean_accuracy for c in candidates]
         assert means == sorted(means, reverse=True)
+
+    def test_tie_goes_to_the_earliest_candidate(self):
+        # every k separates a noiseless, well-spread fixture perfectly
+        data = dataset(n=60, sep=8.0, noise=0.0)
+        candidates = search(ModelKind.KNN, SearchSpec("grid", {"k": [5, 1, 3]}), CvSpec(folds=3, seed=2), data)
+        assert [c.mean_accuracy for c in candidates] == [1.0] * 3
+        assert [c.hyperparameters["k"] for c in candidates] == [5, 1, 3]
 
 
     @pytest.mark.parametrize("mode", ["grid", "random"])
@@ -194,7 +196,7 @@ class TestSearch:
         data = dataset(n=90, d=5, seed=12)
         cv = CvSpec(folds=3, seed=4)
         search_spec = SearchSpec(mode, DEFAULT_SEARCH_SPACES[kind], budget=3, seed=8)
-        result = search(kind, search_spec, cv, data, model_seed=3)
+        candidates = search(kind, search_spec, cv, data, model_seed=3)
 
         entries = []
         for params in _draw_candidates(search_spec):
@@ -203,10 +205,9 @@ class TestSearch:
                 fold_accuracy(train(spec, data.X[tr], data.y[tr]), data.X[va], data.y[va])
                 for tr, va in fold_pairs(data.y, cv)
             )
-            entries.append((spec, float(np.mean(scores)), scores))
+            entries.append((spec.hyperparameters, float(np.mean(scores)), scores))
         expected = [entries[i] for i in sorted(range(len(entries)), key=lambda i: (-entries[i][1], i))]
-        assert [(e.spec, e.mean_score, e.fold_scores) for e in result.leaderboard] == expected
-        assert result.best == expected[0][0]
+        assert [(c.hyperparameters, c.mean_accuracy, c.fold_accuracies) for c in candidates] == expected
 
 
 class TestEvaluateAll:
