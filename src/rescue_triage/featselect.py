@@ -16,9 +16,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .learners import ModelSpec, train
+# train stays importable as featselect.train, a name perfbench/layers.py wraps
+from .learners import ModelSpec, train, train_folds  # noqa: F401
 from .records import Dataset, FeatureVector, RelevanceScore, TEXT_FEATURE_NAMES, rng_from
-from .tuning import CvSpec, fold_accuracy, fold_pairs
+from .tuning import CvSpec, fold_accuracy, fold_chunks, fold_pairs
 
 log = logging.getLogger(__name__)
 
@@ -83,23 +84,27 @@ class RfecvResult:
     steps: tuple[RfecvStep, ...]
 
 
-def _fold_drops(job) -> tuple[float, np.ndarray]:
-    """One RFECV job, a subset's fold: the model's validation accuracy, and
-    per feature the accuracy lost when its validation column is permuted."""
-    spec, X, y, train_idx, val_idx, seed, fi = job
-    model = train(spec, X[train_idx], y[train_idx])
-    Xv, yv = X[val_idx], y[val_idx]
-    base = fold_accuracy(model, Xv, yv)
-    drops = np.empty(X.shape[1])
-    for j in range(X.shape[1]):
-        rng = rng_from(seed, 7004, X.shape[1], fi, j)
-        Xp = Xv.copy()
-        Xp[:, j] = Xv[rng.permutation(len(Xv)), j]
-        drops[j] = base - fold_accuracy(model, Xp, yv)
-    return base, drops
+def _fold_drops(job) -> list[tuple[float, np.ndarray]]:
+    """One RFECV job, a chunk of a subset's folds: per fold, the model's
+    validation accuracy, and per feature the accuracy lost when its
+    validation column is permuted."""
+    spec, X, y, chunk, seed = job
+    out = [None] * len(chunk)
+    for f, _, model in train_folds([spec], X, y, [train_idx for _, train_idx, _ in chunk]):
+        fi, _, val_idx = chunk[f]
+        Xv, yv = X[val_idx], y[val_idx]
+        base = fold_accuracy(model, Xv, yv)
+        drops = np.empty(X.shape[1])
+        for j in range(X.shape[1]):
+            rng = rng_from(seed, 7004, X.shape[1], fi, j)
+            Xp = Xv.copy()
+            Xp[:, j] = Xv[rng.permutation(len(Xv)), j]
+            drops[j] = base - fold_accuracy(model, Xp, yv)
+        out[f] = base, drops
+    return out
 
 
-def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec, map_fn: Callable = map) -> RfecvResult:
+def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec, map_fn: Callable = map, workers: int = 1) -> RfecvResult:
     """Recursive feature elimination driven by permutation importance.
 
     At each subset size the model is trained per fold; a feature's
@@ -107,23 +112,27 @@ def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec, map_fn: Callable = m
     column is permuted. The least important feature is removed until one
     remains. Returns the subset with the best mean CV accuracy (ties go to
     the smaller subset). Fold layout stays fixed across subset sizes. A
-    subset's folds are jobs run by ``map_fn``, as in ``cross_validate``.
+    subset's ``fold_chunks`` are jobs run by ``map_fn`` on ``workers``, as
+    in ``cross_validate``, so an MLPC subset trains a chunk's folds as
+    lanes of one stacked fit.
     """
     if len(data.feature_names) < 2:
         raise ValueError("rfecv needs at least 2 features")
     folds = fold_pairs(data.y, cv)
+    chunks = fold_chunks(len(folds), workers)
 
     features = list(data.feature_names)
     steps: list[RfecvStep] = []
     eliminated: list[str] = []
     while features:
         sub = data.select(features)
-        jobs = [(model_spec, sub.X, sub.y, tr, va, cv.seed, fi) for fi, (tr, va) in enumerate(folds)]
+        jobs = [(model_spec, sub.X, sub.y, [(fi, *folds[fi]) for fi in chunk], cv.seed) for chunk in chunks]
         fold_scores = []
         drops = np.zeros(len(features))
-        for base, fold_drops in map_fn(_fold_drops, jobs):
-            fold_scores.append(base)
-            drops += fold_drops
+        for chunk_drops in map_fn(_fold_drops, jobs):
+            for base, fold_drops in chunk_drops:
+                fold_scores.append(base)
+                drops += fold_drops
         steps.append(RfecvStep(tuple(features), float(np.mean(fold_scores)), tuple(fold_scores)))
         if len(features) == 1:
             break

@@ -1,9 +1,12 @@
 """Seven classifiers behind one train/predict/score interface.
 
 ``train(spec, X, y)`` fits any of SVM, RF, XGB, K-NN, NB, LR or MLPC on raw
-feature rows; ``train_grid(specs, X, y)`` fits several specs on the same rows
-and shares what a kind can share between them. Scores are probability-like
-values in [0, 1] and predictions threshold them at 0.5. A model file holds a
+feature rows; ``train_folds(specs, X, y, folds)`` fits several specs on each
+of several CV folds' rows, the one fold loop of tuning and RFECV, sharing
+what a kind can share between them: RF and XGB fit a share group together
+per fold, and MLPC trains a share group's (fold, learning rate) pairs as
+lanes of one stacked fit. Scores are probability-like values in
+[0, 1] and predictions threshold them at 0.5. A model file holds a
 ``TrainedModel`` and its kind's ``State`` dataclass, read back bit-exactly.
 """
 
@@ -38,17 +41,18 @@ __all__ = [
     "ArityMismatch",
     "DEFAULT_SEARCH_SPACES",
     "train",
-    "train_grid",
+    "train_folds",
     "share_groups",
     "save_model",
     "load_model",
 ]
 
 # each kind's module, with its State dataclass, score(state, Xs) on standardized
-# Xs, check(state, arity) for a state read from a file, and either fit(params,
-# Xs, y, rng) -> state or, for a kind that fits candidates together,
-# share_key(params) and fit_grid(params list, Xs, y, rngs) yielding (index,
-# state) for one share group
+# Xs, check(state, arity) for a state read from a file, and fit(params, Xs, y,
+# rng) -> state; a kind that fits candidates together also has share_key(params)
+# and, for one share group, either fit_grid(params list, Xs, y, rngs) yielding
+# (index, state) on one fold's rows or fit_folds(params list, [(Xs, y) per
+# fold], rngs per fold) yielding (fold, index, state)
 _KINDS = {
     ModelKind.SVM: svm,
     ModelKind.RF: forest,
@@ -66,42 +70,65 @@ _KIND_STREAM = {kind: 1000 + i for i, kind in enumerate(ModelKind)}
 def share_groups(specs: Sequence[ModelSpec]) -> list[list[int]]:
     """Indices into specs, in groups that are fit together: specs of one kind
     and seed whose kind's ``share_key`` agrees. A spec of a kind without
-    ``fit_grid`` is a group of its own. Groups come in order of first member."""
+    ``share_key`` is a group of its own. Groups come in order of first member."""
     groups: dict = {}
     for i, spec in enumerate(specs):
         module = _KINDS[spec.kind]
-        key = (spec.kind, spec.seed, module.share_key(spec.hyperparameters)) if hasattr(module, "fit_grid") else i
+        key = (spec.kind, spec.seed, module.share_key(spec.hyperparameters)) if hasattr(module, "share_key") else i
         groups.setdefault(key, []).append(i)
     return list(groups.values())
 
 
-def train_grid(
-    specs: Sequence[ModelSpec], X, y, feature_names: tuple[str, ...] = ()
-) -> Iterator[tuple[int, TrainedModel]]:
-    """Fit every spec on (X, y), standardizing once; yields ``(index into
-    specs, model)`` as each model is ready, so a caller can score and drop
-    one model before the next is fit. Each ``share_groups`` group is one fit,
-    and each model equals ``train`` of its spec alone."""
-    X, y = check_training_inputs(np.asarray(X, dtype=np.float64), y)
-    std = Standardizer.fit(X)
-    Xs = std.transform(X)
+def _fit_group(kind: ModelKind, params: list[dict], folds: list[tuple], seed: int) -> Iterator[tuple[int, int, object]]:
+    """(fold, index into params, state) of one share group on each fold's
+    standardized (Xs, y); every fit draws from a fresh stream of the seed."""
+    module = _KINDS[kind]
+
+    def fresh(count: int) -> list:
+        return [rng_from(seed, _KIND_STREAM[kind]) for _ in range(count)]
+
+    if hasattr(module, "fit_folds"):
+        yield from module.fit_folds(params, folds, fresh(len(folds)))
+        return
+    for f, (Xs, y) in enumerate(folds):
+        if hasattr(module, "fit_grid"):
+            fits = module.fit_grid(params, Xs, y, fresh(len(params)))
+        else:
+            fits = [(0, module.fit(params[0], Xs, y, *fresh(1)))]
+        for j, state in fits:
+            yield f, j, state
+
+
+def train_folds(
+    specs: Sequence[ModelSpec], X, y, folds: Sequence, feature_names: tuple[str, ...] = ()
+) -> Iterator[tuple[int, int, TrainedModel]]:
+    """Fit every spec on the rows ``folds[f]`` of (X, y) for each fold f,
+    standardizing each fold once; yields ``(f, index into specs, model)`` as
+    models are ready, so a caller can score and drop one before the next is
+    fit. A fold is anything that indexes rows: an index array, or
+    ``slice(None)`` for all of them. Each ``share_groups`` group is one fit per
+    fold, or one fit of all folds for a kind with ``fit_folds``; each model
+    equals ``train`` of its spec alone on its fold's rows."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    prepared = []
+    for rows in folds:
+        Xf, yf = check_training_inputs(X[rows], y[rows])
+        std = Standardizer.fit(Xf)
+        prepared.append((std, std.transform(Xf), yf))
     for group in share_groups(specs):
-        kind = specs[group[0]].kind
-        module = _KINDS[kind]
+        kind, seed = specs[group[0]].kind, specs[group[0]].seed
         params = [specs[i].hyperparameters for i in group]
-        rngs = [rng_from(specs[i].seed, _KIND_STREAM[kind]) for i in group]
-        fit_grid = getattr(module, "fit_grid", None)
-        for j, state in fit_grid(params, Xs, y, rngs) if fit_grid else [(0, module.fit(params[0], Xs, y, rngs[0]))]:
-            spec = specs[group[j]]
-            yield group[j], TrainedModel(
-                format_version=FORMAT_VERSION, spec=spec, standardizer=std, arity=X.shape[1],
-                decision_threshold=0.5, feature_names=tuple(feature_names), state=state,
+        for f, j, state in _fit_group(kind, params, [(Xs, yf) for _, Xs, yf in prepared], seed):
+            yield f, group[j], TrainedModel(
+                format_version=FORMAT_VERSION, spec=specs[group[j]], standardizer=prepared[f][0],
+                arity=X.shape[1], decision_threshold=0.5, feature_names=tuple(feature_names), state=state,
             )
 
 
 def train(spec: ModelSpec, X, y, feature_names: tuple[str, ...] = ()) -> TrainedModel:
     """Fit the spec on (X, y); deterministic given (spec, data)."""
-    [(_, model)] = train_grid([spec], X, y, feature_names)
+    [(_, _, model)] = train_folds([spec], X, y, [slice(None)], feature_names)
     return model
 
 

@@ -189,6 +189,8 @@ class Standardizer:
 
 FORMAT_VERSION = 2
 
+_SQRT_MAX = float(np.sqrt(np.finfo(np.float64).max))
+
 
 @dataclass(frozen=True)
 class TrainedModel:
@@ -236,7 +238,17 @@ class TrainedModel:
         from . import _KINDS  # late import to avoid a cycle
 
         X, single = self._check(X)
-        s = _KINDS[self.spec.kind].score(self.state, self.standardizer.transform(X))
+        Xs = self.standardizer.transform(X)
+        # every kind's score stays finite while the squares of the standardized
+        # values do; beyond that, products overflow and scores saturate or turn NaN
+        big = ~(np.abs(Xs) <= _SQRT_MAX)
+        if big.any():
+            row, col = np.argwhere(big)[0]
+            raise ValueError(
+                f"query row {row}, column {col}: its standardized value {Xs[row, col]} is beyond "
+                f"{_SQRT_MAX:.4g}, where its square overflows float64"
+            )
+        s = _KINDS[self.spec.kind].score(self.state, Xs)
         nan = np.flatnonzero(np.isnan(s))
         if nan.size:
             raise ValueError(f"{self.spec.kind.value} score of query row {nan[0]} is NaN; its values overflow the model")

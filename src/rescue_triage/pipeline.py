@@ -5,9 +5,10 @@ select-features, tune, rfecv, evaluate, llm-compare. Each stage is one
 function (``stage_<name>``) that reads its input artifacts and writes its
 own as plain files, so any stage can be rerun in isolation; the CLI
 subcommands call the same functions. run_pipeline chains them under the
-output directory and keeps a run manifest of seeds, versions, per-stage
-timings and artifact hashes. A failing stage halts the run with its name
-while earlier artifacts stay on disk.
+output directory and writes a run manifest of seeds, versions, per-stage
+timings and artifact hashes once, when the run ends. A failing stage halts
+the run with its name while earlier artifacts stay on disk, and the
+manifest then lists the stages run so far and the failed one's error.
 """
 
 from __future__ import annotations
@@ -152,7 +153,9 @@ class Split:
 @dataclass(frozen=True)
 class Leaderboard:
     """leaderboard.json: the CV winner, the split it was tuned on, and every
-    kind's candidates, best first, each with one accuracy per tune fold."""
+    kind's candidates, best first, each with one accuracy per tune fold. The
+    winner must be the best candidate of the first kind, in ModelKind order,
+    with the best mean accuracy."""
 
     winner: Winner
     split: Split
@@ -170,8 +173,31 @@ class Leaderboard:
                 first = first or (key, n)
                 if n != first[1]:
                     raise ValueError(f"{key}: {n} entries, where {first[0]} has {first[1]}")
-        if self.winner.spec.kind not in self.per_kind:
-            raise ValueError(f"per_kind: no candidates of the winner's kind {self.winner.spec.kind.value}")
+        kind = self.winner.spec.kind
+        if kind not in self.per_kind:
+            raise ValueError(f"per_kind: no candidates of the winner's kind {kind.value}")
+        best = self.per_kind[kind][0]
+        if self.winner.spec.hyperparameters != best.hyperparameters:
+            raise ValueError(
+                f"winner.spec.hyperparameters: {self.winner.spec.hyperparameters} differ from "
+                f"per_kind.{kind.value}[0].hyperparameters {best.hyperparameters}"
+            )
+        if self.winner.cv_accuracy != best.mean_accuracy:
+            raise ValueError(
+                f"winner.cv_accuracy: {self.winner.cv_accuracy} differs from "
+                f"per_kind.{kind.value}[0].mean_accuracy {best.mean_accuracy}"
+            )
+        first = _best_kind(self.per_kind)
+        if kind is not first:
+            raise ValueError(
+                f"winner.spec.kind: {kind.value} is not {first.value}, the first kind in ModelKind order "
+                f"with the best mean accuracy {self.per_kind[first][0].mean_accuracy}"
+            )
+
+
+def _best_kind(per_kind: dict) -> ModelKind:
+    """The first kind, in ModelKind order, whose best candidate has the best mean accuracy."""
+    return max((kind for kind in ModelKind if kind in per_kind), key=lambda kind: per_kind[kind][0].mean_accuracy)
 
 
 def _sha256(path: Path) -> str:
@@ -333,11 +359,12 @@ def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_p
         for kind in ModelKind:
             spec = SearchSpec(cfg.search_mode, DEFAULT_SEARCH_SPACES[kind], cfg.search_budget, cfg.seed)
             t0 = time.perf_counter()
-            per_kind[kind] = search(kind, spec, cv, train_set, model_seed=cfg.seed, map_fn=map_fn)
+            per_kind[kind] = search(kind, spec, cv, train_set, model_seed=cfg.seed, map_fn=map_fn, workers=workers)
             search_s[kind.value] = round(time.perf_counter() - t0, 3)
-    kind, candidates = max(per_kind.items(), key=lambda item: item[1][0].mean_accuracy)
-    winner = ModelSpec(kind, candidates[0].hyperparameters, seed=cfg.seed)
-    write_json(leaderboard_path, Leaderboard(Winner(winner, candidates[0].mean_accuracy), split, per_kind))
+    kind = _best_kind(per_kind)
+    best = per_kind[kind][0]
+    winner = ModelSpec(kind, best.hyperparameters, seed=cfg.seed)
+    write_json(leaderboard_path, Leaderboard(Winner(winner, best.mean_accuracy), split, per_kind))
     return [Path(leaderboard_path)], {"winner": asjson(winner), "workers": workers, "search_s": search_s}
 
 
@@ -351,7 +378,7 @@ def stage_rfecv(features_path, selection_path, leaderboard_path, rfecv_path):
     tuned = board.per_kind[winner.kind][0].fold_accuracies
     cv = CvSpec(folds=len(tuned), stratified=board.split.stratified, seed=winner.seed)
     with _stage_pool(cv.folds) as (map_fn, workers):
-        rfe = rfecv(train_set, winner, cv, map_fn=map_fn)
+        rfe = rfecv(train_set, winner, cv, map_fn=map_fn, workers=workers)
     if rfe.steps[0].fold_scores != tuned:
         raise ValueError(
             f"{leaderboard_path}: the winner's fold accuracies {list(tuned)} differ from its refit "
@@ -492,17 +519,21 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         manifest["stages"].append(entry)
         for p in artifacts:
             manifest["artifacts"][str(p.relative_to(out))] = _sha256(p)
-        write_json(out / "manifest.json", manifest)
 
-    for name in STAGES:
-        t0 = time.perf_counter()
-        if name == "llm_compare" and cfg.llm_mode == "off":
-            finish_stage(name, "skipped", [], t0)
-            continue
-        try:
-            artifacts, extra = steps[name]()
-        except Exception as exc:
-            finish_stage(name, "failed", [], t0, error=str(exc))
-            raise PipelineError(name, str(exc)) from exc
-        finish_stage(name, "ok", artifacts, t0, **extra)
+    # written once, when the run ends or a stage fails: rewriting it after
+    # every stage would truncate the file the previous stage wrote
+    try:
+        for name in STAGES:
+            t0 = time.perf_counter()
+            if name == "llm_compare" and cfg.llm_mode == "off":
+                finish_stage(name, "skipped", [], t0)
+                continue
+            try:
+                artifacts, extra = steps[name]()
+            except Exception as exc:
+                finish_stage(name, "failed", [], t0, error=str(exc))
+                raise PipelineError(name, str(exc)) from exc
+            finish_stage(name, "ok", artifacts, t0, **extra)
+    finally:
+        write_json(out / "manifest.json", manifest)
     return manifest

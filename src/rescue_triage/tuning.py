@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import metrics as _metrics
-from .learners import ModelKind, ModelSpec, share_groups, train, train_grid
+from .learners import ModelKind, ModelSpec, share_groups, train, train_folds
 from .records import Dataset, rng_from
 
 log = logging.getLogger(__name__)
@@ -146,38 +146,50 @@ def fold_accuracy(model, X: np.ndarray, y: np.ndarray) -> float:
     return _metrics.metrics(_metrics.confusion(y, model.predict(X))).accuracy
 
 
-def _fold_scores(job) -> list[float]:
-    """One CV job: fit a share group of specs on a fold's training rows and
-    return each model's accuracy on the fold's validation rows."""
-    specs, X, y, train_idx, val_idx = job
-    X_val, y_val = X[val_idx], y[val_idx]
-    scores = [0.0] * len(specs)
-    for i, model in train_grid(specs, X[train_idx], y[train_idx]):
-        scores[i] = fold_accuracy(model, X_val, y_val)
+def fold_chunks(folds: int, workers: int) -> list[list[int]]:
+    """Fold indices 0..folds-1 in min(workers, folds) runs of consecutive
+    folds, the longer runs first: the fold axis of a stage's CV jobs, so that
+    one share group's folds fill the stage's workers in one round."""
+    return [chunk.tolist() for chunk in np.array_split(np.arange(folds), min(workers, folds))]
+
+
+def _fold_scores(job) -> list[list[float]]:
+    """One CV job: fit a share group of specs on each of a chunk of folds'
+    training rows; per fold, each model's accuracy on its validation rows."""
+    specs, X, y, pairs = job
+    scores = [[0.0] * len(specs) for _ in pairs]
+    for f, i, model in train_folds(specs, X, y, [train_idx for train_idx, _ in pairs]):
+        val_idx = pairs[f][1]
+        scores[f][i] = fold_accuracy(model, X[val_idx], y[val_idx])
     return scores
 
 
 def cross_validate(
-    specs: Sequence[ModelSpec], data: Dataset, cv: CvSpec, map_fn: Callable = map
+    specs: Sequence[ModelSpec], data: Dataset, cv: CvSpec, map_fn: Callable = map, workers: int = 1
 ) -> list[tuple[float, ...]]:
     """Per fold, train every spec on the k-1 other folds, evaluate on the
     held-out one; each spec's fold accuracies, in fold order.
 
-    One job per (fold, ``share_groups`` group), fold-major, run by ``map_fn``:
-    the builtin ``map`` here or a process pool's in its workers. Results are
-    taken in job order, so the scores are the same either way. Raises
-    DegenerateFolds when a fold's training side lacks both classes.
+    One job per (``share_groups`` group, ``fold_chunks`` chunk), the chunks
+    following the ``workers`` that ``map_fn`` runs the jobs on: the builtin
+    ``map`` here or a process pool's in its workers. A job fits its group on
+    its folds through ``train_folds``, so MLPC trains a chunk's (fold,
+    learning rate) pairs as lanes of one stacked fit. Results are taken in
+    job order, so the scores are the same for any map and any worker count.
+    Raises DegenerateFolds when a fold's training side lacks both classes.
     """
     groups = share_groups(specs)
+    pairs = fold_pairs(data.y, cv)
+    chunks = fold_chunks(len(pairs), workers)
     jobs = [
-        ([specs[i] for i in group], data.X, data.y, train_idx, val_idx)
-        for train_idx, val_idx in fold_pairs(data.y, cv)
-        for group in groups
+        ([specs[i] for i in group], data.X, data.y, [pairs[f] for f in chunk]) for group in groups for chunk in chunks
     ]
     scores: list[list[float]] = [[] for _ in specs]
-    for k, fold_scores in enumerate(map_fn(_fold_scores, jobs)):
-        for i, score in zip(groups[k % len(groups)], fold_scores):
-            scores[i].append(score)
+    job_groups = [group for group in groups for _ in chunks]
+    for group, job_scores in zip(job_groups, map_fn(_fold_scores, jobs)):
+        for fold_scores in job_scores:
+            for i, score in zip(group, fold_scores):
+                scores[i].append(score)
     return [tuple(s) for s in scores]
 
 
@@ -222,16 +234,17 @@ def search(
     data: Dataset,
     model_seed: int = 0,
     map_fn: Callable = map,
+    workers: int = 1,
 ) -> tuple[Candidate, ...]:
     """Every candidate with its CV accuracy, best mean first; ``map_fn`` runs
-    the CV jobs, as in ``cross_validate``.
+    the CV jobs on ``workers``, as in ``cross_validate``.
 
     Ties resolve to the earliest candidate in enumeration order.
     """
     specs = [ModelSpec(kind, params, seed=model_seed) for params in _draw_candidates(search_spec)]
     candidates = [
         Candidate(spec.hyperparameters, float(np.mean(scores)), scores)
-        for spec, scores in zip(specs, cross_validate(specs, data, cv, map_fn))
+        for spec, scores in zip(specs, cross_validate(specs, data, cv, map_fn, workers))
     ]
     return tuple(sorted(candidates, key=lambda c: -c.mean_accuracy))
 

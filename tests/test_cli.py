@@ -67,6 +67,36 @@ class TestRunAll:
                     "metrics_table.csv", "best_model.json", "llm_agreement.json"}
         assert expected <= {Path(rel).name for rel in manifest["artifacts"]}
 
+    def test_manifest_is_written_once_per_run(self, tmp_path, monkeypatch):
+        written = []
+        real_write_json = pipeline.write_json
+        def recording_write_json(path, obj):
+            written.append(Path(path).name)
+            real_write_json(path, obj)
+
+        monkeypatch.setattr(pipeline, "write_json", recording_write_json)
+        manifest = run_pipeline(from_dict(PipelineConfig, small_pipeline_dict(tmp_path)))
+        assert written.count("manifest.json") == 1
+        assert json.loads((tmp_path / "manifest.json").read_text()) == json.loads(json.dumps(manifest))
+
+    def test_failed_stage_leaves_a_manifest_of_the_stages_run(self, tmp_path, monkeypatch):
+        def fails(*args, **kwargs):
+            raise ValueError("no subset left")
+
+        monkeypatch.setattr(pipeline, "rfecv", fails)
+        with pytest.raises(PipelineError, match="^stage 'rfecv': no subset left$"):
+            run_pipeline(from_dict(PipelineConfig, small_pipeline_dict(tmp_path)))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [(s["name"], s["status"]) for s in manifest["stages"]] == [
+            ("synth", "ok"), ("wordcount", "ok"), ("extract_features", "ok"), ("select_features", "ok"),
+            ("tune", "ok"), ("rfecv", "failed"),
+        ]
+        assert manifest["stages"][-1]["error"] == "no subset left"
+        assert set(manifest["artifacts"]) == {
+            "corpus.jsonl", "truth.csv", "word_counts.csv", "features.jsonl", "selection_report.json",
+            "leaderboard.json",
+        }
+
     def test_manifest_records_llm_ambiguity_and_latency(self, small_run):
         out_dir, manifest = small_run
         extras = next(s for s in manifest["stages"] if s["name"] == "llm_compare")
@@ -173,15 +203,15 @@ class TestStagePool:
 
     def test_dead_worker_fails_the_stage_and_leaves_no_process(self, tmp_path, monkeypatch, caplog):
         parent = os.getpid()
-        real_train_grid = tuning.train_grid
+        real_train_folds = tuning.train_folds
 
         def dies_in_a_worker(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return real_train_grid(*args)
+            return real_train_folds(*args)
 
         monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(tuning, "train_grid", dies_in_a_worker)
+        monkeypatch.setattr(tuning, "train_folds", dies_in_a_worker)
         (tmp_path / "pipeline.json").write_text(json.dumps(small_pipeline_dict(tmp_path / "out")))
         assert main(["--config", str(tmp_path / "pipeline.json"), "run-all"]) == 1
         assert "stage 'tune': " in caplog.text
@@ -660,6 +690,17 @@ _COMMANDS = {
                                    "--stub", p["answers.json"], "--limit", "4", "--out", out],
 }
 
+def _worst_kind(board: dict) -> str:
+    return min(board["per_kind"], key=lambda kind: board["per_kind"][kind][0]["mean_accuracy"])
+
+
+def _crown(board: dict, kind: str) -> None:
+    """Make kind's best candidate the winner."""
+    best = board["per_kind"][kind][0]
+    board["winner"]["spec"].update(kind=kind, hyperparameters=best["hyperparameters"])
+    board["winner"]["cv_accuracy"] = best["mean_accuracy"]
+
+
 # name -> (command, corrupted artifact, corruption of the chain's copy, what the error must say besides the file)
 CORRUPTED_ARTIFACTS = {
     "corpus_unknown_key": ("wordcount", "corpus.jsonl", _edit_first_row(lambda r: r.update(lable=r.pop("label"))),
@@ -683,6 +724,20 @@ CORRUPTED_ARTIFACTS = {
     "winner_kind_without_candidates": ("evaluate", "leaderboard.json",
                                        _edit_json(lambda d: d["per_kind"].pop(d["winner"]["spec"]["kind"])),
                                        "Leaderboard: per_kind: no candidates of the winner's kind"),
+    "winner_hyperparameters_not_its_kinds_best": (
+        "evaluate", "leaderboard.json",
+        _edit_json(lambda d: d["winner"]["spec"].update(
+            kind="LR", hyperparameters=d["per_kind"]["LR"][-1]["hyperparameters"])),
+        "Leaderboard: winner.spec.hyperparameters: {'l2': "),
+    "winner_cv_accuracy_not_its_mean": ("evaluate", "leaderboard.json",
+                                        _edit_json(lambda d: d["winner"].update(cv_accuracy=0.123)),
+                                        "Leaderboard: winner.cv_accuracy: 0.123 differs from per_kind."),
+    "winner_kind_not_the_best": ("evaluate", "leaderboard.json", _edit_json(lambda d: _crown(d, _worst_kind(d))),
+                                 "Leaderboard: winner.spec.kind: "),
+    "winner_kind_tied_with_an_earlier_one": (
+        "evaluate", "leaderboard.json",
+        _edit_json(lambda d: d["per_kind"]["SVM"][0].update(mean_accuracy=d["winner"]["cv_accuracy"])),
+        " is not SVM, the first kind in ModelKind order with the best mean accuracy "),
     "leaderboard_without_split": ("evaluate", "leaderboard.json", _edit_json(lambda d: d.pop("split")),
                                   "Leaderboard: missing keys ['split']"),
     "ragged_fold_accuracies": ("evaluate", "leaderboard.json",

@@ -21,8 +21,9 @@ from rescue_triage.learners import (
     Standardizer,
     load_model,
     save_model,
+    share_groups,
     train,
-    train_grid,
+    train_folds,
 )
 from rescue_triage.learners.mlp import init_params, loss_and_grads
 from rescue_triage.learners import boosting, forest, knn, mlp, tree
@@ -224,8 +225,18 @@ class TestFiniteScores:
         assert np.isfinite(model.standardizer.mean).all() and np.isfinite(model.standardizer.std).all()
         assert np.all(np.isfinite(s) & (s >= 0.0) & (s <= 1.0)), s
 
-    def test_nan_score_names_the_query_row_and_kind(self):
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_query_whose_standardized_square_overflows_is_refused(self, kind):
         X, y, query = _blobs_with_query([1e300, -1e300, 5.0])
+        model = train(ModelSpec(kind, _SMALL_HYPERPARAMETERS[kind], seed=1), X, y)
+        with pytest.raises(ValueError, match=r"^query row 1, column 0: its standardized value .* overflows float64"):
+            model.score(np.vstack([X[0], query]))
+        with pytest.raises(ValueError, match=r"^query row 0, column 1: "):
+            model.predict(np.array([0.0, -1e160, 0.0]))
+
+    def test_nan_score_names_the_query_row_and_kind(self):
+        # squares just inside float64, whose sums over the columns overflow
+        X, y, query = _blobs_with_query([1.2e154, 2.2e154, 1.8e154])
         model = train(ModelSpec(ModelKind.NB), X, y)
         with pytest.raises(ValueError, match=r"^NB score of query row 1 is NaN"):
             model.predict(np.vstack([X[0], query]))
@@ -693,8 +704,13 @@ def _grid_specs(kind, space, seed=5):
     return [ModelSpec(kind, dict(zip(names, values)), seed=seed) for values in combos]
 
 
+def _fit_all(specs, X, y) -> dict:
+    """Every spec fit on all of (X, y) in one ``train_folds`` call, by index."""
+    return {i: model for _, i, model in train_folds(specs, X, y, [slice(None)])}
+
+
 def _assert_each_equals_its_own_train(specs, X, y):
-    models = dict(train_grid(specs, X, y))
+    models = _fit_all(specs, X, y)
     assert sorted(models) == list(range(len(specs)))
     for i, spec in enumerate(specs):
         assert asjson(models[i]) == asjson(train(spec, X, y)), spec
@@ -704,7 +720,7 @@ class TestTrainGrid:
     """A grid fit shares forests and boosting lanes between specs; every model
     must still be the one ``train`` fits for its spec alone."""
 
-    @pytest.mark.parametrize("kind", [ModelKind.RF, ModelKind.XGB], ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", [ModelKind.RF, ModelKind.XGB, ModelKind.MLPC], ids=lambda k: k.value)
     def test_default_space_equals_single_fits(self, kind):
         X, y = _desk_matrix()
         _assert_each_equals_its_own_train(_grid_specs(kind, DEFAULT_SEARCH_SPACES[kind]), X, y)
@@ -721,7 +737,7 @@ class TestTrainGrid:
         X, y = _desk_matrix()
         specs = [ModelSpec(ModelKind.RF, {"n_trees": n}, seed=s) for n, s in ((5, 1), (9, 2), (5, 2), (9, 1))]
         _assert_each_equals_its_own_train(specs, X, y)
-        models = dict(train_grid(specs, X, y))
+        models = _fit_all(specs, X, y)
         assert asjson(models[0].state) != asjson(models[2].state)
 
     def test_forests_with_mixed_depths_trees_leaves_and_bins(self):
@@ -741,7 +757,7 @@ class TestTrainGrid:
 
         monkeypatch.setattr(forest, "grow_classification_tree", counting)
         X, y = _desk_matrix()
-        list(train_grid(_grid_specs(ModelKind.RF, space), X, y))
+        _fit_all(_grid_specs(ModelKind.RF, space), X, y)
         return len(grown)
 
     def test_cap_that_binds_nowhere_regrows_no_tree(self, monkeypatch):
@@ -771,7 +787,7 @@ class TestTrainGrid:
         with pytest.raises(InvalidHyperparameter) as alone:
             train(bad, X, y)
         with pytest.raises(InvalidHyperparameter) as grouped:
-            list(train_grid([good, bad], X, y))
+            _fit_all([good, bad], X, y)
         assert str(grouped.value) == str(alone.value)
 
     def test_zero_hessian_spec_fails_pooled_jobs_as_it_fails_in_process(self, pool_map):
@@ -802,7 +818,7 @@ class TestTrainGrid:
         monkeypatch.setattr(boosting, "grow_second_order_tree", counting)
         X, y = _desk_matrix()
         specs = _grid_specs(ModelKind.XGB, {"n_rounds": [3, 6], "max_depth": [1, 2], "learning_rate": [0.1, 0.3]})
-        list(train_grid(specs, X, y))
+        _fit_all(specs, X, y)
         assert taken == [0, 1, 2, 3] * 6  # four lanes of six rounds; each round's first call grows all four
 
 
@@ -816,6 +832,37 @@ def _sigmoid_oracle(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+class TestTrainFolds:
+    """The fold loop: every (fold, spec) model is the one ``train`` fits for
+    its spec alone on that fold's rows, whatever the kind shares."""
+
+    # folds of unequal size, as CV's training sides are
+    FOLDS = [np.arange(0, 120), np.arange(30, 160), np.r_[0:50, 70:160]]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_each_fold_model_equals_its_own_train(self, kind):
+        X, y = _desk_matrix()
+        space = {
+            ModelKind.RF: {"n_trees": [3, 5], "max_depth": [None, 2]},
+            ModelKind.XGB: {"n_rounds": [2, 4], "learning_rate": [0.1, 0.3]},
+            ModelKind.MLPC: {"hidden": [8, 32], "learning_rate": [0.01, 0.1], "epochs": [5]},
+        }.get(kind, DEFAULT_SEARCH_SPACES[kind])
+        specs = _grid_specs(kind, space)
+        models = {(f, i): model for f, i, model in train_folds(specs, X, y, self.FOLDS)}
+        assert sorted(models) == [(f, i) for f in range(len(self.FOLDS)) for i in range(len(specs))]
+        for (f, i), model in models.items():
+            rows = self.FOLDS[f]
+            assert asjson(model) == asjson(train(specs[i], X[rows], y[rows])), (f, specs[i])
+
+    def test_mlpc_share_key_groups_learning_rates_only(self):
+        specs = _grid_specs(ModelKind.MLPC, {"hidden": [8, 32], "learning_rate": [0.01, 0.1], "epochs": [5, 6]})
+        groups = share_groups(specs)
+        assert len(groups) == 4
+        for group in groups:
+            assert len({specs[i].hyperparameters["learning_rate"] for i in group}) == 2
+            assert len({mlp.share_key(specs[i].hyperparameters) for i in group}) == 1
 
 
 class TestStableSigmoid:
@@ -872,6 +919,25 @@ class TestMlp:
         assert type(got.b2) is float
         for key in ("W1", "b1", "w2", "b2"):
             assert np.asarray(getattr(got, key)).tobytes() == np.asarray(expected[key]).tobytes(), key
+
+    @pytest.mark.parametrize("hidden", [8, 32])
+    @pytest.mark.parametrize("rates", [[0.01], [0.1], [0.01, 0.1]], ids=str)
+    @pytest.mark.parametrize("sizes", [[160], [45, 64], [45, 64, 70], [70, 33, 96, 64], [64, 96, 45, 70, 33]], ids=str)
+    def test_fit_folds_equals_fit_of_each_lane(self, hidden, rates, sizes):
+        # 1 to 10 (fold, rate) lanes: ragged tails of 13, 6 and 1 rows or none,
+        # and folds of 1, 2 or 3 full batches, listed out of that order
+        rng = np.random.default_rng(len(sizes))
+        folds = [(rng.normal(size=(n, 10)), rng.integers(0, 2, n)) for n in sizes]
+        group = [{"hidden": hidden, "learning_rate": rate, "epochs": 4, "batch_size": 32} for rate in rates]
+        rngs = [np.random.default_rng(7) for _ in folds]
+        lanes = {(f, i): state for f, i, state in mlp.fit_folds(group, folds, rngs)}
+        assert sorted(lanes) == [(f, i) for f in range(len(folds)) for i in range(len(group))]
+        for (f, i), got in lanes.items():
+            expected = mlp.fit(group[i], *folds[f], np.random.default_rng(7))
+            assert type(got.b2) is float
+            for key in ("W1", "b1", "w2", "b2"):
+                got_bytes, expected_bytes = (np.asarray(getattr(state, key)).tobytes() for state in (got, expected))
+                assert got_bytes == expected_bytes, (f, i, key)
 
     def test_zeroed_output_layer_scores_half(self):
         X, y = make_blobs(n=30, d=3, seed=18)

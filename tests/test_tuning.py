@@ -13,6 +13,7 @@ from rescue_triage.tuning import (
     cross_validate,
     evaluate_all,
     fold_accuracy,
+    fold_chunks,
     fold_pairs,
     make_folds,
     search,
@@ -130,6 +131,44 @@ class TestCrossValidate:
         cv = CvSpec(folds=3, seed=4)
         specs = [ModelSpec(kind, params, seed=3) for params in _draw_candidates(SearchSpec("grid", DEFAULT_SEARCH_SPACES[kind]))]
         assert cross_validate(specs, data, cv, pool_map) == cross_validate(specs, data, cv)
+
+    @pytest.mark.parametrize("folds,workers,chunks", [
+        (5, 1, [[0, 1, 2, 3, 4]]), (5, 2, [[0, 1, 2], [3, 4]]), (5, 3, [[0, 1], [2, 3], [4]]), (2, 4, [[0], [1]]),
+    ])
+    def test_fold_chunks_are_runs_of_consecutive_folds_longest_first(self, folds, workers, chunks):
+        assert fold_chunks(folds, workers) == chunks
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_one_job_per_share_group_and_fold_chunk(self, workers):
+        data = dataset(n=90, d=5, seed=12)
+        cv = CvSpec(folds=5, seed=4)
+        space = {"hidden": [8, 32], "learning_rate": [0.01, 0.1], "epochs": [5]}
+        specs = [ModelSpec(ModelKind.MLPC, params, seed=3) for params in _draw_candidates(SearchSpec("grid", space))]
+        specs.append(ModelSpec(ModelKind.NB, seed=3))
+        jobs = []
+
+        def recording_map(fn, job_list):
+            jobs.extend(job_list)
+            return map(fn, job_list)
+
+        scores = cross_validate(specs, data, cv, recording_map, workers)
+        chunks = fold_chunks(5, workers)
+        pairs = fold_pairs(data.y, cv)
+        groups = [[specs[0], specs[1]], [specs[2], specs[3]], [specs[4]]]  # hidden 8, hidden 32, NB
+        assert [(job_specs, [tr.tolist() for tr, _ in job_pairs]) for job_specs, _, _, job_pairs in jobs] == [
+            (group, [pairs[f][0].tolist() for f in chunk]) for group in groups for chunk in chunks
+        ]
+        assert scores == cross_validate(specs, data, cv)
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_mlpc_rfecv_is_the_same_for_any_worker_count(self, workers, pool_map):
+        # one worker stacks all five folds as lanes; five give every fold its own fit
+        data = dataset(n=90, d=4, seed=14)
+        spec = ModelSpec(ModelKind.MLPC, {"hidden": 8, "learning_rate": 0.1, "epochs": 20}, seed=2)
+        cv = CvSpec(folds=5, seed=8)
+        one = rfecv(data, spec, cv)
+        assert rfecv(data, spec, cv, pool_map, workers) == one
+        assert rfecv(data, spec, cv, map, workers) == one
 
     def test_pooled_rfecv_equals_in_process(self, pool_map):
         data = dataset(n=90, d=5, seed=13)
