@@ -3,10 +3,11 @@
 ``train(spec, X, y)`` fits any of SVM, RF, XGB, K-NN, NB, LR or MLPC on raw
 feature rows; ``train_folds(specs, X, y, folds)`` fits several specs on each
 of several CV folds' rows, the one fold loop of tuning and RFECV, sharing
-what a kind can share between them: RF and XGB fit a share group together
-per fold, and MLPC trains a share group's (fold, learning rate) pairs as
-lanes of one stacked fit. Scores are probability-like values in
-[0, 1] and predictions threshold them at 0.5. A model file holds a
+what a kind can share between them: RF fits a share group together per
+fold, XGB grows a share group's (fold, learning rate, depth cap) triples as
+lanes of one lockstep fit, and MLPC trains a share group's (fold, learning
+rate) pairs as lanes of one stacked fit. Scores are probability-like values
+in [0, 1] and predictions threshold them at 0.5. A model file holds a
 ``TrainedModel`` and its kind's ``State`` dataclass, read back bit-exactly.
 """
 
@@ -51,8 +52,8 @@ __all__ = [
 # Xs, check(state, arity) for a state read from a file, and fit(params, Xs, y,
 # rng) -> state; a kind that fits candidates together also has share_key(params)
 # and, for one share group, either fit_grid(params list, Xs, y, rngs) yielding
-# (index, state) on one fold's rows or fit_folds(params list, [(Xs, y) per
-# fold], rngs per fold) yielding (fold, index, state)
+# (index, state) on one fold's rows (RF) or fit_folds(params list, [(Xs, y) per
+# fold], rngs per fold) yielding (fold, index, state) (XGB, MLPC)
 _KINDS = {
     ModelKind.SVM: svm,
     ModelKind.RF: forest,

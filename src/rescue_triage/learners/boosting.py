@@ -3,6 +3,12 @@
 Additive regression trees with second-order leaf weights, shrinkage, a
 depth cap and an L2 leaf penalty. The initial margin is the log-odds of the
 training prior; the per-round training loss is recorded in the state.
+
+``fit_folds`` fits one share group (specs that differ only in rounds,
+learning rate and depth cap) on a chunk of CV folds at once: every (fold,
+learning rate, depth cap) is one lane of each round's ``LockstepRound``, so
+a round of all its trees splits level by level in a few batches. Each lane's
+trees are the trees its spec grows alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ from typing import Iterator
 import numpy as np
 
 from .base import stable_sigmoid
-from .tree import Bins, LockstepRound, TreeArrays, bin_columns, check_trees, ensemble_values, grow_second_order_tree
+from .tree import (
+    LockstepRound, TreeArrays, bin_columns, check_trees, ensemble_values, grow_second_order_tree, stack_bins,
+)
 
 
 @dataclass(frozen=True)
@@ -25,61 +33,77 @@ class State:
     train_loss: tuple[float, ...]  # before the first round, then after each
 
 
-def _logloss(margin: np.ndarray, y: np.ndarray) -> float:
-    # log(1 + e^z) - y*z, computed stably
-    softplus = np.maximum(margin, 0.0) + np.log1p(np.exp(-np.abs(margin)))
-    return float(np.mean(softplus - y * margin))
-
-
 def share_key(params: dict) -> tuple:
     """Specs with equal keys grow together in lockstep lanes."""
     return params["n_bins"], params["reg_lambda"]
 
 
-def fit_grid(group: list[dict], X: np.ndarray, y: np.ndarray, rngs) -> Iterator[tuple[int, State]]:
-    """Yield ``(i, state)`` for every params dict of one share group as soon
-    as its rounds are grown. The group grows in lockstep: each
-    (``learning_rate``, ``max_depth``) pair is one lane that runs to the most
-    rounds asked of it, and a spec's state is the first ``n_rounds`` trees and
-    ``n_rounds + 1`` losses of its lane. Boosting draws no random numbers, so
-    ``rngs`` is unused."""
-    n = len(y)
-    prior = float(np.clip(y.mean(), 1e-12, 1.0 - 1e-12))
-    base = math.log(prior / (1.0 - prior))
+def fit_folds(group: list[dict], folds: list[tuple], rngs) -> Iterator[tuple[int, int, State]]:
+    """Yield ``(fold, i, state)`` for every fold of (Xs, y) and every params
+    dict of one share group, as soon as its rounds are grown. Every (fold,
+    ``learning_rate``, ``max_depth``) triple is one lane of each round's
+    ``LockstepRound`` and runs to the most rounds asked of its pair; a
+    spec's state on a fold is the first ``n_rounds`` trees and ``n_rounds +
+    1`` losses of that fold's lane. Each fold bins its own rows, and its
+    lanes' rows are its codes, once per lane. Boosting draws no random
+    numbers, so ``rngs`` is unused."""
     n_bins, reg_lambda = share_key(group[0])
-    lane_of = [(params["learning_rate"], params["max_depth"]) for params in group]
+    pair_of = [(params["learning_rate"], params["max_depth"]) for params in group]
     rounds = {}
-    for lane, params in zip(lane_of, group):
-        rounds[lane] = max(rounds.get(lane, 0), params["n_rounds"])
-    lanes = sorted(rounds, key=rounds.get, reverse=True)  # the lanes still growing are always a prefix
-    lr = np.array([lane[0] for lane in lanes], dtype=np.float64)[:, None]
-    bins = bin_columns(X, n_bins)
-    codes = np.tile(bins.codes, (len(lanes), 1))  # lane m's rows are rows m * n to (m + 1) * n
+    for pair, params in zip(pair_of, group):
+        rounds[pair] = max(rounds.get(pair, 0), params["n_rounds"])
+    # longest first, so the lanes still growing are a prefix; a fold's lanes of equal rounds stay adjacent
+    lanes = sorted(((f, pair) for f in range(len(folds)) for pair in rounds), key=lambda lane: -rounds[lane[1]])
+    bases = []
+    for _, fold_y in folds:
+        prior = float(np.clip(fold_y.mean(), 1e-12, 1.0 - 1e-12))
+        bases.append(math.log(prior / (1.0 - prior)))
+    table = np.array([f for f, _ in lanes])  # each lane's fold
+    stacked = stack_bins([bin_columns(Xs, n_bins) for Xs, _ in folds], table)
+    depth = np.array([pair[1] for _, pair in lanes])
+    start = np.cumsum([0] + [len(folds[f][1]) for f in table])
+    y = np.concatenate([folds[f][1] for f in table])
+    lr = np.concatenate([np.full(len(folds[f][1]), pair[0], dtype=np.float64) for f, pair in lanes])
+    margin = np.concatenate([np.full(len(folds[f][1]), bases[f]) for f in table])
+    leaf_value = np.empty(len(y))  # each training row's leaf in its lane's newest tree
+    # runs of adjacent lanes of one fold, whose rows form one (lanes, n) block
+    breaks = [m for m in range(1, len(lanes)) if table[m] != table[m - 1]]
+    runs = list(zip([0] + breaks, breaks + [len(lanes)]))
 
-    margin = np.full((len(lanes), n), base)
-    leaf_value = np.empty((len(lanes), n))  # each training row's leaf in the lane's newest tree
+    def mean_losses(k: int) -> list[float]:
+        """The first k lanes' mean logistic loss, each the bits of ``np.mean``
+        of its rows' terms: a row of a 2-D block sums as that row alone."""
+        z, labels = margin[: start[k]], y[: start[k]]
+        terms = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - labels * z  # log(1 + e^z) - y*z, stably
+        out = []
+        for lo, hi in runs:
+            hi, n = min(hi, k), start[lo + 1] - start[lo]
+            if lo < hi:
+                out += (terms[start[lo] : start[hi]].reshape(hi - lo, n).sum(axis=1) / n).tolist()
+        return out
+
     trees = [[] for _ in lanes]
-    losses = [[_logloss(row, y)] for row in margin]
-    for r in range(rounds[lanes[0]] + 1):
+    losses = [[loss] for loss in mean_losses(len(lanes))]
+    lane_of = {lane: m for m, lane in enumerate(lanes)}
+    for r in range(max(rounds.values()) + 1):
         for i, params in enumerate(group):
             if params["n_rounds"] == r:
-                m = lanes.index(lane_of[i])
-                yield i, State(tuple(trees[m][:r]), base, params["learning_rate"], tuple(losses[m][: r + 1]))
-        k = sum(rounds[lane] > r for lane in lanes)
+                for f in range(len(folds)):
+                    m = lane_of[f, pair_of[i]]
+                    yield f, i, State(tuple(trees[m][:r]), bases[f], pair_of[i][0], tuple(losses[m][: r + 1]))
+        k = sum(rounds[pair] > r for _, pair in lanes)
         if k == 0:
             break
-        p = stable_sigmoid(margin[:k])
-        grad = p - y
-        hess = p * (1.0 - p)
+        rows = slice(0, start[k])
+        p = stable_sigmoid(margin[rows])
         lockstep = LockstepRound(
-            Bins(codes[: k * n], bins.n_bins, bins.edges), grad.ravel(), hess.ravel(),
-            [lane[1] for lane in lanes[:k]], reg_lambda, leaf_value[:k].ravel(),
+            stacked, table[:k], start[: k + 1], p - y[rows], p * (1.0 - p), depth[:k], reg_lambda, leaf_value[rows]
         )
         for m in range(k):
             trees[m].append(grow_second_order_tree(lockstep, m))
-        margin[:k] += lr[:k] * leaf_value[:k]
-        for m in range(k):
-            losses[m].append(_logloss(margin[m], y))
+        margin[rows] += lr[rows] * leaf_value[rows]
+        for m, loss in enumerate(mean_losses(k)):
+            losses[m].append(loss)
 
 
 def check(state: State, arity: int) -> None:

@@ -6,15 +6,16 @@ thresholds are in original feature units; a sample goes left when
 value < threshold, which for a training row is the same as code <= cut.
 
 Split search runs no Python loop per node or feature: each grower collects
-nodes whose splits do not depend on each other and hands them to
-``_split_batch``. That takes one ``bincount`` per statistic over (node,
-feature slot, bin), cumsums along the bins and the criterion's score of
-every cut; ``_best_splits`` then picks per node the first best cut of each
-feature and the first best feature whose gain exceeds ``_EPS_GAIN``, and the
-batch's rows are partitioned in one stable sort. A batch holds at most
-``_BATCH_CELLS`` (2^16) gathered codes and histogram cells, about 0.5 MB per
-int64 array: the roots of a forest on a few thousand rows share batches
-instead of each going alone, so the numpy calls per node stay few.
+nodes whose splits do not depend on each other and splits them in batches,
+the forest's with ``_split_batch`` and boosting's with ``_newton_split``.
+Either takes one ``bincount`` per statistic over (node, feature, bin),
+cumsums along the bins and the criterion's score of every cut, then picks
+per node the first best cut of the first best feature whose gain exceeds
+``_EPS_GAIN``, and partitions the batch's rows in one stable sort. A batch
+holds at most ``_BATCH_CELLS`` (2^16) gathered codes and histogram cells,
+about 0.5 MB per int64 array: the roots of a forest on a few thousand rows
+share batches instead of each going alone, so the numpy calls per node stay
+few.
 
 * ``LockstepForest`` (random forest) grows all trees of a forest in
   lockstep. Each step pops one node from every tree's own depth-first stack,
@@ -33,14 +34,17 @@ instead of each going alone, so the numpy calls per node stay few.
   buffers of raw generator output (Lemire, "Fast random integer generation
   in an interval", ACM TOMACS 2019).
 * ``LockstepRound`` (boosting) holds one round's trees of several boosting
-  lanes, one lane per (learning rate, depth cap) of a grid fit. The fit's
-  codes are tiled once per lane and lane m's rows are offset by m * n, so
+  lanes, one lane per (CV fold, learning rate, depth cap) of a grid fit.
+  Each lane's rows sit at its own offset of one flat stack, so lanes may
+  differ in size, and each splits on its own fold's bins (``StackedBins``);
   every level of every lane splits in one batch. Boosting draws no random
-  numbers, so each tree grows one level at a time over every feature, then
-  its nodes are renumbered to depth-first pre-order. Nodes hold
-  -G / (H + lambda); node sums G and H are ``ndarray.sum`` over the node's
-  rows in row order. ``grow_second_order_tree`` grows every lane's tree on
-  its first call of a round and returns one lane's tree per call.
+  numbers, so each tree grows one level at a time over every feature, and a
+  level is kept as arrays over its nodes. Nodes hold -G / (H + lambda);
+  node sums G and H are ``ndarray.sum`` over the node's rows in row order.
+  ``_preorder`` renumbers every lane's tree to depth-first pre-order at
+  once, a level at a time.
+  ``grow_second_order_tree`` grows every lane's tree on its first call of a
+  round and returns one lane's tree per call.
 
 Either way, a node's sums and split depend only on its own rows, so which
 trees share a batch changes no tree.
@@ -125,6 +129,59 @@ def bin_columns(X: np.ndarray, n_bins: int) -> Bins:
     return Bins(codes, bins, padded)
 
 
+@dataclass(frozen=True)
+class StackedBins:
+    """The bins of several fits whose lanes grow together (``LockstepRound``).
+
+    A node's histogram has ``n_cells`` cells: feature f's codes count from
+    cell ``offset[f]``, as many cells as the fits give f bins at most, and
+    features of one width lie side by side. Each ``runs`` entry (first cell,
+    features, width) is such a block of features wider than two cells.
+    ``cells`` holds each lane's rows' cells, code plus offset, lane after
+    lane.
+
+    Fit t's edges are ``edges[t]``, padded to the widest fit, and its cuts
+    are ``cut_feature[t]`` and ``cut_code[t]`` (a row goes left when its
+    code is at most the cut), feature by feature and in order within a
+    feature. A cut reads the cell ``cut_cell[t, v]``: a row goes left when
+    its cell is at most that one. Fits with fewer cuts than the most are
+    padded with code -1 of feature 0, a cut that leaves no row on its left.
+    """
+
+    cells: np.ndarray        # (rows, d)
+    n_cells: int
+    runs: tuple[tuple[int, int, int], ...]
+    edges: np.ndarray        # (fits, d, max bins)
+    cut_feature: np.ndarray  # (fits, cuts)
+    cut_code: np.ndarray     # (fits, cuts)
+    cut_cell: np.ndarray     # (fits, cuts)
+
+
+def stack_bins(bins: list[Bins], fits: Iterable[int]) -> StackedBins:
+    """``bins`` stacked for lanes whose rows are those of fits ``fits``, in order."""
+    d = len(bins[0].n_bins)
+    width = np.max([b.n_bins for b in bins], axis=0)
+    order = np.argsort(width, kind="stable")
+    offset = np.empty(d, dtype=np.int64)
+    offset[order] = np.cumsum(width[order]) - width[order]
+    runs = []
+    for w in np.unique(width[width > 2]).tolist():
+        features = order[width[order] == w]
+        runs.append((int(offset[features[0]]), len(features), w))
+    edges = np.full((len(bins), d, max(b.edges.shape[1] for b in bins)), np.nan)
+    n_cuts = max(1, max(int(b.n_bins.sum()) - d for b in bins))
+    cut_feature, cut_code = np.zeros((len(bins), n_cuts), dtype=np.int64), np.full((len(bins), n_cuts), -1)
+    for t, b in enumerate(bins):
+        edges[t, :, : b.edges.shape[1]] = b.edges
+        k = int(b.n_bins.sum()) - d
+        cut_feature[t, :k] = np.repeat(np.arange(d), b.n_bins - 1)
+        cut_code[t, :k] = np.concatenate([np.arange(n - 1) for n in b.n_bins.tolist()])
+    return StackedBins(
+        np.concatenate([bins[t].codes for t in fits]) + offset, int(width.sum()), tuple(runs), edges,
+        cut_feature, cut_code, offset[cut_feature] + cut_code,
+    )
+
+
 _EPS_GAIN = 1e-12
 # cap on a batch's arrays, which bounds its memory: gathered codes (rows x
 # feature slots) plus histogram cells (nodes x slots x bins) of a split batch;
@@ -154,28 +211,25 @@ def _best_splits(score: np.ndarray, offset, usable: np.ndarray) -> tuple[np.ndar
     the highest gain wins, within it the first best cut, and a slot with a
     NaN cut never wins (``max`` is NaN there, as ``argmax`` would pick it).
     """
-    gain = score.max(axis=2)
-    if offset is not None:
-        gain = offset[:, None] + gain
+    gain = offset[:, None] + score.max(axis=2)
     gain[~usable | np.isnan(gain)] = -np.inf
     slot = np.argmax(gain, axis=1)
     node = np.arange(len(slot))
     return np.where(gain[node, slot] > _EPS_GAIN, slot, -1), np.argmax(score[node, slot], axis=1)
 
 
-def _split_batch(bins: Bins, rows: list[np.ndarray], slots, weights, score):
+def _split_batch(bins: Bins, rows: list[np.ndarray], slots: np.ndarray, weights, score):
     """Find and apply the best split of every node in ``rows``.
 
-    ``slots`` is a (nodes, S) array of the features each node may split on,
-    or None for every feature. ``weights`` are per-row statistics to
-    histogram (None counts rows). ``score(node ids, *cumulative sums)``
-    gets, per statistic, the (nodes, S, cuts) sums left of every cut and
-    returns ``(score, offset)`` for ``_best_splits``. Returns per node the
-    feature (-1 for a leaf), the threshold, its (left, right) rows, which
-    keep their order, and the left child's sum of each statistic.
+    ``slots`` is a (nodes, S) array of the features each node may split on.
+    ``weights`` are per-row statistics to histogram (None counts rows).
+    ``score(node ids, *cumulative sums)`` gets, per statistic, the (nodes,
+    S, cuts) sums left of every cut and returns ``(score, offset)`` for
+    ``_best_splits``. Returns per node the feature (-1 for a leaf), the
+    threshold, its (left, right) rows, which keep their order, and the left
+    child's sum of each statistic.
     """
-    n_nodes, d = len(rows), bins.codes.shape[1]
-    width = d if slots is None else slots.shape[1]
+    n_nodes, width = len(rows), slots.shape[1]
     n_cells = bins.edges.shape[1]
     feature = np.full(n_nodes, -1, dtype=np.int32)
     threshold = np.zeros(n_nodes)
@@ -186,8 +240,8 @@ def _split_batch(bins: Bins, rows: list[np.ndarray], slots, weights, score):
         sizes = [len(r) for r in rows[lo:hi]]
         cat = np.concatenate(rows[lo:hi])
         seg = np.repeat(np.arange(m), sizes)
-        feats = np.broadcast_to(np.arange(d), (m, d)) if slots is None else slots[lo:hi]
-        codes = bins.codes[cat] if slots is None else bins.codes[cat[:, None], feats[seg]]
+        feats = slots[lo:hi]
+        codes = bins.codes[cat[:, None], feats[seg]]
         first_cell = (np.arange(m)[:, None] * width + np.arange(width)) * n_cells  # of each (node, slot)
         cell = first_cell[seg] + codes
         sums = [
@@ -421,22 +475,76 @@ def grow_classification_tree(forest: LockstepForest, t: int) -> TreeArrays:
     return forest.done.pop(t)
 
 
+def _newton_split(bins: StackedBins, cat, sizes, table, gh, G, H, lam: float):
+    """The best second-order split of every node of one batch (Chen &
+    Guestrin, KDD 2016): the nodes' rows are ``cat`` in runs of ``sizes``,
+    with gradients ``gh[0]`` and hessians ``gh[1]``; node i splits on fit
+    ``table[i]``'s cuts, and its rows' sums are ``G[i]`` and ``H[i]``.
+
+    A ``bincount`` over (node, cell) per statistic gives the gradient and
+    hessian histograms, cumsums along each feature's cells the sums left of
+    every cut, and only a fit's own cuts are scored. As ``_best_splits``
+    would pick it, a node takes the first best cut of the first best feature
+    whose gain exceeds ``_EPS_GAIN``, and a feature with a NaN gain never
+    wins; a cut must leave rows on both sides. Returns per node the feature
+    (-1 for a leaf) and the threshold, then the split nodes' rows, grouped:
+    each node's left rows, then its right rows, each keeping their order,
+    with the 2 * nodes + 1 bounds of those runs.
+    """
+    m, d, n_cells = len(sizes), bins.cells.shape[1], bins.n_cells
+    node = np.arange(m)
+    seg = np.repeat(node, sizes)
+    cells = np.take(bins.cells, cat, axis=0)
+    at = (cells + (seg * n_cells)[:, None]).ravel()  # each (row, feature)'s cell of its node's histogram
+    hist = np.concatenate([np.bincount(at, w.repeat(d), m * n_cells) for w in gh]).reshape(2 * m, n_cells)
+    # the sums left of every cut; a feature of two cells has one cut, whose sums are its first cell's
+    for first, count, width in bins.runs:
+        run = slice(first, first + count * width)
+        hist[:, run] = hist[:, run].reshape(2 * m, count, width).cumsum(axis=2).reshape(2 * m, -1)
+    feats, cut_cell = bins.cut_feature[table], bins.cut_cell[table]
+    gl, hl = np.take(hist.reshape(2, -1), cut_cell + (node * n_cells)[:, None], axis=1)
+    # a cut leaves rows on both sides iff it lies in [min, max) of the node's cells
+    starts, at_feature = np.cumsum(sizes) - sizes, feats + (node * d)[:, None]
+    lo, hi = (np.take(ufunc.reduceat(cells, starts), at_feature) for ufunc in (np.minimum, np.maximum))
+    gr, hr = G[:, None] - gl, H[:, None] - hl
+    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - (G * G / (H + lam))[:, None])
+    gain[(cut_cell < lo) | (cut_cell >= hi)] = -np.inf
+    nan = np.isnan(gain)
+    if nan.any():
+        barred = np.zeros((m, d), dtype=bool)
+        barred[np.nonzero(nan)[0], feats[nan]] = True
+        gain[barred[node[:, None], feats]] = -np.inf
+    best = np.argmax(gain, axis=1)
+    split = gain[node, best] > _EPS_GAIN
+    f = np.where(split, feats[node, best], -1).astype(np.int32)
+    threshold = np.where(split, bins.edges[table, f, bins.cut_code[table, best]], 0.0)
+    # 2 * node, + 1 if right; the rows of a node that does not split go last
+    chosen = np.take(cells, np.arange(0, cells.size, d) + f[seg])  # each row's cell in its node's feature
+    side = np.where(split[seg], seg * 2 + (chosen > cut_cell[node, best][seg]), 2 * m)
+    grouped = np.take(cat, np.argsort(side, kind="stable"))
+    bounds = np.zeros(2 * m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(side, minlength=2 * m + 1)[: 2 * m], out=bounds[1:])
+    return f, threshold, grouped, bounds
+
+
 class LockstepRound:
     """One boosting round's regression trees, one per lane, grown together.
 
-    Lane m's rows are rows ``m * n`` to ``(m + 1) * n`` of ``bins`` (the fit's
-    codes tiled once per lane) and of the flat ``grad``, ``hess`` and
-    ``row_value``. Every level of every lane is split in one ``_split_batch``
-    call; a node's sums and splits depend only on its own rows, so each lane's
-    tree is the tree it would be grown alone. Trees are held in ``done`` until
-    taken.
+    Lane m's rows are rows ``start[m]`` to ``start[m + 1]`` of ``bins.cells``
+    and of the flat ``grad``, ``hess`` and ``row_value``; lanes may differ in
+    size. Lane m splits on the cuts of fit ``table[m]`` of ``bins``. Every
+    level of every lane splits in one ``_newton_split`` call per batch; a
+    node's sums and splits depend only on its own rows and fit, so each
+    lane's tree is the tree it would be grown alone. Trees are held in
+    ``done`` until taken.
     """
 
     def __init__(
-        self, bins: Bins, grad: np.ndarray, hess: np.ndarray, max_depth: list[int], reg_lambda: float,
-        row_value: np.ndarray,
+        self, bins: StackedBins, table: np.ndarray, start: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+        max_depth: np.ndarray, reg_lambda: float, row_value: np.ndarray,
     ):
-        self.bins, self.grad, self.hess, self.row_value = bins, grad, hess, row_value
+        self.bins, self.table, self.start = bins, table, start
+        self.grad, self.hess, self.row_value = grad, hess, row_value
         self.max_depth, self.lam = max_depth, reg_lambda
         self.done: Optional[dict[int, TreeArrays]] = None
 
@@ -444,59 +552,53 @@ class LockstepRound:
         """Every lane's tree, level by level; nodes hold -G / (H + lambda), and
         with lambda 0 a node whose hessian sum is 0 raises InvalidHyperparameter.
         A node with at least two rows splits below its lane's ``max_depth``.
-        Entry i of ``row_value`` is set to the value of the leaf row i lands in."""
-        grad, hess, lam, lanes = self.grad, self.hess, self.lam, range(len(self.max_depth))
-        self.done = {}
-        n = len(grad) // len(self.max_depth)
-        feature, threshold, value, left = ([[] for _ in lanes] for _ in range(4))  # per lane, in level order
-        levels, depth = [[np.arange(m * n, (m + 1) * n)] for m in lanes], 0
+        Entry i of ``row_value`` is set to the value of the leaf row i lands in.
+
+        A level is arrays over its nodes, lane by lane: ``cat`` holds their
+        rows, node by node in row order, in runs of ``sizes``; the next level
+        holds each split node's left child, then its right child."""
+        # a node's histogram has at most d * max_bins cells, which bounds a batch
+        d, max_bins, lam = self.bins.cells.shape[1], self.bins.edges.shape[-1], self.lam
+        gh = np.stack([self.grad, self.hess])
+        lane, sizes, cat = np.arange(len(self.start) - 1), np.diff(self.start), np.arange(self.start[-1])
+        levels, depth = [], 0  # per level: each node's lane, feature, threshold, value, and whether it split
         with np.errstate(divide="ignore", invalid="ignore"):  # masked cuts are never chosen
-            while any(levels):
-                nodes = [(m, i, r) for m in lanes for i, r in enumerate(levels[m])]
-                first = [len(v) for v in value]
-                G = [float(grad[r].sum()) for _, _, r in nodes]
-                H = [float(hess[r].sum()) for _, _, r in nodes]
-                try:
-                    node_value = [-g / (h + lam) for g, h in zip(G, H)]
-                except ZeroDivisionError:
+            while len(lane):
+                # each node's sums over a contiguous run of its rows: the bits of ``grad[rows].sum()``;
+                # ``take`` keeps the rows C-contiguous, where ``gh[:, cat]`` would interleave them
+                level_gh, ends = np.take(gh, cat, axis=1) if depth else gh, np.cumsum(sizes).tolist()
+                G, H = np.array([np.add.reduce(level_gh[:, a:b], axis=1) for a, b in zip([0] + ends, ends)]).T
+                denominator = H + lam
+                if not denominator.all():
                     raise InvalidHyperparameter(
                         f"XGB: reg_lambda {lam!r} leaves a node whose hessian sum is 0 without a value; "
                         "use a positive reg_lambda"
-                    ) from None
-                for (m, _, _), v in zip(nodes, node_value):
-                    feature[m].append(-1)
-                    threshold[m].append(0.0)
-                    value[m].append(v)
-                    left[m].append(-1)
-                ids = [j for j, (m, _, r) in enumerate(nodes) if depth < self.max_depth[m] and len(r) >= 2]
-                next_levels = [[] for _ in lanes]
-                if ids:
-                    kk = np.array([len(nodes[j][2]) for j in ids])[:, None, None]
-                    GG = np.array([G[j] for j in ids])[:, None, None]
-                    HH = np.array([H[j] for j in ids])[:, None, None]
-                    parent_term = np.array([G[j] * G[j] / (H[j] + lam) for j in ids])[:, None, None]
-
-                    def newton_gain(b, nl, gl, hl):
-                        gr, hr = GG[b] - gl, HH[b] - hl
-                        gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_term[b])
-                        gain[(nl < 1) | (nl > kk[b] - 1)] = -np.inf
-                        return gain, None
-
-                    f, thr, children, _ = _split_batch(
-                        self.bins, [nodes[j][2] for j in ids], None, (None, grad, hess), newton_gain)
-                    for j, fj, tj, pair in zip(ids, f.tolist(), thr.tolist(), children):
-                        if pair is not None:
-                            m, i, _ = nodes[j]
-                            feature[m][first[m] + i], threshold[m][first[m] + i] = fj, tj
-                            left[m][first[m] + i] = first[m] + len(levels[m]) + len(next_levels[m])
-                            next_levels[m] += pair
-                for m, i, r in nodes:
-                    if feature[m][first[m] + i] < 0:
-                        self.row_value[r] = value[m][first[m] + i]
-                levels, depth = next_levels, depth + 1
-        for m in lanes:
-            self.done[m] = _preorder(np.array(feature[m], dtype=np.int32), np.array(threshold[m]),
-                                     np.array(left[m], dtype=np.int32), np.array(value[m]))
+                    )
+                value = -G / denominator
+                # every row takes its node's value; a split node's rows take their child's on the next level
+                self.row_value[cat] = value.repeat(sizes)
+                feature, threshold = np.full(len(lane), -1, dtype=np.int32), np.zeros(len(lane))
+                grows = (depth < self.max_depth[lane]) & (sizes >= 2)
+                if grows.all():
+                    rows, rows_gh = cat, level_gh
+                else:
+                    keep = grows.repeat(sizes)
+                    rows, rows_gh = np.compress(keep, cat), np.compress(keep, level_gh, axis=1)
+                grows = np.flatnonzero(grows)
+                next_cat, next_sizes = [cat[:0]], [sizes[:0]]
+                row_at = [0] + np.cumsum(sizes[grows]).tolist()
+                for lo, hi in _batches(sizes[grows].tolist(), d, max_bins) if len(grows) else ():
+                    batch = grows[lo:hi]
+                    feature[batch], threshold[batch], grouped, bounds = _newton_split(
+                        self.bins, rows[row_at[lo] : row_at[hi]], sizes[batch], self.table[lane[batch]],
+                        rows_gh[:, row_at[lo] : row_at[hi]], G[batch], H[batch], lam)
+                    next_cat.append(grouped[: bounds[-1]])
+                    next_sizes.append(np.diff(bounds).reshape(-1, 2)[feature[batch] >= 0].ravel())
+                split = feature >= 0
+                levels.append((lane, feature, threshold, value, split))
+                lane, sizes, cat = lane[split].repeat(2), np.concatenate(next_sizes), np.concatenate(next_cat)
+                depth += 1
+        self.done = _preorder(levels, len(self.start) - 1)
 
 
 def grow_second_order_tree(lockstep: LockstepRound, m: int) -> TreeArrays:
@@ -507,22 +609,34 @@ def grow_second_order_tree(lockstep: LockstepRound, m: int) -> TreeArrays:
     return lockstep.done.pop(m)
 
 
-def _preorder(feature, threshold, left, value) -> TreeArrays:
-    """Renumber a level-order tree (right child = left + 1) to depth-first
-    pre-order, left first."""
-    order, stack = [], [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        if feature[v] >= 0:
-            stack += [left[v] + 1, left[v]]
-    new_id = np.empty(len(order), dtype=np.int32)
-    new_id[order] = np.arange(len(order))
-    internal = feature[order] >= 0
-    kids = left[order][internal]
-    new_left, new_right = np.full(len(order), -1, dtype=np.int32), np.full(len(order), -1, dtype=np.int32)
-    new_left[internal], new_right[internal] = new_id[kids], new_id[kids + 1]
-    return TreeArrays(feature[order], threshold[order], new_left, new_right, value[order])
+def _preorder(levels: list[tuple], n_lanes: int) -> dict[int, TreeArrays]:
+    """Every lane's tree from its levels, renumbered to depth-first pre-order,
+    left first, a level at a time over all lanes: a left child comes right
+    after its parent, a right child right after its left sibling's subtree."""
+    size = np.zeros(0, dtype=np.int64)
+    sizes = []  # per level, each node's subtree size; deepest first
+    for *_, split in reversed(levels):
+        below = size
+        size = np.ones(len(split), dtype=np.int64)
+        size[split] += below[0::2] + below[1::2]
+        sizes.append(below)
+    first = np.concatenate(([0], np.cumsum(size)))  # each lane's first node in the flat arrays
+    feature, threshold, value = np.empty(first[-1], dtype=np.int32), np.empty(first[-1]), np.empty(first[-1])
+    left, right = np.full(first[-1], -1, dtype=np.int32), np.full(first[-1], -1, dtype=np.int32)
+    pre = np.zeros(n_lanes, dtype=np.int64)  # each node's id in its lane's tree
+    for (lane, f, thr, v, split), below in zip(levels, reversed(sizes)):
+        at = first[lane] + pre
+        feature[at], threshold[at], value[at] = f, thr, v
+        kids = np.empty((len(below) // 2, 2), dtype=np.int64)
+        kids[:, 0] = pre[split] + 1
+        kids[:, 1] = kids[:, 0] + below[0::2]
+        left[at[split]], right[at[split]] = kids[:, 0], kids[:, 1]
+        pre = kids.ravel()
+    bounds = first.tolist()
+    return {
+        m: TreeArrays(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
+        for m, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    }
 
 
 def ensemble_values(trees: list[TreeArrays], X: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:

@@ -22,6 +22,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .featselect import RfecvResult, SelectionReport, filter_select, rfecv
 from .ingest import IngestConfig, ingest_tables, load_csv
@@ -153,9 +155,9 @@ class Split:
 @dataclass(frozen=True)
 class Leaderboard:
     """leaderboard.json: the CV winner, the split it was tuned on, and every
-    kind's candidates, best first, each with one accuracy per tune fold. The
-    winner must be the best candidate of the first kind, in ModelKind order,
-    with the best mean accuracy."""
+    kind's candidates, best mean first, each with one accuracy per tune fold
+    and their exact mean. The winner must be the best candidate of the first
+    kind, in ModelKind order, with the best mean accuracy."""
 
     winner: Winner
     split: Split
@@ -167,12 +169,25 @@ class Leaderboard:
             if not candidates:
                 raise ValueError(f"per_kind.{kind.value}: no candidates")
             for i, candidate in enumerate(candidates):
-                key, n = f"per_kind.{kind.value}[{i}].fold_accuracies", len(candidate.fold_accuracies)
+                path = f"per_kind.{kind.value}[{i}]"
+                key, n = f"{path}.fold_accuracies", len(candidate.fold_accuracies)
                 if n < 2:
                     raise ValueError(f"{key}: needs at least 2 entries, got {n}")
                 first = first or (key, n)
                 if n != first[1]:
                     raise ValueError(f"{key}: {n} entries, where {first[0]} has {first[1]}")
+                mean = float(np.mean(candidate.fold_accuracies))
+                if candidate.mean_accuracy != mean:
+                    raise ValueError(
+                        f"{path}.mean_accuracy: {candidate.mean_accuracy} is not {mean}, "
+                        "the mean of its fold_accuracies"
+                    )
+                if i and candidate.mean_accuracy > candidates[i - 1].mean_accuracy:
+                    raise ValueError(
+                        f"{path}.mean_accuracy: {candidate.mean_accuracy} is above "
+                        f"per_kind.{kind.value}[{i - 1}].mean_accuracy {candidates[i - 1].mean_accuracy}; "
+                        "candidates come best mean first"
+                    )
         kind = self.winner.spec.kind
         if kind not in self.per_kind:
             raise ValueError(f"per_kind: no candidates of the winner's kind {kind.value}")

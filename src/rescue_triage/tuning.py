@@ -173,9 +173,9 @@ def cross_validate(
     One job per (``share_groups`` group, ``fold_chunks`` chunk), the chunks
     following the ``workers`` that ``map_fn`` runs the jobs on: the builtin
     ``map`` here or a process pool's in its workers. A job fits its group on
-    its folds through ``train_folds``, so MLPC trains a chunk's (fold,
-    learning rate) pairs as lanes of one stacked fit. Results are taken in
-    job order, so the scores are the same for any map and any worker count.
+    its folds through ``train_folds``, so XGB and MLPC fit a chunk's folds
+    as lanes of one fit. Results are taken in job order, so the scores are
+    the same for any map and any worker count.
     Raises DegenerateFolds when a fold's training side lacks both classes.
     """
     groups = share_groups(specs)

@@ -502,13 +502,15 @@ class TestChainedSubcommands:
         tuned = board["per_kind"][board["winner"]["spec"]["kind"]][0]
         first_step = json.loads((chain / "rfecv_report.json").read_text())["steps"][0]["fold_scores"]
         assert tuned["fold_accuracies"] == first_step
-        tuned["fold_accuracies"] = [0.0, 0.0]
+        swapped = first_step[::-1]  # the same mean, so the leaderboard itself stays consistent
+        assert swapped != first_step
+        tuned["fold_accuracies"] = swapped
         (tmp_path / "leaderboard.json").write_text(json.dumps(board))
         args = (chain / "features.jsonl", chain / "selection_report.json", tmp_path / "leaderboard.json")
         with pytest.raises(ValueError) as err:
             stage_rfecv(*args, tmp_path / "rfecv.json")
         assert str(tmp_path / "leaderboard.json") in str(err.value)
-        assert "[0.0, 0.0]" in str(err.value) and str(first_step) in str(err.value)
+        assert str(swapped) in str(err.value) and str(first_step) in str(err.value)
         assert not (tmp_path / "rfecv.json").exists()
 
     def test_rfecv_runs_on_as_many_folds_as_tune(self, chained):
@@ -701,6 +703,28 @@ def _crown(board: dict, kind: str) -> None:
     board["winner"]["cv_accuracy"] = best["mean_accuracy"]
 
 
+def _tie_with_winner(board: dict, kind: str) -> None:
+    """Give kind's best candidate the winner's fold accuracies and mean."""
+    winner = board["per_kind"][board["winner"]["spec"]["kind"]][0]
+    board["per_kind"][kind][0].update(mean_accuracy=winner["mean_accuracy"],
+                                      fold_accuracies=winner["fold_accuracies"])
+
+
+def _listed_worst_first(board: dict, kind: str) -> None:
+    """Kind's candidates in reverse, the new first one with its folds zeroed
+    and the old best mean kept: its mean no longer matches its folds."""
+    candidates = board["per_kind"][kind]
+    best = candidates[0]["mean_accuracy"]
+    candidates.reverse()
+    candidates[0].update(mean_accuracy=best, fold_accuracies=[0.0] * len(candidates[0]["fold_accuracies"]))
+
+
+def _swap_best_and_worst(board: dict) -> None:
+    """The first kind whose best and worst means differ lists them swapped."""
+    candidates = next(c for c in board["per_kind"].values() if c[0]["mean_accuracy"] > c[-1]["mean_accuracy"])
+    candidates[0], candidates[-1] = candidates[-1], candidates[0]
+
+
 # name -> (command, corrupted artifact, corruption of the chain's copy, what the error must say besides the file)
 CORRUPTED_ARTIFACTS = {
     "corpus_unknown_key": ("wordcount", "corpus.jsonl", _edit_first_row(lambda r: r.update(lable=r.pop("label"))),
@@ -735,9 +759,16 @@ CORRUPTED_ARTIFACTS = {
     "winner_kind_not_the_best": ("evaluate", "leaderboard.json", _edit_json(lambda d: _crown(d, _worst_kind(d))),
                                  "Leaderboard: winner.spec.kind: "),
     "winner_kind_tied_with_an_earlier_one": (
-        "evaluate", "leaderboard.json",
-        _edit_json(lambda d: d["per_kind"]["SVM"][0].update(mean_accuracy=d["winner"]["cv_accuracy"])),
+        "evaluate", "leaderboard.json", _edit_json(lambda d: _tie_with_winner(d, "SVM")),
         " is not SVM, the first kind in ModelKind order with the best mean accuracy "),
+    "candidates_listed_worst_first": ("evaluate", "leaderboard.json",
+                                      _edit_json(lambda d: _listed_worst_first(d, "LR")),
+                                      "Leaderboard: per_kind.LR[0].mean_accuracy: "),
+    "candidate_mean_not_its_folds_mean": (
+        "evaluate", "leaderboard.json", _edit_json(lambda d: d["per_kind"]["NB"][0].update(mean_accuracy=0.123)),
+        "Leaderboard: per_kind.NB[0].mean_accuracy: 0.123 is not "),
+    "candidates_not_best_mean_first": ("evaluate", "leaderboard.json", _edit_json(_swap_best_and_worst),
+                                       "; candidates come best mean first"),
     "leaderboard_without_split": ("evaluate", "leaderboard.json", _edit_json(lambda d: d.pop("split")),
                                   "Leaderboard: missing keys ['split']"),
     "ragged_fold_accuracies": ("evaluate", "leaderboard.json",

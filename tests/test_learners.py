@@ -820,6 +820,22 @@ class TestTrainGrid:
         specs = _grid_specs(ModelKind.XGB, {"n_rounds": [3, 6], "max_depth": [1, 2], "learning_rate": [0.1, 0.3]})
         _fit_all(specs, X, y)
         assert taken == [0, 1, 2, 3] * 6  # four lanes of six rounds; each round's first call grows all four
+        taken.clear()
+        models = list(train_folds(specs, X, y, TestTrainFolds.FOLDS))
+        assert len(models) == 3 * len(specs)
+        assert taken == list(range(12)) * 6  # a (fold, pair) lane each of three folds' four pairs, six rounds
+
+    def test_zero_hessian_spec_fails_a_stacked_job_as_it_fails_alone(self):
+        X, _ = _golden_matrix()  # as in TestBoosting's zero-hessian test
+        y = (X[:, 2] > 1.5).astype(np.int64)
+        bad = ModelSpec(ModelKind.XGB, {"n_rounds": 30, "max_depth": 1, "learning_rate": 1.0, "reg_lambda": 0.0})
+        good = ModelSpec(ModelKind.XGB, {"n_rounds": 5, "max_depth": 2, "learning_rate": 0.1, "reg_lambda": 0.0})
+        folds = [np.arange(0, 120), np.arange(30, 150), np.r_[0:50, 70:150]]
+        with pytest.raises(InvalidHyperparameter) as alone:
+            train(bad, X[folds[1]], y[folds[1]])
+        with pytest.raises(InvalidHyperparameter) as stacked:
+            list(train_folds([good, bad], X, y, folds))
+        assert str(stacked.value) == str(alone.value)
 
 
 def _sigmoid_oracle(z):
@@ -863,6 +879,240 @@ class TestTrainFolds:
         for group in groups:
             assert len({specs[i].hyperparameters["learning_rate"] for i in group}) == 2
             assert len({mlp.share_key(specs[i].hyperparameters) for i in group}) == 1
+
+
+# The grid fit that ``boosting.fit_folds`` replaced, kept as its oracle: one
+# fold at a time, each (learning rate, depth cap) pair a lane of one
+# ``LockstepRound`` that holds a level as Python lists, one entry per node,
+# and splits through the batch splitter it shared with the forest.
+
+
+def _oracle_best_splits(score, usable):
+    gain = score.max(axis=2)
+    gain[~usable | np.isnan(gain)] = -np.inf
+    slot = np.argmax(gain, axis=1)
+    node = np.arange(len(slot))
+    return np.where(gain[node, slot] > 1e-12, slot, -1), np.argmax(score[node, slot], axis=1)
+
+
+def _oracle_split_batch(bins, rows, weights, score):
+    n_nodes, d = len(rows), bins.codes.shape[1]
+    n_cells = bins.edges.shape[1]
+    feature = np.full(n_nodes, -1, dtype=np.int32)
+    threshold = np.zeros(n_nodes)
+    children = [None] * n_nodes
+    for lo, hi in tree._batches([len(r) for r in rows], d, n_cells):
+        m = hi - lo
+        sizes = [len(r) for r in rows[lo:hi]]
+        cat = np.concatenate(rows[lo:hi])
+        seg = np.repeat(np.arange(m), sizes)
+        feats = np.broadcast_to(np.arange(d), (m, d))
+        codes = bins.codes[cat]
+        first_cell = (np.arange(m)[:, None] * d + np.arange(d)) * n_cells
+        cell = first_cell[seg] + codes
+        sums = [
+            np.bincount(cell.ravel(), None if w is None else np.repeat(w[cat], d), m * d * n_cells)
+            .reshape(m, d, n_cells).cumsum(axis=2)[..., :-1]
+            for w in weights
+        ]
+        best, cut = _oracle_best_splits(score(np.arange(lo, hi), *sums), bins.n_bins[feats] >= 2)
+        split = best >= 0
+        f = np.where(split, feats[np.arange(m), best], -1)
+        feature[lo:hi] = f
+        threshold[lo:hi] = np.where(split, bins.edges[f, cut], 0.0)
+        side = seg * 2 + (bins.codes[cat, f[seg]] > cut[seg])
+        grouped = cat[np.argsort(side, kind="stable")]
+        edge = [0] + np.cumsum(np.bincount(side, minlength=2 * m)).tolist()
+        for i in np.flatnonzero(split).tolist():
+            a, b, c = edge[2 * i : 2 * i + 3]
+            children[lo + i] = grouped[a:b].copy(), grouped[b:c].copy()
+    return feature, threshold, children
+
+
+def _oracle_logloss(margin, y) -> float:
+    softplus = np.maximum(margin, 0.0) + np.log1p(np.exp(-np.abs(margin)))
+    return float(np.mean(softplus - y * margin))
+
+
+def _oracle_preorder(feature, threshold, left, value) -> tree.TreeArrays:
+    order, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        if feature[v] >= 0:
+            stack += [left[v] + 1, left[v]]
+    new_id = np.empty(len(order), dtype=np.int32)
+    new_id[order] = np.arange(len(order))
+    internal = feature[order] >= 0
+    kids = left[order][internal]
+    new_left, new_right = np.full(len(order), -1, dtype=np.int32), np.full(len(order), -1, dtype=np.int32)
+    new_left[internal], new_right[internal] = new_id[kids], new_id[kids + 1]
+    return tree.TreeArrays(feature[order], threshold[order], new_left, new_right, value[order])
+
+
+def _oracle_round(bins, grad, hess, max_depth, lam, row_value) -> list:
+    """Every lane's tree of one round; lane m's rows are m * n to (m + 1) * n."""
+    lanes = range(len(max_depth))
+    n = len(grad) // len(max_depth)
+    feature, threshold, value, left = ([[] for _ in lanes] for _ in range(4))
+    levels, depth = [[np.arange(m * n, (m + 1) * n)] for m in lanes], 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while any(levels):
+            nodes = [(m, i, r) for m in lanes for i, r in enumerate(levels[m])]
+            first = [len(v) for v in value]
+            G = [float(grad[r].sum()) for _, _, r in nodes]
+            H = [float(hess[r].sum()) for _, _, r in nodes]
+            try:
+                node_value = [-g / (h + lam) for g, h in zip(G, H)]
+            except ZeroDivisionError:
+                raise InvalidHyperparameter(
+                    f"XGB: reg_lambda {lam!r} leaves a node whose hessian sum is 0 without a value; "
+                    "use a positive reg_lambda"
+                ) from None
+            for (m, _, _), v in zip(nodes, node_value):
+                feature[m].append(-1)
+                threshold[m].append(0.0)
+                value[m].append(v)
+                left[m].append(-1)
+            ids = [j for j, (m, _, r) in enumerate(nodes) if depth < max_depth[m] and len(r) >= 2]
+            next_levels = [[] for _ in lanes]
+            if ids:
+                kk = np.array([len(nodes[j][2]) for j in ids])[:, None, None]
+                GG = np.array([G[j] for j in ids])[:, None, None]
+                HH = np.array([H[j] for j in ids])[:, None, None]
+                parent_term = np.array([G[j] * G[j] / (H[j] + lam) for j in ids])[:, None, None]
+
+                def newton_gain(b, nl, gl, hl):
+                    gr, hr = GG[b] - gl, HH[b] - hl
+                    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_term[b])
+                    gain[(nl < 1) | (nl > kk[b] - 1)] = -np.inf
+                    return gain
+
+                f, thr, children = _oracle_split_batch(
+                    bins, [nodes[j][2] for j in ids], (None, grad, hess), newton_gain)
+                for j, fj, tj, pair in zip(ids, f.tolist(), thr.tolist(), children):
+                    if pair is not None:
+                        m, i, _ = nodes[j]
+                        feature[m][first[m] + i], threshold[m][first[m] + i] = fj, tj
+                        left[m][first[m] + i] = first[m] + len(levels[m]) + len(next_levels[m])
+                        next_levels[m] += pair
+            for m, i, r in nodes:
+                if feature[m][first[m] + i] < 0:
+                    row_value[r] = value[m][first[m] + i]
+            levels, depth = next_levels, depth + 1
+    return [_oracle_preorder(np.array(feature[m], dtype=np.int32), np.array(threshold[m]),
+                             np.array(left[m], dtype=np.int32), np.array(value[m])) for m in lanes]
+
+
+def _fit_grid_oracle(group, X, y) -> dict:
+    """Each params dict's state on (X, y), by index."""
+    n = len(y)
+    prior = float(np.clip(y.mean(), 1e-12, 1.0 - 1e-12))
+    base = math.log(prior / (1.0 - prior))
+    n_bins, reg_lambda = boosting.share_key(group[0])
+    lane_of = [(params["learning_rate"], params["max_depth"]) for params in group]
+    rounds = {}
+    for lane, params in zip(lane_of, group):
+        rounds[lane] = max(rounds.get(lane, 0), params["n_rounds"])
+    lanes = sorted(rounds, key=rounds.get, reverse=True)
+    lr = np.array([lane[0] for lane in lanes], dtype=np.float64)[:, None]
+    bins = tree.bin_columns(X, n_bins)
+    codes = np.tile(bins.codes, (len(lanes), 1))
+    margin = np.full((len(lanes), n), base)
+    leaf_value = np.empty((len(lanes), n))
+    trees = [[] for _ in lanes]
+    losses = [[_oracle_logloss(row, y)] for row in margin]
+    states = {}
+    for r in range(rounds[lanes[0]] + 1):
+        for i, params in enumerate(group):
+            if params["n_rounds"] == r:
+                m = lanes.index(lane_of[i])
+                states[i] = boosting.State(
+                    tuple(trees[m][:r]), base, params["learning_rate"], tuple(losses[m][: r + 1]))
+        k = sum(rounds[lane] > r for lane in lanes)
+        if k == 0:
+            break
+        p = stable_sigmoid(margin[:k])
+        grown = _oracle_round(tree.Bins(codes[: k * n], bins.n_bins, bins.edges), (p - y).ravel(),
+                              (p * (1.0 - p)).ravel(), [lane[1] for lane in lanes[:k]], reg_lambda,
+                              leaf_value[:k].ravel())
+        for m in range(k):
+            trees[m].append(grown[m])
+        margin[:k] += lr[:k] * leaf_value[:k]
+        for m in range(k):
+            losses[m].append(_oracle_logloss(margin[m], y))
+    return states
+
+
+def _boosting_case(seed: int):
+    """A random share group and 1 to 5 folds of unequal size; a fold that
+    keeps only rows whose first flag is 0 bins that column as one bin."""
+    rng = np.random.default_rng(seed)
+    X, y = _desk_matrix()
+    n_bins, reg_lambda = rng.choice([2, 4, 32]).item(), rng.choice([0.0, 0.5, 2.0]).item()
+    group = [
+        {"n_rounds": rng.choice([0, 1, 3, 8]).item(), "max_depth": rng.integers(1, 5).item(),
+         "learning_rate": rng.choice([0.1, 0.3, 1.0]).item(), "n_bins": n_bins, "reg_lambda": reg_lambda}
+        for _ in range(rng.integers(1, 7))
+    ]
+    folds = []
+    for f in range(rng.integers(1, 6)):
+        pool = np.flatnonzero(X[:, 0] == 0) if f == 1 else np.arange(len(y))
+        folds.append(np.sort(rng.choice(pool, rng.integers(30, len(pool) + 1), replace=False)))
+    return group, [(X[rows], y[rows]) for rows in folds]
+
+
+class TestBoostingOracle:
+    """``boosting.fit_folds`` stacks folds, lanes of unequal size and per-fold
+    bins; every (fold, spec) state must be the grid fit's on that fold alone,
+    bit for bit, and a refusal must be the same refusal."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fit_folds_equals_the_grid_fit_of_each_fold(self, seed):
+        group, folds = _boosting_case(seed)
+        expected, refusal = {}, None
+        for f, (X, y) in enumerate(folds):
+            try:
+                expected.update({(f, i): state for i, state in _fit_grid_oracle(group, X, y).items()})
+            except InvalidHyperparameter as exc:
+                refusal = refusal or str(exc)
+        if refusal is not None:
+            with pytest.raises(InvalidHyperparameter) as got:
+                list(boosting.fit_folds(group, folds, [None] * len(folds)))
+            assert str(got.value) == refusal
+            return
+        got = {(f, i): state for f, i, state in boosting.fit_folds(group, folds, [None] * len(folds))}
+        assert sorted(got) == sorted(expected)
+        for key, state in got.items():
+            assert asjson(state) == asjson(expected[key]), (key, group[key[1]])
+
+    def test_nan_gains_on_stacked_folds(self):
+        # reg_lambda 0 at learning rate 1.0 saturates rows on the separable
+        # rows, so cuts score 0/0 (NaN) and the features holding them must lose
+        X, y = _separable_matrix()
+        group = [{"n_rounds": n, "max_depth": 3, "learning_rate": 1.0, "n_bins": 32, "reg_lambda": 0.0}
+                 for n in (10, 30)]
+        rng = np.random.default_rng(0)
+        folds = []
+        for _ in range(5):
+            rows = np.sort(rng.choice(150, rng.integers(100, 151), replace=False))
+            folds.append((X[rows], y[rows]))
+        got = {(f, i): state for f, i, state in boosting.fit_folds(group, folds, [None] * len(folds))}
+        for f, (Xf, yf) in enumerate(folds):
+            for i, state in _fit_grid_oracle(group, Xf, yf).items():
+                assert asjson(got[f, i]) == asjson(state), (f, i)
+
+    def test_cases_cover_the_grid(self):
+        cases = [_boosting_case(seed) for seed in range(40)]
+        specs = [params for group, _ in cases for params in group]
+        assert {p["n_rounds"] for p in specs} == {0, 1, 3, 8}
+        assert {p["max_depth"] for p in specs} == {1, 2, 3, 4}
+        assert {p["n_bins"] for p in specs} == {2, 4, 32}
+        assert {p["reg_lambda"] for p in specs} == {0.0, 0.5, 2.0}
+        assert {len(folds) for _, folds in cases} == {1, 2, 3, 4, 5}
+        n_bins = [tree.bin_columns(folds[1][0], 32).n_bins for _, folds in cases if len(folds) > 1]
+        assert all(b[0] == 1 for b in n_bins)  # the flag-0 fold's first column has one bin
+        assert len({len(y) for _, folds in cases for _, y in folds}) > 20
 
 
 class TestStableSigmoid:
