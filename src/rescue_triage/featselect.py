@@ -77,11 +77,33 @@ class RfecvStep:
     fold_scores: tuple[float, ...]
 
 
+def _best_step(steps: Sequence[RfecvStep]) -> int:
+    """Index of the step with the best mean score; ties go to the smaller subset."""
+    return max(range(len(steps)), key=lambda i: (steps[i].mean_score, -len(steps[i].features)))
+
+
 @dataclass(frozen=True)
 class RfecvResult:
+    """rfecv_report.json: every step's features and fold scores, with their
+    exact mean, and the features of the step ``_best_step`` picks."""
+
     best_features: tuple[str, ...]
     elimination_order: tuple[str, ...]
     steps: tuple[RfecvStep, ...]
+
+    def __post_init__(self):
+        if not self.steps:
+            raise ValueError("steps: no steps")
+        for i, step in enumerate(self.steps):
+            mean = float(np.mean(step.fold_scores))
+            if step.mean_score != mean:
+                raise ValueError(f"steps[{i}].mean_score: {step.mean_score} is not {mean}, the mean of its fold_scores")
+        best = _best_step(self.steps)
+        if self.best_features != self.steps[best].features:
+            raise ValueError(
+                f"best_features: {list(self.best_features)} are not steps[{best}].features "
+                f"{list(self.steps[best].features)}, the best mean_score's (ties go to the smaller subset)"
+            )
 
 
 def _fold_drops(job) -> list[tuple[float, np.ndarray]]:
@@ -145,5 +167,4 @@ def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec, map_fn: Callable = m
         )
         del features[weakest]
 
-    best = max(steps, key=lambda s: (s.mean_score, -len(s.features)))
-    return RfecvResult(best.features, tuple(eliminated), tuple(steps))
+    return RfecvResult(steps[_best_step(steps)].features, tuple(eliminated), tuple(steps))

@@ -3,10 +3,11 @@
 ``train(spec, X, y)`` fits any of SVM, RF, XGB, K-NN, NB, LR or MLPC on raw
 feature rows; ``train_folds(specs, X, y, folds)`` fits several specs on each
 of several CV folds' rows, the one fold loop of tuning and RFECV, sharing
-what a kind can share between them: RF fits a share group together per
-fold, XGB grows a share group's (fold, learning rate, depth cap) triples as
-lanes of one lockstep fit, and MLPC trains a share group's (fold, learning
-rate) pairs as lanes of one stacked fit. Scores are probability-like values
+what a kind can share between them. RF, XGB and MLPC each fit a share group
+on all folds through their module's ``fit_folds``: RF grows one forest per
+fold for the group's specs, XGB grows the group's (fold, learning rate,
+depth cap) triples as lanes of one lockstep fit, and MLPC trains its (fold,
+learning rate) pairs as lanes of one stacked fit. Scores are probability-like values
 in [0, 1] and predictions threshold them at 0.5. A model file holds a
 ``TrainedModel`` and its kind's ``State`` dataclass, read back bit-exactly.
 """
@@ -49,11 +50,10 @@ __all__ = [
 ]
 
 # each kind's module, with its State dataclass, score(state, Xs) on standardized
-# Xs, check(state, arity) for a state read from a file, and fit(params, Xs, y,
-# rng) -> state; a kind that fits candidates together also has share_key(params)
-# and, for one share group, either fit_grid(params list, Xs, y, rngs) yielding
-# (index, state) on one fold's rows (RF) or fit_folds(params list, [(Xs, y) per
-# fold], rngs per fold) yielding (fold, index, state) (XGB, MLPC)
+# Xs and check(state, arity) for a state read from a file; a kind that fits
+# candidates together (RF, XGB, MLPC) has share_key(params) and, for one share
+# group, fit_folds(params list, [(Xs, y) per fold], rngs per fold) yielding
+# (fold, index, state); any other kind has fit(params, Xs, y, rng) -> state
 _KINDS = {
     ModelKind.SVM: svm,
     ModelKind.RF: forest,
@@ -83,21 +83,10 @@ def share_groups(specs: Sequence[ModelSpec]) -> list[list[int]]:
 def _fit_group(kind: ModelKind, params: list[dict], folds: list[tuple], seed: int) -> Iterator[tuple[int, int, object]]:
     """(fold, index into params, state) of one share group on each fold's
     standardized (Xs, y); every fit draws from a fresh stream of the seed."""
-    module = _KINDS[kind]
-
-    def fresh(count: int) -> list:
-        return [rng_from(seed, _KIND_STREAM[kind]) for _ in range(count)]
-
+    module, fresh = _KINDS[kind], lambda: rng_from(seed, _KIND_STREAM[kind])
     if hasattr(module, "fit_folds"):
-        yield from module.fit_folds(params, folds, fresh(len(folds)))
-        return
-    for f, (Xs, y) in enumerate(folds):
-        if hasattr(module, "fit_grid"):
-            fits = module.fit_grid(params, Xs, y, fresh(len(params)))
-        else:
-            fits = [(0, module.fit(params[0], Xs, y, *fresh(1)))]
-        for j, state in fits:
-            yield f, j, state
+        return module.fit_folds(params, folds, [fresh() for _ in folds])
+    return ((f, 0, module.fit(params[0], Xs, y, fresh())) for f, (Xs, y) in enumerate(folds))
 
 
 def train_folds(

@@ -11,7 +11,7 @@ seed alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from enum import Enum
 from typing import Mapping
 
@@ -196,7 +196,8 @@ _SQRT_MAX = float(np.sqrt(np.finfo(np.float64).max))
 class TrainedModel:
     """An opaque fitted classifier with hard predictions and [0, 1] scores. As
     read from a model file, its JSON spec, standardizer and state are built and
-    their shapes checked against arity once the format version is checked."""
+    their shapes checked against arity once the format version is checked,
+    and every number in its threshold, standardizer and state must be finite."""
 
     format_version: int
     spec: dict  # a ModelSpec once built
@@ -222,6 +223,8 @@ class TrainedModel:
         if self.feature_names and len(self.feature_names) != self.arity:
             raise ValueError(f"feature_names: expected {self.arity} names, got {len(self.feature_names)}")
         module.check(self.state, self.arity)
+        for name in ("decision_threshold", "standardizer", "state"):
+            check_finite_numbers(getattr(self, name), name)
 
     def _check(self, X: np.ndarray) -> tuple[np.ndarray, bool]:
         X = np.asarray(X, dtype=np.float64)
@@ -289,11 +292,22 @@ def check_finite(X: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} row {row}, column {col} is {X[row, col]}; inputs must be finite")
 
 
+def check_finite_numbers(value, path: str) -> None:
+    """Fail, naming its key path, on the first NaN or infinity in value: a
+    float, a numeric array, or a dataclass or tuple holding them."""
+    if is_dataclass(value) or isinstance(value, tuple):
+        for key, item in vars(value).items() if is_dataclass(value) else enumerate(value):
+            check_finite_numbers(item, f"{path}.{key}" if isinstance(key, str) else f"{path}[{key}]")
+    elif isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+        at = tuple(np.argwhere(~np.isfinite(value))[0])
+        raise ValueError(f"{path}{''.join(f'[{i}]' for i in at)}: {np.asarray(value)[at]} is not a finite number")
+
+
 def check_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).astype(np.int64)
-    if X.ndim != 2:
-        raise ValueError("X must be a 2-D matrix")
+    if X.ndim != 2 or not X.shape[1]:
+        raise ValueError(f"X must be a 2-D matrix with at least one feature column, got shape {X.shape}")
     check_finite(X, "training")
     if len(X) != len(y):
         raise ValueError("X and y lengths differ")

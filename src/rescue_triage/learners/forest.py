@@ -2,10 +2,11 @@
 split; the score is the fraction of trees voting positive.
 
 Tree t of a forest grows from its own stream ``rng_from(seed, 101, t)``, so a
-grid fit shares trees between specs: a smaller ``n_trees`` takes a prefix of
-a larger forest, and a depth cap c takes the tree grown under a looser cap
-when that tree drew no feature sample at depth c or deeper. Its nodes there
-are leaves under either cap, and above them it drew the same samples.
+share group's fit on one fold shares trees between specs: a smaller
+``n_trees`` takes a prefix of a larger forest, and a depth cap c takes the
+tree grown under a looser cap when that tree drew no feature sample at depth
+c or deeper. Its nodes there are leaves under either cap, and above them it
+drew the same samples. ``fit_folds`` makes that fit for each fold in turn.
 """
 
 from __future__ import annotations
@@ -33,29 +34,30 @@ def share_key(params: dict) -> tuple:
     return params["min_samples_leaf"], params["n_bins"]
 
 
-def fit_grid(group: list[dict], X: np.ndarray, y: np.ndarray, rngs) -> Iterator[tuple[int, State]]:
-    """Yield ``(i, state)`` for every params dict of one share group. Its specs
-    draw the same forest seed. The loosest depth cap's forest grows to the
+def fit_folds(group: list[dict], folds: list[tuple], rngs) -> Iterator[tuple[int, int, State]]:
+    """Yield ``(fold, i, state)`` for every fold of (Xs, y) and every params
+    dict of one share group, a fold at a time; on a fold, the specs draw one
+    forest seed from its rng. The loosest depth cap's forest grows to the
     largest ``n_trees``; each other cap c keeps its trees but regrows, from
     the tree's own stream, each one that drew a sample at depth c or deeper."""
-    seed = int(rngs[0].integers(0, 2**32))
     min_samples_leaf, n_bins = share_key(group[0])
-    bins = bin_columns(X, n_bins)
-    max_features = max(1, int(round(math.sqrt(X.shape[1]))))
     need: dict[int, int] = {}  # trees each depth cap needs
     for p in group:
         cap = _cap(p["max_depth"])
         need[cap] = max(need.get(cap, 0), p["n_trees"])
     loosest = max(need)
-    trees, deepest_draw = _grow(bins, y, seed, range(max(need.values())), loosest, min_samples_leaf, max_features)
-    forests = {loosest: trees}
-    for cap, n_trees in need.items():
-        if cap != loosest:
-            redo = [t for t in range(n_trees) if deepest_draw[t] >= cap]
-            regrown = dict(zip(redo, _grow(bins, y, seed, redo, cap, min_samples_leaf, max_features)[0]))
-            forests[cap] = [regrown.get(t, trees[t]) for t in range(n_trees)]
-    for i, p in enumerate(group):
-        yield i, State(tuple(forests[_cap(p["max_depth"])][: p["n_trees"]]))
+    for f, ((X, y), rng) in enumerate(zip(folds, rngs)):
+        seed, bins = int(rng.integers(0, 2**32)), bin_columns(X, n_bins)
+        max_features = max(1, int(round(math.sqrt(X.shape[1]))))
+        trees, deepest_draw = _grow(bins, y, seed, range(max(need.values())), loosest, min_samples_leaf, max_features)
+        forests = {loosest: trees}
+        for cap, n_trees in need.items():
+            if cap != loosest:
+                redo = [t for t in range(n_trees) if deepest_draw[t] >= cap]
+                regrown = dict(zip(redo, _grow(bins, y, seed, redo, cap, min_samples_leaf, max_features)[0]))
+                forests[cap] = [regrown.get(t, trees[t]) for t in range(n_trees)]
+        for i, p in enumerate(group):
+            yield f, i, State(tuple(forests[_cap(p["max_depth"])][: p["n_trees"]]))
 
 
 def _cap(max_depth: Optional[int]) -> int:

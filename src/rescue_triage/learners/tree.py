@@ -5,28 +5,30 @@ ordered bins, so split search reduces to bin-count cumsums. Stored
 thresholds are in original feature units; a sample goes left when
 value < threshold, which for a training row is the same as code <= cut.
 
-Split search runs no Python loop per node or feature: each grower collects
-nodes whose splits do not depend on each other and splits them in batches,
-the forest's with ``_split_batch`` and boosting's with ``_newton_split``.
-Either takes one ``bincount`` per statistic over (node, feature, bin),
-cumsums along the bins and the criterion's score of every cut, then picks
-per node the first best cut of the first best feature whose gain exceeds
-``_EPS_GAIN``, and partitions the batch's rows in one stable sort. A batch
-holds at most ``_BATCH_CELLS`` (2^16) gathered codes and histogram cells,
-about 0.5 MB per int64 array: the roots of a forest on a few thousand rows
-share batches instead of each going alone, so the numpy calls per node stay
-few.
+Split search runs no Python loop per node or feature: each grower splits
+nodes whose splits do not depend on each other in batches, the forest's by
+Gini (``_split_batch``) and boosting's by gradient and hessian
+(``_newton_split``). Both share one histogram step, ``_histograms``: each
+feature has its own run of cells (``StackedBins``, per-feature bins as in
+LightGBM, Ke et al., NeurIPS 2017), filled by one ``bincount`` per statistic
+and summed left of every cut by one cumsum per run width. A node takes the
+first best cut of the first best feature whose gain exceeds ``_EPS_GAIN``,
+and one stable sort, ``_partition``, puts each split node's left rows, then
+its right rows. A batch holds at most ``_BATCH_CELLS`` (2^16) gathered and
+histogram cells, about 0.5 MB per int64 array.
 
 * ``LockstepForest`` (random forest) grows all trees of a forest in
   lockstep. Each step pops one node from every tree's own depth-first stack,
   so every tree draws its per-node feature sample from its own stream in the
   same pre-order as a tree grown alone; ``grow_classification_tree`` steps
-  the forest until a given tree is finished. Gini cost with a
-  ``min_samples_leaf`` floor; nodes hold the positive-class fraction.
-  A forest grown for more trees than a model keeps gives that model as a
-  prefix: tree t depends only on its own stream. The forest records the
-  deepest depth at which each tree drew, which tells whether a tighter depth
-  cap would have grown the same tree.
+  the forest until a given tree is finished. A node is a ``[start, stop)``
+  range of one row array per forest, reordered in place when it splits (as
+  in Louppe's PhD thesis, 2014), and counts only its sampled features'
+  cells. Gini cost with a ``min_samples_leaf`` floor; nodes hold the
+  positive-class fraction. Tree t depends only on its own stream, so a
+  forest grown for more trees than a model keeps gives that model as a
+  prefix. The forest records the deepest depth at which each tree drew,
+  which tells whether a tighter depth cap would have grown the same tree.
 * ``FeatureSampler`` draws the feature samples of one forest step, for all
   its trees at once, exactly as each tree's
   ``Generator.choice(d, k, replace=False)`` would: Floyd's algorithm over
@@ -131,12 +133,13 @@ def bin_columns(X: np.ndarray, n_bins: int) -> Bins:
 
 @dataclass(frozen=True)
 class StackedBins:
-    """The bins of several fits whose lanes grow together (``LockstepRound``).
+    """The bins of several fits whose lanes grow together (``LockstepRound``),
+    or of one forest's fit (``LockstepForest``).
 
     A node's histogram has ``n_cells`` cells: feature f's codes count from
     cell ``offset[f]``, as many cells as the fits give f bins at most, and
     features of one width lie side by side. Each ``runs`` entry (first cell,
-    features, width) is such a block of features wider than two cells.
+    features, width) is such a block of features at least two cells wide.
     ``cells`` holds each lane's rows' cells, code plus offset, lane after
     lane.
 
@@ -150,6 +153,7 @@ class StackedBins:
 
     cells: np.ndarray        # (rows, d)
     n_cells: int
+    offset: np.ndarray       # (d,)
     runs: tuple[tuple[int, int, int], ...]
     edges: np.ndarray        # (fits, d, max bins)
     cut_feature: np.ndarray  # (fits, cuts)
@@ -165,7 +169,7 @@ def stack_bins(bins: list[Bins], fits: Iterable[int]) -> StackedBins:
     offset = np.empty(d, dtype=np.int64)
     offset[order] = np.cumsum(width[order]) - width[order]
     runs = []
-    for w in np.unique(width[width > 2]).tolist():
+    for w in np.unique(width[width > 1]).tolist():
         features = order[width[order] == w]
         runs.append((int(offset[features[0]]), len(features), w))
     edges = np.full((len(bins), d, max(b.edges.shape[1] for b in bins)), np.nan)
@@ -177,24 +181,24 @@ def stack_bins(bins: list[Bins], fits: Iterable[int]) -> StackedBins:
         cut_feature[t, :k] = np.repeat(np.arange(d), b.n_bins - 1)
         cut_code[t, :k] = np.concatenate([np.arange(n - 1) for n in b.n_bins.tolist()])
     return StackedBins(
-        np.concatenate([bins[t].codes for t in fits]) + offset, int(width.sum()), tuple(runs), edges,
+        np.concatenate([bins[t].codes for t in fits]) + offset, int(width.sum()), offset, tuple(runs), edges,
         cut_feature, cut_code, offset[cut_feature] + cut_code,
     )
 
 
 _EPS_GAIN = 1e-12
-# cap on a batch's arrays, which bounds its memory: gathered codes (rows x
-# feature slots) plus histogram cells (nodes x slots x bins) of a split batch;
-# the nodes, and the (tree, row) pairs, of a scoring walk
+# cap on a batch's arrays, which bounds its memory: gathered cells (rows x
+# features) plus histogram cells (nodes x cells) of a split batch; the nodes,
+# and the (tree, row) pairs, of a scoring walk
 _BATCH_CELLS = 1 << 16
 
 
-def _batches(sizes: list[int], width: int, n_cells: int):
-    """[lo, hi) ranges of items, each counting (size + n_cells) * width, that
-    stay within ``_BATCH_CELLS``; a larger item goes alone."""
+def _batches(sizes: list[int], per_row: int, per_node: int):
+    """[lo, hi) ranges of items, each counting size * per_row + per_node
+    cells, that stay within ``_BATCH_CELLS``; a larger item goes alone."""
     lo, used = 0, 0
     for i, k in enumerate(sizes):
-        cells = (k + n_cells) * width
+        cells = k * per_row + per_node
         if i > lo and used + cells > _BATCH_CELLS:
             yield lo, i
             lo, used = i, 0
@@ -202,68 +206,77 @@ def _batches(sizes: list[int], width: int, n_cells: int):
     yield lo, len(sizes)
 
 
-def _best_splits(score: np.ndarray, offset, usable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(slot, cut) of each node's best split; slot -1 where none gains enough.
+def _histograms(bins: StackedBins, cells: np.ndarray, seg: np.ndarray, m: int, weights) -> np.ndarray:
+    """The histograms of a batch of m nodes, where row r's cells ``cells[r]``
+    count for node ``seg[r]``: row ``s * m + i`` holds at each cell the sum of
+    statistic s (``weights[s]`` per row, None to count rows) over node i's
+    rows whose cell in that feature is at most it."""
+    n_cells, columns = bins.n_cells, cells.shape[1]
+    at = (cells + (seg * n_cells)[:, None]).ravel()  # each (row, column)'s cell of its node's histogram
+    hist = np.concatenate([np.bincount(at, None if w is None else w.repeat(columns), m * n_cells) for w in weights])
+    hist = hist.reshape(-1, n_cells)
+    for first, count, width in bins.runs:
+        run = slice(first, first + count * width)
+        hist[:, run] = hist[:, run].reshape(len(hist), count, width).cumsum(axis=2).reshape(len(hist), -1)
+    return hist
 
-    ``score`` is (nodes, slots, cuts), higher is better, with masked cuts at
-    -inf; a slot's gain is ``offset`` plus its best cut's score. As in a scan
-    that keeps a gain only when it beats the best so far, the first slot with
-    the highest gain wins, within it the first best cut, and a slot with a
-    NaN cut never wins (``max`` is NaN there, as ``argmax`` would pick it).
-    """
-    gain = offset[:, None] + score.max(axis=2)
-    gain[~usable | np.isnan(gain)] = -np.inf
-    slot = np.argmax(gain, axis=1)
-    node = np.arange(len(slot))
-    return np.where(gain[node, slot] > _EPS_GAIN, slot, -1), np.argmax(score[node, slot], axis=1)
+
+def _partition(cat: np.ndarray, cells: np.ndarray, seg: np.ndarray, column: np.ndarray, cut_cell: np.ndarray):
+    """The rows ``cat`` of a batch's split nodes, grouped by one stable sort:
+    each node's left rows (cell ``cells[r, column[node]]`` at most its
+    ``cut_cell``), then its right rows, each keeping their order; and the
+    2 * nodes + 1 bounds of those runs. A node of column -1 does not split."""
+    m, width = len(column), cells.shape[1]
+    chosen = np.take(cells, np.arange(0, cells.size, width) + column[seg])  # each row's cell in its node's column
+    # 2 * node, + 1 if right; the rows of a node that does not split go last
+    side = np.where(column[seg] >= 0, seg * 2 + (chosen > cut_cell[seg]), 2 * m)
+    grouped = np.take(cat, np.argsort(side, kind="stable"))
+    bounds = np.zeros(2 * m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(side, minlength=2 * m + 1)[: 2 * m], out=bounds[1:])
+    return grouped[: bounds[-1]], bounds
 
 
-def _split_batch(bins: Bins, rows: list[np.ndarray], slots: np.ndarray, weights, score):
-    """Find and apply the best split of every node in ``rows``.
-
-    ``slots`` is a (nodes, S) array of the features each node may split on.
-    ``weights`` are per-row statistics to histogram (None counts rows).
-    ``score(node ids, *cumulative sums)`` gets, per statistic, the (nodes,
-    S, cuts) sums left of every cut and returns ``(score, offset)`` for
-    ``_best_splits``. Returns per node the feature (-1 for a leaf), the
-    threshold, its (left, right) rows, which keep their order, and the left
-    child's sum of each statistic.
-    """
-    n_nodes, width = len(rows), slots.shape[1]
-    n_cells = bins.edges.shape[1]
-    feature = np.full(n_nodes, -1, dtype=np.int32)
-    threshold = np.zeros(n_nodes)
-    children: list = [None] * n_nodes
-    left_sums = np.zeros((n_nodes, len(weights)))
-    for lo, hi in _batches([len(r) for r in rows], width, n_cells):
-        m = hi - lo
-        sizes = [len(r) for r in rows[lo:hi]]
-        cat = np.concatenate(rows[lo:hi])
-        seg = np.repeat(np.arange(m), sizes)
-        feats = slots[lo:hi]
-        codes = bins.codes[cat[:, None], feats[seg]]
-        first_cell = (np.arange(m)[:, None] * width + np.arange(width)) * n_cells  # of each (node, slot)
-        cell = first_cell[seg] + codes
-        sums = [
-            np.bincount(cell.ravel(), None if w is None else np.repeat(w[cat], width), m * width * n_cells)
-            .reshape(m, width, n_cells).cumsum(axis=2)[..., :-1]
-            for w in weights
-        ]
-        best, cut = _best_splits(*score(np.arange(lo, hi), *sums), bins.n_bins[feats] >= 2)
-        split = best >= 0
-        f = np.where(split, feats[np.arange(m), best], -1)
-        for j, s in enumerate(sums):
-            left_sums[lo:hi, j] = s[np.arange(m), best, cut]
-        feature[lo:hi] = f
-        threshold[lo:hi] = np.where(split, bins.edges[f, cut], 0.0)
-        side = seg * 2 + (bins.codes[cat, f[seg]] > cut[seg])  # 2 * node, + 1 if right
-        grouped = cat[np.argsort(side, kind="stable")]
-        edge = [0] + np.cumsum(np.bincount(side, minlength=2 * m)).tolist()
-        for i in np.flatnonzero(split).tolist():
-            # copies, so a pending child does not keep the whole batch alive
-            a, b, c = edge[2 * i : 2 * i + 3]
-            children[lo + i] = grouped[a:b].copy(), grouped[b:c].copy()
-    return feature, threshold, children, left_sums
+def _split_batch(bins: StackedBins, cut_cells, y, rows, start, sizes, pos, slots, msl: int):
+    """The best Gini split of every node of a forest step, in batches. Node i
+    holds ``rows[start[i] : start[i] + sizes[i]]``, ``pos[i]`` of them
+    positive; it counts the cells of its features ``slots[i]``, and cut c of
+    feature f reads its left sums at ``cut_cells[f, c]``. A cut costs +inf if
+    a side has under ``msl`` rows; gain is the node's Gini impurity less the
+    cost. The first best cut of the first best slot wins if its gain exceeds
+    ``_EPS_GAIN``, and the node's range of ``rows`` is reordered in place,
+    left rows first. Returns per node the feature (-1 for a leaf), the
+    threshold, and the left child's row count and positives."""
+    n_nodes, n_cells, width = len(sizes), bins.n_cells, slots.shape[1]
+    feature, threshold = np.full(n_nodes, -1, dtype=np.int32), np.zeros(n_nodes)
+    left_rows, left_pos = np.zeros(n_nodes, dtype=np.int64), np.zeros(n_nodes, dtype=np.int64)
+    # Python floats: ``x ** 2`` (libm pow) and numpy's x * x differ in the last bit
+    # for about 1 in 1,300 fractions p / n
+    gini = np.array([1.0 - (p / n) ** 2 - ((n - p) / n) ** 2 for p, n in zip(pos.tolist(), sizes.tolist())])
+    for lo, hi in _batches(sizes.tolist(), width, n_cells + width * cut_cells.shape[1]):
+        k, node, feats = sizes[lo:hi], np.arange(hi - lo), slots[lo:hi]
+        seg = np.repeat(node, k)
+        at = np.repeat(start[lo:hi] - (np.cumsum(k) - k), k) + np.arange(len(seg))  # the batch's places in rows
+        cat = rows[at]
+        cells = bins.cells[cat[:, None], feats[seg]]
+        hist = _histograms(bins, cells, seg, len(k), (None, y[cat]))
+        # (node, slot, cut) sums left of every cut; integers, so exact in any order
+        nl, pl = np.take(hist.reshape(2, -1), cut_cells[feats] + (node * n_cells)[:, None, None], axis=1)
+        kk, p = k[:, None, None], pos[lo:hi, None, None]
+        nr, pr = kk - nl, p - pl
+        gl = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+        gr = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+        cost = (nl * gl + nr * gr) / kk
+        cost[(nl < msl) | (nr < msl)] = np.inf
+        gain = gini[lo:hi, None] - cost.min(axis=2)
+        slot = np.argmax(gain, axis=1)
+        cut = np.argmin(cost[node, slot], axis=1)
+        split = gain[node, slot] > _EPS_GAIN
+        feature[lo:hi] = f = np.where(split, feats[node, slot], -1)
+        threshold[lo:hi] = np.where(split, bins.edges[0, f, cut], 0.0)
+        grouped, bounds = _partition(cat, cells, seg, np.where(split, slot, -1), cut_cells[f, cut])
+        rows[at[split[seg]]] = grouped
+        left_rows[lo:hi], left_pos[lo:hi] = np.diff(bounds)[0::2], pl[node, slot, cut]
+    return feature, threshold, left_rows, left_pos
 
 
 # numpy's ``Generator.choice(d, k, replace=False)`` uses Floyd's algorithm
@@ -374,91 +387,85 @@ class LockstepForest:
     """The Gini trees of one random forest, grown in lockstep.
 
     Tree t grows on the t-th of ``roots`` (its training rows, repeats
-    allowed; a generator keeps only the trees' stacks holding them). Each
-    ``step`` pops one node from every unfinished tree's own depth-first stack
-    and splits the popped nodes in batches. A node splits only below
-    ``max_depth``, when it is impure and has at least ``2 * min_samples_leaf``
-    rows; only then does its tree's rng draw ``max_features`` candidate
-    features, so each tree draws from its own stream in the same pre-order as
-    a tree grown alone. The draws of a step go through one ``FeatureSampler``
-    call, and ``deepest_draw[t]`` is the deepest depth at which tree t drew
-    (-1 if it never did).
+    allowed). Each ``step`` pops one node from every unfinished tree's own
+    depth-first stack and splits the popped nodes with ``_split_batch``. A
+    node splits only below ``max_depth``, when it is impure and has at least
+    ``2 * min_samples_leaf`` rows; only then does its tree's rng draw
+    ``max_features`` candidate features, so each tree draws from its own
+    stream in the same pre-order as a tree grown alone. The draws of a step
+    go through one ``FeatureSampler`` call, and ``deepest_draw[t]`` is the
+    deepest depth at which tree t drew (-1 if it never did).
 
-    Every unfinished tree gets one node per step, so a node's id in its tree
-    is the step that popped it: ids are in depth-first pre-order, a left
-    child is its parent + 1, and a tree finished at step s has s + 1 nodes.
-    Node fields are kept in (step, tree) arrays; the trees finished at a step
-    are cut out of them together and held in ``done`` until taken.
+    The roots lie end to end in ``rows``; a node is a ``[start, stop)`` range
+    of it. ``stack[t, :height[t]]`` is tree t's stack: each pending node's
+    start, stop, positives, depth, and the node whose right child it is (-1
+    if none). Every unfinished tree gets one node per step, so a node's id is
+    the step that popped it: ids are in depth-first pre-order, a left child
+    is its parent + 1, and a tree finished at step s has s + 1 nodes. Node
+    fields are kept in (step, tree) arrays; the trees finished at a step are
+    cut out of them together and held in ``done`` until taken.
     """
 
     def __init__(
         self, bins: Bins, y: np.ndarray, roots: Iterable[np.ndarray], rngs: list[np.random.Generator],
         max_depth: int, min_samples_leaf: int, max_features: int,
     ):
-        self.bins, self.y = bins, y
-        self.max_depth, self.msl = max_depth, min_samples_leaf
-        # rows, positives, depth, parent, is right child
-        self.stacks = [[(rows, int(y[rows].sum()), 0, -1, False)] for rows in roots]
-        # after the roots: a generator of roots draws them from the same rngs
+        self.y, self.max_depth, self.msl = y, max_depth, min_samples_leaf
+        roots = list(roots)  # before the sampler: a generator of roots draws them from the same rngs
         d = bins.codes.shape[1]
         self.sampler = FeatureSampler(rngs, d, min(max_features, d))
-        self.deepest_draw = np.full(len(self.stacks), -1)
-        self.live = list(range(len(self.stacks)))
+        self.bins = stack_bins([bins], [0])
+        # each (feature, cut)'s left-sum cell; past a feature's last cut, its last cell: the node's total
+        cuts = np.minimum(np.arange(bins.edges.shape[1] - 1), bins.n_bins[:, None] - 1)
+        self.cut_cells = self.bins.offset[:, None] + cuts
+        self.rows = np.concatenate(roots) if roots else np.zeros(0, dtype=np.int32)
+        sizes = np.array([len(r) for r in roots], dtype=np.int64)
+        self.stack = np.zeros((len(roots), 16, 5), dtype=np.int64)
+        self.stack[:, 0, 0], self.stack[:, 0, 1] = np.cumsum(sizes) - sizes, np.cumsum(sizes)
+        self.stack[:, 0, 2], self.stack[:, 0, 4] = [int(y[r].sum()) for r in roots], -1
+        self.height = np.ones(len(roots), dtype=np.int64)
+        self.deepest_draw = np.full(len(roots), -1)
+        self.live = list(range(len(roots)))
         self.done: dict[int, TreeArrays] = {}
         self.n_steps = 0
         # node fields by (step, tree): feature, threshold, value, right child
-        self.fields = [np.empty((16, len(self.stacks)), dt) for dt in (np.int32, np.float64, np.float64, np.int32)]
+        self.fields = [np.empty((16, len(roots)), dt) for dt in (np.int32, np.float64, np.float64, np.int32)]
 
     def step(self) -> None:
-        live, msl, j = self.live, self.msl, self.n_steps
-        trees = np.array(live)
-        popped = [self.stacks[t].pop() for t in live]
-        rows = [p[0] for p in popped]
-        k = np.array([len(r) for r in rows])
-        pos = np.array([p[1] for p in popped])
-        depth = np.array([p[2] for p in popped])
-        ids = np.flatnonzero((depth < self.max_depth) & (k >= 2 * msl) & (pos > 0) & (pos < k))
-        feature, threshold = np.full(len(popped), -1, dtype=np.int32), np.zeros(len(popped))
+        j, trees = self.n_steps, np.array(self.live)
+        self.height[trees] -= 1
+        start, stop, pos, depth, right_of = self.stack[trees, self.height[trees]].T
+        k = stop - start
+        ids = np.flatnonzero((depth < self.max_depth) & (k >= 2 * self.msl) & (pos > 0) & (pos < k))
+        feature, threshold = np.full(len(trees), -1, dtype=np.int32), np.zeros(len(trees))
         if len(ids):
             drawing = trees[ids]
             slots = self.sampler.sample(drawing)
             self.deepest_draw[drawing] = np.maximum(self.deepest_draw[drawing], depth[ids])
-            kk, pp = k[ids, None, None], pos[ids, None, None]
-            # Python floats: ``x ** 2`` (libm pow) and numpy's x * x differ in the last bit
-            # for about 1 in 1,300 fractions p / n
-            gini = np.array([1.0 - (p / n) ** 2 - ((n - p) / n) ** 2
-                             for p, n in zip(pos[ids].tolist(), k[ids].tolist())])
-
-            def gini_cost(b, nl, pl):
-                nr, pr = kk[b] - nl, pp[b] - pl
-                gl = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-                gr = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-                cost = (nl * gl + nr * gr) / kk[b]
-                cost[(nl < msl) | (nr < msl)] = np.inf
-                return -cost, gini[b]
-
-            with np.errstate(divide="ignore", invalid="ignore"):  # masked cuts are never chosen
-                feature[ids], threshold[ids], children, left_sums = _split_batch(
-                    self.bins, [rows[i] for i in ids], slots, (None, self.y), gini_cost)
-            for i, pair, left_pos in zip(ids.tolist(), children, left_sums[:, 1].tolist()):
-                if pair is not None:
-                    t, below = live[i], popped[i][2] + 1
-                    self.stacks[t].append((pair[1], popped[i][1] - int(left_pos), below, j, True))
-                    self.stacks[t].append((pair[0], int(left_pos), below, j, False))
+            with np.errstate(divide="ignore", invalid="ignore"):  # cuts that leave a side empty are never chosen
+                feature[ids], threshold[ids], left_rows, left_pos = _split_batch(
+                    self.bins, self.cut_cells, self.y, self.rows, start[ids], k[ids], pos[ids], slots, self.msl)
+            split = feature[ids] >= 0
+            i, left_rows, left_pos = ids[split], left_rows[split], left_pos[split]
+            t, height = trees[i], self.height[trees[i]]
+            if height.max(initial=0) + 2 > self.stack.shape[1]:  # out of height: double it
+                self.stack = np.concatenate([self.stack, np.empty_like(self.stack)], axis=1)
+            mid, below = start[i] + left_rows, depth[i] + 1
+            self.stack[t, height] = np.stack([mid, stop[i], pos[i] - left_pos, below, np.full(len(i), j)], axis=1)
+            self.stack[t, height + 1] = np.stack([start[i], mid, left_pos, below, np.full(len(i), -1)], axis=1)
+            self.height[t] += 2
 
         if j == len(self.fields[0]):  # out of steps: double the step capacity
-            for f, old in enumerate(self.fields):
-                self.fields[f] = np.empty((2 * j, old.shape[1]), old.dtype)
-                self.fields[f][:j] = old
+            self.fields = [np.concatenate([a, np.empty_like(a)]) for a in self.fields]
         node_feature, node_threshold, node_value, node_right = self.fields
         node_feature[j, trees], node_threshold[j, trees], node_value[j, trees] = feature, threshold, pos / k
         node_right[j, trees] = -1
-        is_right = np.array([p[4] for p in popped])
-        node_right[np.array([p[3] for p in popped])[is_right], trees[is_right]] = j
+        is_right = right_of >= 0
+        node_right[right_of[is_right], trees[is_right]] = j
         self.n_steps = j = j + 1
 
-        self.live = [t for t in live if self.stacks[t]]
-        finished = [t for t in live if not self.stacks[t]]
+        alive = self.height[trees] > 0
+        self.live, finished = trees[alive].tolist(), trees[~alive].tolist()
         if finished:
             feature, threshold, value, right = (a[:j, finished].T.copy() for a in self.fields)
             left = np.where(feature >= 0, np.arange(1, j + 1, dtype=np.int32), np.int32(-1))
@@ -481,26 +488,17 @@ def _newton_split(bins: StackedBins, cat, sizes, table, gh, G, H, lam: float):
     with gradients ``gh[0]`` and hessians ``gh[1]``; node i splits on fit
     ``table[i]``'s cuts, and its rows' sums are ``G[i]`` and ``H[i]``.
 
-    A ``bincount`` over (node, cell) per statistic gives the gradient and
-    hessian histograms, cumsums along each feature's cells the sums left of
-    every cut, and only a fit's own cuts are scored. As ``_best_splits``
-    would pick it, a node takes the first best cut of the first best feature
-    whose gain exceeds ``_EPS_GAIN``, and a feature with a NaN gain never
-    wins; a cut must leave rows on both sides. Returns per node the feature
-    (-1 for a leaf) and the threshold, then the split nodes' rows, grouped:
-    each node's left rows, then its right rows, each keeping their order,
-    with the 2 * nodes + 1 bounds of those runs.
+    ``_histograms`` gives the gradient and hessian sums left of every cut,
+    and only a fit's own cuts are scored. A node takes the first best cut of
+    the first best feature whose gain exceeds ``_EPS_GAIN``, and a feature
+    with a NaN gain never wins; a cut must leave rows on both sides. Returns
+    per node the feature (-1 for a leaf) and the threshold, then the split
+    nodes' rows and bounds as ``_partition`` groups them.
     """
     m, d, n_cells = len(sizes), bins.cells.shape[1], bins.n_cells
     node = np.arange(m)
-    seg = np.repeat(node, sizes)
-    cells = np.take(bins.cells, cat, axis=0)
-    at = (cells + (seg * n_cells)[:, None]).ravel()  # each (row, feature)'s cell of its node's histogram
-    hist = np.concatenate([np.bincount(at, w.repeat(d), m * n_cells) for w in gh]).reshape(2 * m, n_cells)
-    # the sums left of every cut; a feature of two cells has one cut, whose sums are its first cell's
-    for first, count, width in bins.runs:
-        run = slice(first, first + count * width)
-        hist[:, run] = hist[:, run].reshape(2 * m, count, width).cumsum(axis=2).reshape(2 * m, -1)
+    seg, cells = np.repeat(node, sizes), np.take(bins.cells, cat, axis=0)
+    hist = _histograms(bins, cells, seg, m, gh)
     feats, cut_cell = bins.cut_feature[table], bins.cut_cell[table]
     gl, hl = np.take(hist.reshape(2, -1), cut_cell + (node * n_cells)[:, None], axis=1)
     # a cut leaves rows on both sides iff it lies in [min, max) of the node's cells
@@ -518,13 +516,7 @@ def _newton_split(bins: StackedBins, cat, sizes, table, gh, G, H, lam: float):
     split = gain[node, best] > _EPS_GAIN
     f = np.where(split, feats[node, best], -1).astype(np.int32)
     threshold = np.where(split, bins.edges[table, f, bins.cut_code[table, best]], 0.0)
-    # 2 * node, + 1 if right; the rows of a node that does not split go last
-    chosen = np.take(cells, np.arange(0, cells.size, d) + f[seg])  # each row's cell in its node's feature
-    side = np.where(split[seg], seg * 2 + (chosen > cut_cell[node, best][seg]), 2 * m)
-    grouped = np.take(cat, np.argsort(side, kind="stable"))
-    bounds = np.zeros(2 * m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(side, minlength=2 * m + 1)[: 2 * m], out=bounds[1:])
-    return f, threshold, grouped, bounds
+    return (f, threshold, *_partition(cat, cells, seg, f, cut_cell[node, best]))
 
 
 class LockstepRound:
@@ -587,12 +579,12 @@ class LockstepRound:
                 grows = np.flatnonzero(grows)
                 next_cat, next_sizes = [cat[:0]], [sizes[:0]]
                 row_at = [0] + np.cumsum(sizes[grows]).tolist()
-                for lo, hi in _batches(sizes[grows].tolist(), d, max_bins) if len(grows) else ():
+                for lo, hi in _batches(sizes[grows].tolist(), d, d * max_bins) if len(grows) else ():
                     batch = grows[lo:hi]
                     feature[batch], threshold[batch], grouped, bounds = _newton_split(
                         self.bins, rows[row_at[lo] : row_at[hi]], sizes[batch], self.table[lane[batch]],
                         rows_gh[:, row_at[lo] : row_at[hi]], G[batch], H[batch], lam)
-                    next_cat.append(grouped[: bounds[-1]])
+                    next_cat.append(grouped)
                     next_sizes.append(np.diff(bounds).reshape(-1, 2)[feature[batch] >= 0].ravel())
                 split = feature >= 0
                 levels.append((lane, feature, threshold, value, split))

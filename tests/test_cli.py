@@ -560,8 +560,8 @@ class TestChainedSubcommands:
         assert not (tmp_path / "table.csv").exists()
 
     @pytest.mark.parametrize("names,message", [
-        (["gsc"], "unknown feature names ['gsc']"),
-        (["gcs", "gcs"], "feature names given more than once: ['gcs']"),
+        (["gsc"], "RfecvResult: best_features: ['gsc', "),
+        (["gcs", "gcs"], "RfecvResult: best_features: ['gcs', 'gcs', "),
     ])
     def test_evaluate_rejects_a_bad_rfecv_feature_name(self, chained, tmp_path, caplog, names, message):
         _, _, chain = chained
@@ -725,6 +725,13 @@ def _swap_best_and_worst(board: dict) -> None:
     candidates[0], candidates[-1] = candidates[-1], candidates[0]
 
 
+def _crown_worst_step(report: dict) -> None:
+    """Give best_features the features of a step whose mean score is below the best."""
+    worst = min(report["steps"], key=lambda step: step["mean_score"])
+    assert worst["mean_score"] < max(step["mean_score"] for step in report["steps"])
+    report["best_features"] = worst["features"]
+
+
 # name -> (command, corrupted artifact, corruption of the chain's copy, what the error must say besides the file)
 CORRUPTED_ARTIFACTS = {
     "corpus_unknown_key": ("wordcount", "corpus.jsonl", _edit_first_row(lambda r: r.update(lable=r.pop("label"))),
@@ -808,7 +815,14 @@ CORRUPTED_ARTIFACTS = {
                                   "unknown feature names ['bogus']"),
     "rfecv_unknown_feature": ("evaluate", "rfecv_report.json",
                               _edit_json(lambda d: d.update(best_features=["gcs", "bogus"])),
-                              "unknown feature names ['bogus']"),
+                              "RfecvResult: best_features: ['gcs', 'bogus'] are not steps["),
+    "rfecv_no_best_features": ("evaluate", "rfecv_report.json", _edit_json(lambda d: d.update(best_features=[])),
+                               "RfecvResult: best_features: [] are not steps["),
+    "rfecv_best_features_of_a_worse_step": ("evaluate", "rfecv_report.json", _edit_json(_crown_worst_step),
+                                            "RfecvResult: best_features: "),
+    "rfecv_step_mean_not_its_folds_mean": ("evaluate", "rfecv_report.json",
+                                           _edit_json(lambda d: d["steps"][1].update(mean_score=0.123)),
+                                           "RfecvResult: steps[1].mean_score: 0.123 is not "),
     "model_without_state_key": ("llm-compare", "best_model.json", _edit_json(lambda d: d["state"].pop("b1")),
                                 "TrainedModel: state: missing keys ['b1']"),
     "model_unknown_state_key": ("llm-compare", "best_model.json", _edit_json(lambda d: d["state"].update(W3=[])),

@@ -26,6 +26,7 @@ from rescue_triage.learners import (
     train_folds,
 )
 from rescue_triage.learners.mlp import init_params, loss_and_grads
+from rescue_triage import learners
 from rescue_triage.learners import boosting, forest, knn, mlp, tree
 from rescue_triage.learners.base import binary_columns, stable_sigmoid
 from rescue_triage.records import ConfigError, Dataset, asjson
@@ -73,6 +74,12 @@ class TestModelSpec:
 
 
 class TestTrainContract:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_no_feature_columns_rejected(self, kind):
+        X, y = make_blobs(n=20, d=2, seed=3)
+        with pytest.raises(ValueError, match=re.escape("at least one feature column, got shape (20, 0)")):
+            train(ModelSpec(kind), X[:, :0], y)
+
     def test_single_class_rejected(self):
         X = np.zeros((4, 2))
         with pytest.raises(SingleClassTraining):
@@ -872,6 +879,13 @@ class TestTrainFolds:
             rows = self.FOLDS[f]
             assert asjson(model) == asjson(train(specs[i], X[rows], y[rows])), (f, specs[i])
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_one_grouped_fit_protocol(self, kind):
+        """A kind that shares fits has ``fit_folds`` exactly when it has ``share_key``."""
+        module = learners._KINDS[kind]
+        assert hasattr(module, "fit_folds") == hasattr(module, "share_key")
+        assert not hasattr(module, "fit_grid")
+
     def test_mlpc_share_key_groups_learning_rates_only(self):
         specs = _grid_specs(ModelKind.MLPC, {"hidden": [8, 32], "learning_rate": [0.01, 0.1], "epochs": [5, 6]})
         groups = share_groups(specs)
@@ -884,38 +898,42 @@ class TestTrainFolds:
 # The grid fit that ``boosting.fit_folds`` replaced, kept as its oracle: one
 # fold at a time, each (learning rate, depth cap) pair a lane of one
 # ``LockstepRound`` that holds a level as Python lists, one entry per node,
-# and splits through the batch splitter it shared with the forest.
+# and splits through the batch splitter it shared with the forest. That
+# splitter pads every (node, slot) histogram to the widest feature's bins.
 
 
-def _oracle_best_splits(score, usable):
-    gain = score.max(axis=2)
+def _oracle_best_splits(score, offset, usable):
+    gain = offset + score.max(axis=2)
     gain[~usable | np.isnan(gain)] = -np.inf
     slot = np.argmax(gain, axis=1)
     node = np.arange(len(slot))
     return np.where(gain[node, slot] > 1e-12, slot, -1), np.argmax(score[node, slot], axis=1)
 
 
-def _oracle_split_batch(bins, rows, weights, score):
+def _oracle_split_batch(bins, rows, weights, score, slots=None):
+    """Node i may split on the features ``slots[i]``, every feature if None;
+    ``score(node ids, *sums)`` gives (score, offset) of every (node, slot, cut)."""
     n_nodes, d = len(rows), bins.codes.shape[1]
-    n_cells = bins.edges.shape[1]
+    slots = np.broadcast_to(np.arange(d), (n_nodes, d)) if slots is None else slots
+    width, n_cells = slots.shape[1], bins.edges.shape[1]
     feature = np.full(n_nodes, -1, dtype=np.int32)
     threshold = np.zeros(n_nodes)
     children = [None] * n_nodes
-    for lo, hi in tree._batches([len(r) for r in rows], d, n_cells):
+    for lo, hi in tree._batches([len(r) for r in rows], width, n_cells):
         m = hi - lo
         sizes = [len(r) for r in rows[lo:hi]]
         cat = np.concatenate(rows[lo:hi])
         seg = np.repeat(np.arange(m), sizes)
-        feats = np.broadcast_to(np.arange(d), (m, d))
-        codes = bins.codes[cat]
-        first_cell = (np.arange(m)[:, None] * d + np.arange(d)) * n_cells
+        feats = slots[lo:hi]
+        codes = bins.codes[cat[:, None], feats[seg]]
+        first_cell = (np.arange(m)[:, None] * width + np.arange(width)) * n_cells
         cell = first_cell[seg] + codes
         sums = [
-            np.bincount(cell.ravel(), None if w is None else np.repeat(w[cat], d), m * d * n_cells)
-            .reshape(m, d, n_cells).cumsum(axis=2)[..., :-1]
+            np.bincount(cell.ravel(), None if w is None else np.repeat(w[cat], width), m * width * n_cells)
+            .reshape(m, width, n_cells).cumsum(axis=2)[..., :-1]
             for w in weights
         ]
-        best, cut = _oracle_best_splits(score(np.arange(lo, hi), *sums), bins.n_bins[feats] >= 2)
+        best, cut = _oracle_best_splits(*score(np.arange(lo, hi), *sums), bins.n_bins[feats] >= 2)
         split = best >= 0
         f = np.where(split, feats[np.arange(m), best], -1)
         feature[lo:hi] = f
@@ -986,7 +1004,7 @@ def _oracle_round(bins, grad, hess, max_depth, lam, row_value) -> list:
                     gr, hr = GG[b] - gl, HH[b] - hl
                     gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_term[b])
                     gain[(nl < 1) | (nl > kk[b] - 1)] = -np.inf
-                    return gain
+                    return gain, 0.0
 
                 f, thr, children = _oracle_split_batch(
                     bins, [nodes[j][2] for j in ids], (None, grad, hess), newton_gain)
@@ -1113,6 +1131,149 @@ class TestBoostingOracle:
         n_bins = [tree.bin_columns(folds[1][0], 32).n_bins for _, folds in cases if len(folds) > 1]
         assert all(b[0] == 1 for b in n_bins)  # the flag-0 fold's first column has one bin
         assert len({len(y) for _, folds in cases for _, y in folds}) > 20
+
+
+class _OracleForest:
+    """The forest that ``LockstepForest`` replaced, kept as its oracle: each
+    tree's depth-first stack holds (rows, positives, depth, parent, is right
+    child) tuples, each child a copy of its rows, and a step's nodes split
+    through the padded oracle splitter by Gini cost. Node i of tree t is the
+    i-th node popped from its stack, so ids are in pre-order."""
+
+    def __init__(self, bins, y, roots, rngs, max_depth, min_samples_leaf, max_features):
+        self.bins, self.y, self.max_depth, self.msl = bins, y, max_depth, min_samples_leaf
+        self.stacks = [[(rows, int(y[rows].sum()), 0, -1, False)] for rows in roots]
+        d = bins.codes.shape[1]
+        self.sampler = tree.FeatureSampler(rngs, d, min(max_features, d))
+        self.deepest_draw = np.full(len(self.stacks), -1)
+        self.nodes = [[] for _ in self.stacks]  # per tree, per node: [feature, threshold, value, right child]
+
+    def step(self):
+        live = [t for t, stack in enumerate(self.stacks) if stack]
+        popped = [self.stacks[t].pop() for t in live]
+        ids = [i for i, (rows, pos, depth, _, _) in enumerate(popped)
+               if depth < self.max_depth and len(rows) >= 2 * self.msl and 0 < pos < len(rows)]
+        feature, threshold = [-1] * len(popped), [0.0] * len(popped)
+        if ids:
+            drawing = np.array([live[i] for i in ids])
+            slots = self.sampler.sample(drawing)
+            for i in ids:
+                self.deepest_draw[live[i]] = max(self.deepest_draw[live[i]], popped[i][2])
+            k = np.array([len(popped[i][0]) for i in ids])
+            pos = np.array([popped[i][1] for i in ids])
+            kk, pp, msl = k[:, None, None], pos[:, None, None], self.msl
+            gini = np.array([1.0 - (p / n) ** 2 - ((n - p) / n) ** 2 for p, n in zip(pos.tolist(), k.tolist())])
+
+            def gini_cost(b, nl, pl):
+                nr, pr = kk[b] - nl, pp[b] - pl
+                gl = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+                gr = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+                cost = (nl * gl + nr * gr) / kk[b]
+                cost[(nl < msl) | (nr < msl)] = np.inf
+                return -cost, gini[b][:, None]
+
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f, thr, children = _oracle_split_batch(
+                    self.bins, [popped[i][0] for i in ids], (None, self.y), gini_cost, slots)
+            for i, fi, ti, pair in zip(ids, f.tolist(), thr.tolist(), children):
+                feature[i], threshold[i] = fi, ti
+                if pair is not None:
+                    t, (_, pos_i, depth, _, _) = live[i], popped[i]
+                    left_pos, node = int(self.y[pair[0]].sum()), len(self.nodes[t])
+                    self.stacks[t].append((pair[1], pos_i - left_pos, depth + 1, node, True))
+                    self.stacks[t].append((pair[0], left_pos, depth + 1, node, False))
+        for i, t in enumerate(live):
+            rows, pos, _, parent, is_right = popped[i]
+            if is_right:
+                self.nodes[t][parent][3] = len(self.nodes[t])
+            self.nodes[t].append([feature[i], threshold[i], pos / len(rows), -1])
+
+    def trees(self) -> list:
+        while any(self.stacks):
+            self.step()
+        out = []
+        for nodes in self.nodes:
+            feature, threshold, value, right = (np.array(column) for column in zip(*nodes))
+            left = np.where(feature >= 0, np.arange(1, len(nodes) + 1), -1)
+            out.append(tree.TreeArrays(feature.astype(np.int32), threshold.astype(np.float64), left.astype(np.int32),
+                                       right.astype(np.int32), value.astype(np.float64)))
+        return out
+
+
+def _forest_case(seed: int) -> dict:
+    """A random forest's inputs: 1 to 12 columns, each continuous (rounded,
+    so values tie), 0/1 or constant; bootstrap roots of 5 to 400 rows."""
+    rng = np.random.default_rng(seed)
+    n, d = rng.integers(5, 401).item(), rng.integers(1, 13).item()
+    X = rng.normal(size=(n, d)).round(rng.integers(0, 3).item())
+    column = rng.integers(0, 3, d)  # 0 continuous, 1 0/1, 2 constant
+    X[:, column == 1] = rng.integers(0, 2, (n, np.count_nonzero(column == 1)))
+    X[:, column == 2] = 1.5
+    y = (X.sum(axis=1) + rng.normal(size=n) > 0).astype(np.int64)
+    n_trees = rng.integers(1, 9).item()
+    return {
+        "X": X, "y": y, "column": column, "n_bins": [2, 4, 32][rng.integers(3)], "root_sizes": rng.integers(5, 401, n_trees),
+        "min_samples_leaf": [1, 3, 7][rng.integers(3)], "max_depth": [None, 1, 3][rng.integers(3)],
+        "max_features": rng.integers(1, d + 1).item(),
+    }
+
+
+def _forest_trees(cls, case: dict, seed: int):
+    """``cls``'s forest on the case, its trees in order and its deepest draws;
+    each tree's rng draws its root, then its feature samples."""
+    bins = tree.bin_columns(case["X"], case["n_bins"])
+    rngs = [np.random.default_rng([seed, t]) for t in range(len(case["root_sizes"]))]
+    roots = (r.integers(0, len(case["y"]), size).astype(np.int32) for r, size in zip(rngs, case["root_sizes"]))
+    max_depth = 2**31 if case["max_depth"] is None else case["max_depth"]
+    grown = cls(bins, case["y"], roots, rngs, max_depth, case["min_samples_leaf"], case["max_features"])
+    if cls is _OracleForest:
+        return grown.trees(), grown.deepest_draw
+    order = np.random.default_rng(seed).permutation(len(rngs)).tolist()  # taken in any order
+    trees = {t: tree.grow_classification_tree(grown, t) for t in order}
+    return [trees[t] for t in range(len(rngs))], grown.deepest_draw
+
+
+class TestForestOracle:
+    """``LockstepForest`` keeps every node as a range of one row array and
+    splits on per-feature histogram cells; every tree must be the padded
+    oracle's, bit for bit, and so must each tree's deepest draw."""
+
+    def _assert_matches_the_oracle(self, seed):
+        case = _forest_case(seed)
+        got, got_draw = _forest_trees(tree.LockstepForest, case, seed)
+        want, want_draw = _forest_trees(_OracleForest, case, seed)
+        assert got_draw.tolist() == want_draw.tolist()
+        for t, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert asjson(g) == asjson(w), t
+            assert g.threshold.tobytes() == w.threshold.tobytes() and g.value.tobytes() == w.value.tobytes(), t
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_forest_equals_the_padded_oracle(self, seed):
+        self._assert_matches_the_oracle(seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forest_equals_the_padded_oracle_in_small_batches(self, seed, monkeypatch):
+        monkeypatch.setattr(tree, "_BATCH_CELLS", 64)
+        self._assert_matches_the_oracle(seed)
+
+    def test_forest_of_no_trees(self):
+        X, y = _desk_matrix()
+        grown = tree.LockstepForest(tree.bin_columns(X, 32), y, iter(()), [], 2**31, 1, 3)
+        assert grown.live == [] and grown.done == {} and len(grown.deepest_draw) == 0
+
+    def test_cases_cover_the_grid(self):
+        cases = [_forest_case(seed) for seed in range(48)]
+        assert {c["n_bins"] for c in cases} == {2, 4, 32}
+        assert {c["min_samples_leaf"] for c in cases} == {1, 3, 7}
+        assert {c["max_depth"] for c in cases} == {None, 1, 3}
+        assert {c["X"].shape[1] for c in cases} >= {1, 12}
+        assert any((c["column"] == 2).any() for c in cases) and any((c["column"] == 1).any() for c in cases)
+        assert any(c["max_features"] == 1 < c["X"].shape[1] for c in cases)
+        assert any(c["max_features"] == c["X"].shape[1] > 1 for c in cases)
+        sizes = np.concatenate([c["root_sizes"] for c in cases])
+        assert sizes.min() < 15 and sizes.max() > 390
+        deep = [t for seed, c in enumerate(cases[:8]) for t in _forest_trees(_OracleForest, c, seed)[0]]
+        assert max(len(t.feature) for t in deep) > 20  # trees that split many times
 
 
 class TestStableSigmoid:
@@ -1245,6 +1406,12 @@ def _put(value, *keys):
     return edit
 
 
+def _nan_trees(d):
+    """An edit of a model's JSON object that sets every threshold and value of its trees to NaN."""
+    for t in d["state"]["trees"]:
+        t["threshold"], t["value"] = [math.nan] * len(t["threshold"]), [math.nan] * len(t["value"])
+
+
 # (kind, edit of the saved JSON, what the error must say after the file name)
 CORRUPTED_MODELS = {
     "svm_w": (ModelKind.SVM, _cut("state", "w"), "state.w: expected shape (4,), got (3,)"),
@@ -1271,6 +1438,12 @@ CORRUPTED_MODELS = {
     "unknown_state_key": (ModelKind.LR, _put(1, "state", "epochs"), "state: unknown keys ['epochs']"),
     "missing_state_key": (ModelKind.MLPC, lambda d: d["state"].pop("w2"), "state: missing keys ['w2']"),
     "arity_string": (ModelKind.LR, _put("4", "arity"), "TrainedModel.arity: expected int, got str '4'"),
+    "rf_nan_thresholds_and_values": (ModelKind.RF, _nan_trees, "state.trees[0].threshold"),
+    "knn_nan_row": (ModelKind.KNN, _put([math.nan] * 4, "state", "X", 3), "state.X[3][0]: nan is not a finite number"),
+    "decision_threshold_nan": (ModelKind.NB, _put(math.nan, "decision_threshold"),
+                               "TrainedModel: decision_threshold: nan is not a finite number"),
+    "standardizer_inf": (ModelKind.LR, _put([1.0, math.inf, 1.0, 1.0], "standardizer", "std"),
+                         "standardizer.std[1]: inf is not a finite number"),
 }
 
 
