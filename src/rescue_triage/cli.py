@@ -10,16 +10,19 @@ strictly (unknown or missing keys and wrong types exit 2, naming the key).
 
 * tune reads the relevance filter's report (--selection), tunes on the
   selected features and records its train/test split (--split,
-  --stratified), seed and fold accuracies in the leaderboard;
-  --rfecv-report also runs RFECV on the winner, on tune's --folds;
+  --stratified), seed, fold accuracies and the SHA-256 of its features and
+  selection files in the leaderboard; --rfecv-report also runs RFECV on
+  the winner, on tune's --folds;
 * evaluate needs the RFECV report, and --save-best saves the leaderboard's
-  CV winner refitted on the train split;
+  CV winner as evaluate's own job fitted it on the train split, not a refit;
 * llm-compare samples --limit cases from the test split like run-all; the
   model must be the winner of its --leaderboard. An endpoint that fails
   exits 1 naming the stage, as in run-all.
 
 evaluate and llm-compare take the split and the seed from leaderboard.json,
 so they have no --split or --stratified option and exit 2 when given --seed.
+They, and tune's RFECV, exit 2 on a features or selection file other than
+the one tune read, naming the file and the leaderboard.
 
 Logs go to stderr; artifacts go to files only.
 """

@@ -85,7 +85,8 @@ def _best_step(steps: Sequence[RfecvStep]) -> int:
 @dataclass(frozen=True)
 class RfecvResult:
     """rfecv_report.json: every step's features and fold scores, with their
-    exact mean, and the features of the step ``_best_step`` picks."""
+    exact mean, the features of the step ``_best_step`` picks, and the
+    feature each step after the first dropped, in order."""
 
     best_features: tuple[str, ...]
     elimination_order: tuple[str, ...]
@@ -98,6 +99,16 @@ class RfecvResult:
             mean = float(np.mean(step.fold_scores))
             if step.mean_score != mean:
                 raise ValueError(f"steps[{i}].mean_score: {step.mean_score} is not {mean}, the mean of its fold_scores")
+        order, n = self.elimination_order, len(self.steps) - 1
+        if len(order) != n:
+            raise ValueError(f"elimination_order: {len(order)} entries, where {n + 1} steps need {n}")
+        for i, feature in enumerate(order):
+            kept = tuple(f for f in self.steps[i].features if f != feature)
+            if feature not in self.steps[i].features or self.steps[i + 1].features != kept:
+                raise ValueError(
+                    f"elimination_order[{i}]: {feature!r} is not the one feature that steps[{i}] has "
+                    f"and steps[{i + 1}] lacks"
+                )
         best = _best_step(self.steps)
         if self.best_features != self.steps[best].features:
             raise ValueError(

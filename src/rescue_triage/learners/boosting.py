@@ -8,7 +8,8 @@ training prior; the per-round training loss is recorded in the state.
 learning rate and depth cap) on a chunk of CV folds at once: every (fold,
 learning rate, depth cap) is one lane of each round's ``LockstepRound``, so
 a round of all its trees splits level by level in a few batches. Each lane's
-trees are the trees its spec grows alone, bit for bit.
+trees are the trees its spec grows alone, bit for bit, and each round's
+loss is ``np.mean`` of the lane's own rows' terms.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def fit_folds(group: list[dict], folds: list[tuple], rngs) -> Iterator[tuple[int
     rounds = {}
     for pair, params in zip(pair_of, group):
         rounds[pair] = max(rounds.get(pair, 0), params["n_rounds"])
-    # longest first, so the lanes still growing are a prefix; a fold's lanes of equal rounds stay adjacent
+    # longest first, so the lanes still growing are a prefix
     lanes = sorted(((f, pair) for f in range(len(folds)) for pair in rounds), key=lambda lane: -rounds[lane[1]])
     bases = []
     for _, fold_y in folds:
@@ -66,21 +67,12 @@ def fit_folds(group: list[dict], folds: list[tuple], rngs) -> Iterator[tuple[int
     lr = np.concatenate([np.full(len(folds[f][1]), pair[0], dtype=np.float64) for f, pair in lanes])
     margin = np.concatenate([np.full(len(folds[f][1]), bases[f]) for f in table])
     leaf_value = np.empty(len(y))  # each training row's leaf in its lane's newest tree
-    # runs of adjacent lanes of one fold, whose rows form one (lanes, n) block
-    breaks = [m for m in range(1, len(lanes)) if table[m] != table[m - 1]]
-    runs = list(zip([0] + breaks, breaks + [len(lanes)]))
 
     def mean_losses(k: int) -> list[float]:
-        """The first k lanes' mean logistic loss, each the bits of ``np.mean``
-        of its rows' terms: a row of a 2-D block sums as that row alone."""
+        """The first k lanes' mean logistic loss, each ``np.mean`` of its own rows' terms."""
         z, labels = margin[: start[k]], y[: start[k]]
         terms = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - labels * z  # log(1 + e^z) - y*z, stably
-        out = []
-        for lo, hi in runs:
-            hi, n = min(hi, k), start[lo + 1] - start[lo]
-            if lo < hi:
-                out += (terms[start[lo] : start[hi]].reshape(hi - lo, n).sum(axis=1) / n).tolist()
-        return out
+        return [float(np.mean(terms[start[m] : start[m + 1]])) for m in range(k)]
 
     trees = [[] for _ in lanes]
     losses = [[loss] for loss in mean_losses(len(lanes))]

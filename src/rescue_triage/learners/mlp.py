@@ -4,11 +4,12 @@ cross-entropy loss, seeded mini-batch gradient descent.
 The output layer starts at zero, so an untrained network scores exactly 0.5
 and relabelled training mirrors the whole trajectory.
 
-Several fits train together as lanes: ``fit_folds`` takes one share group
-(specs that differ only in ``learning_rate``) and a chunk of CV folds, and
-steps every (fold, learning rate) lane's full batches with one stacked
-product. Each lane's products are the same BLAS calls on the same operands
-as its own ``fit``, so every lane equals ``fit`` bit for bit.
+``fit_folds`` is the one training loop. It takes one share group (specs
+that differ only in ``learning_rate``) and a chunk of CV folds, and trains
+every (fold, learning rate) pair as a lane of one flat ``theta``. Each step
+is one ``_backprop`` over a block of lanes: its products are the same BLAS
+calls on the same operands as each lane's alone, so a lane's state does not
+depend on the lanes it trained with.
 """
 
 from __future__ import annotations
@@ -53,143 +54,105 @@ def share_key(params: dict) -> tuple:
 
 def _views(flat: np.ndarray, d: int, hidden: int) -> tuple[np.ndarray, ...]:
     """(W1, b1, w2, b2) as views of the last axis of ``flat``, one parameter
-    vector per leading index; b2 has length 1."""
+    vector per leading index, shaped to broadcast over a batch: (..., d,
+    hidden), (..., 1, hidden), (..., hidden, 1) and (..., 1, 1)."""
     a, b = d * hidden, d * hidden + hidden
     lead = flat.shape[:-1]
-    return flat[..., :a].reshape(*lead, d, hidden), flat[..., a:b], flat[..., b : b + hidden], flat[..., -1:]
+    return (
+        flat[..., :a].reshape(*lead, d, hidden),
+        flat[..., a:b].reshape(*lead, 1, hidden),
+        flat[..., b : b + hidden].reshape(*lead, hidden, 1),
+        flat[..., -1:].reshape(*lead, 1, 1),
+    )
 
 
 def _backprop(net: tuple, X: np.ndarray, y: np.ndarray, grads: tuple) -> np.ndarray:
-    """Output scores of X; the analytic gradients of the mean cross-entropy
-    are written into ``grads``, views laid out as ``_views`` gives them."""
+    """Output scores (..., B, 1) of the batch X (..., B, d) with labels y
+    (..., B, 1); the analytic gradients of each lane's mean cross-entropy
+    are written into ``grads``. ``net`` and ``grads`` are ``_views``, with
+    any leading lane axes, which X and y broadcast over."""
     W1, b1, w2, b2 = net
     gW1, gb1, gw2, gb2 = grads
-    pre = X @ W1 + b1
+    pre = X @ W1
+    pre += b1
     act = np.maximum(pre, 0.0)
-    p = stable_sigmoid(act @ w2 + b2)
+    z = act @ w2
+    z += b2
+    p = stable_sigmoid(z)
 
-    dz = (p - y) / len(X)
-    np.matmul(act.T, dz, out=gw2)
-    np.sum(dz, keepdims=True, out=gb2)
-    dpre = dz[:, None] * w2
-    dpre *= pre > 0.0
-    np.matmul(X.T, dpre, out=gW1)
-    np.sum(dpre, axis=0, out=gb1)
-    return p
-
-
-def _stacked_backprop(net: tuple, X: np.ndarray, y: np.ndarray, grads: tuple) -> None:
-    """``_backprop`` of a block of lanes at once: ``net`` and ``grads`` are
-    (fold, rate, ...) views, and X (fold, 1, B, d) and y (fold, 1, B, 1) hold
-    each fold's batch, which its learning-rate lanes share."""
-    W1, b1, w2, b2 = net
-    gW1, gb1, gw2, gb2 = grads
-    pre = X @ W1 + b1[..., None, :]
-    act = np.maximum(pre, 0.0)
-    p = stable_sigmoid(act @ w2[..., None] + b2[..., None, :])
-
-    dz = (p - y) / X.shape[-2]
-    np.matmul(act.swapaxes(-1, -2), dz, out=gw2[..., None])
-    np.sum(dz, axis=-2, out=gb2)
-    dpre = dz * w2[..., None, :]
+    dz = p - y
+    dz /= X.shape[-2]
+    np.matmul(act.swapaxes(-1, -2), dz, out=gw2)
+    np.add.reduce(dz, axis=-2, keepdims=True, out=gb2)
+    dpre = dz * w2.swapaxes(-1, -2)
     dpre *= pre > 0.0
     np.matmul(X.swapaxes(-1, -2), dpre, out=gW1)
-    np.sum(dpre, axis=-2, out=gb1)
+    np.add.reduce(dpre, axis=-2, keepdims=True, out=gb1)
+    return p
 
 
 def loss_and_grads(params: dict, X: np.ndarray, y: np.ndarray) -> tuple[float, dict]:
     """Mean cross-entropy and its analytic gradients (for the
     finite-difference gradient check; training needs only the gradients)."""
     d, hidden = np.shape(params["W1"])
+    net = params["W1"], np.reshape(params["b1"], (1, hidden)), np.reshape(params["w2"], (hidden, 1)), params["b2"]
     gW1, gb1, gw2, gb2 = grads = _views(np.empty(d * hidden + 2 * hidden + 1), d, hidden)
-    p = _backprop((params["W1"], params["b1"], params["w2"], params["b2"]), X, y, grads)
+    p = _backprop(net, X, np.asarray(y, dtype=np.float64)[:, None], grads)[:, 0]
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps)))
-    return loss, {"W1": gW1, "b1": gb1, "w2": gw2, "b2": float(gb2[0])}
-
-
-def fit(params: dict, X: np.ndarray, y: np.ndarray, rng) -> State:
-    """Mini-batch descent: each epoch gathers the rows once in a fresh random
-    order and steps over consecutive slices; all parameters live in one flat
-    ``theta`` and take one update per step."""
-    n, d = X.shape
-    lr = params["learning_rate"]
-    batch_size = params["batch_size"]
-    hidden = params["hidden"]
-    theta = _initial_theta(d, hidden, rng)
-    g = np.empty_like(theta)
-    net, grads = _views(theta, d, hidden), _views(g, d, hidden)
-    for _ in range(params["epochs"]):
-        perm = rng.permutation(n)
-        Xp, yp = X[perm], y[perm]
-        for start in range(0, n, batch_size):
-            _backprop(net, Xp[start : start + batch_size], yp[start : start + batch_size], grads)
-            theta -= lr * g
-    W1, b1, w2, b2 = net
-    return State(W1=W1, b1=b1, w2=w2, b2=float(b2[0]))
+    return loss, {"W1": gW1, "b1": gb1[0], "w2": gw2[:, 0], "b2": float(gb2[0, 0])}
 
 
 def fit_folds(group: list[dict], folds: list[tuple], rngs) -> Iterator[tuple[int, int, State]]:
     """Yield ``(fold, i, state)`` for every fold of (Xs, y) and every params
-    dict of one share group, trained as (fold, learning rate) lanes: the state
-    equals ``fit(group[i], *folds[fold], rng)`` with ``rng`` in the state
-    ``rngs[fold]`` is given in. A fold's lanes share that RNG's draws, since
-    each of their fits would draw the same ``W1`` and permutations from it.
+    dict of one share group, trained as (fold, learning rate) lanes by
+    mini-batch descent. Each fold draws its ``W1``, then one row order per
+    epoch, from ``rngs[fold]``; its learning-rate lanes share those draws.
 
-    Each epoch every fold gathers its rows once in its own order. The lanes'
-    full batches step together, one stacked product for the folds that still
-    have a full batch left (folds with more full batches come first, so those
-    are a prefix); then each lane steps its ragged last batch on its own with
-    ``_backprop``. Padding that batch would change its sums, so it is not
-    padded. A lone lane is ``fit`` itself."""
-    if len(folds) * len(group) == 1:
-        yield 0, 0, fit(group[0], *folds[0], rngs[0])
-        return
+    Every step of an epoch is one ``_backprop`` on one block of lanes, built
+    as views once: a block per full batch, of the folds that still have one
+    there (folds with more full batches come first, so those are a prefix),
+    then each fold's ragged last batch as a block of all its rate lanes.
+    Padding that batch would change its sums, so it is not padded. A lone
+    lane steps on 2-D operands, with no lane axes."""
     hidden, epochs, batch_size = share_key(group[0])
     d = folds[0][0].shape[1]
     order = sorted(range(len(folds)), key=lambda f: -(len(folds[f][1]) // batch_size))
     sizes = [len(folds[f][1]) for f in order]
-    full = [n // batch_size for n in sizes]
     theta = np.empty((len(folds), len(group), d * hidden + 2 * hidden + 1))
     for i, f in enumerate(order):
         theta[i] = _initial_theta(d, hidden, rngs[f])
     g = np.empty_like(theta)
-    net, grads = _views(theta, d, hidden), _views(g, d, hidden)
-    rates = [params["learning_rate"] for params in group]
-    lr = np.array(rates, dtype=np.float64)[:, None]
-    # per stacked step: its rows, and the views of its block, the folds
-    # that still have a full batch there
-    steps = []
-    for s in range(full[0]):
-        k = sum(m > s for m in full)
-        rows = slice(s * batch_size, (s + 1) * batch_size)
-        steps.append((k, rows, tuple(v[:k] for v in net), tuple(v[:k] for v in grads)))
-    lanes = {
-        (i, r): (tuple(v[i, r] for v in net), tuple(v[i, r] for v in grads))
-        for i in range(len(order))
-        for r in range(len(group))
-    }
-    Xb = np.empty((len(folds), max(sizes), d))
-    yb = np.empty((len(folds), max(sizes)))
+    Xb = np.empty((len(folds), 1, max(sizes), d))  # each fold's rows in this epoch's order
+    yb = np.empty((len(folds), 1, max(sizes), 1))
+    rates = np.array([params["learning_rate"] for params in group], dtype=np.float64)
+    lr = np.broadcast_to(rates[:, None], (len(folds), len(group), 1))
+    # each step's lanes, as an index into the (fold, rate) axes, and its rows
+    blocks = [
+        (slice(sum(n >= (s + 1) * batch_size for n in sizes)), slice(s * batch_size, (s + 1) * batch_size))
+        for s in range(sizes[0] // batch_size)
+    ]
+    blocks += [(i, slice(n - n % batch_size, n)) for i, n in enumerate(sizes) if n % batch_size]
+    if len(folds) == len(group) == 1:  # a lone lane: no lane axes
+        blocks = [((0, 0), rows) for _, rows in blocks]
+    steps = [
+        (_views(theta[at], d, hidden), Xb[at][..., rows, :], yb[at][..., rows, :], _views(g[at], d, hidden),
+         theta[at], lr[at], g[at])
+        for at, rows in blocks
+    ]
     ys = [np.asarray(folds[f][1], dtype=np.float64) for f in order]
     for _ in range(epochs):
         for i, f in enumerate(order):
             perm = rngs[f].permutation(sizes[i])
-            np.take(folds[f][0], perm, axis=0, out=Xb[i, : sizes[i]])
-            np.take(ys[i], perm, out=yb[i, : sizes[i]])
-        for k, rows, block, block_grads in steps:
-            _stacked_backprop(block, Xb[:k, None, rows], yb[:k, None, rows, None], block_grads)
-            theta[:k] -= lr * g[:k]
-        for i in range(len(order)):
-            if full[i] * batch_size < sizes[i]:
-                rows = slice(full[i] * batch_size, sizes[i])
-                for r, rate in enumerate(rates):
-                    _backprop(lanes[i, r][0], Xb[i, rows], yb[i, rows], lanes[i, r][1])
-                    theta[i, r] -= rate * g[i, r]
+            np.take(folds[f][0], perm, axis=0, out=Xb[i, 0, : sizes[i]])
+            np.take(ys[i], perm, out=yb[i, 0, : sizes[i], 0])
+        for net, X, y, grads, lane_theta, rate, lane_g in steps:
+            _backprop(net, X, y, grads)
+            lane_theta -= np.multiply(lane_g, rate, out=lane_g)  # the gradient is spent: scaled in place
     for i, f in enumerate(order):
         for r in range(len(group)):
-            W1, b1, w2, b2 = lanes[i, r][0]
-            yield f, r, State(W1=W1.copy(), b1=b1.copy(), w2=w2.copy(), b2=float(b2[0]))
+            W1, b1, w2, b2 = _views(theta[i, r].copy(), d, hidden)
+            yield f, r, State(W1=W1, b1=b1[0], w2=w2[:, 0], b2=float(b2[0, 0]))
 
 
 def check(state: State, arity: int) -> None:

@@ -27,7 +27,10 @@ import numpy as np
 from . import __version__
 from .featselect import RfecvResult, SelectionReport, filter_select, rfecv
 from .ingest import IngestConfig, ingest_tables, load_csv
-from .learners import DEFAULT_SEARCH_SPACES, ModelKind, ModelSpec, load_model, save_model, train
+# train stays importable as pipeline.train, a name perfbench/layers.py wraps
+from .learners import (  # noqa: F401
+    DEFAULT_SEARCH_SPACES, InvalidHyperparameter, ModelKind, ModelSpec, load_model, save_model, train,
+)
 from .llm import (
     EndpointConfig,
     TEMPLATE_DEFAULT,
@@ -153,14 +156,24 @@ class Split:
 
 
 @dataclass(frozen=True)
+class Inputs:
+    """The SHA-256 of the files tune read; the later stages refuse others."""
+
+    features_sha256: str
+    selection_sha256: str
+
+
+@dataclass(frozen=True)
 class Leaderboard:
-    """leaderboard.json: the CV winner, the split it was tuned on, and every
-    kind's candidates, best mean first, each with one accuracy per tune fold
-    and their exact mean. The winner must be the best candidate of the first
+    """leaderboard.json: the CV winner, the split it was tuned on, the digests
+    of tune's input files, and every kind's candidates, best mean first, each
+    with its kind's resolved hyperparameters, one accuracy per tune fold and
+    their exact mean. The winner must be the best candidate of the first
     kind, in ModelKind order, with the best mean accuracy."""
 
     winner: Winner
     split: Split
+    inputs: Inputs
     per_kind: dict[ModelKind, tuple[Candidate, ...]]
 
     def __post_init__(self):
@@ -170,6 +183,13 @@ class Leaderboard:
                 raise ValueError(f"per_kind.{kind.value}: no candidates")
             for i, candidate in enumerate(candidates):
                 path = f"per_kind.{kind.value}[{i}]"
+                try:
+                    resolved = ModelSpec(kind, candidate.hyperparameters).hyperparameters
+                except InvalidHyperparameter as exc:
+                    raise ValueError(f"{path}.hyperparameters: {exc}") from None
+                if resolved != candidate.hyperparameters:
+                    missing = sorted(set(resolved) - set(candidate.hyperparameters))
+                    raise ValueError(f"{path}.hyperparameters: missing keys {missing}")
                 key, n = f"{path}.fold_accuracies", len(candidate.fold_accuracies)
                 if n < 2:
                     raise ValueError(f"{key}: needs at least 2 entries, got {n}")
@@ -219,6 +239,15 @@ def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def _check_input(path, digest: str, key: str, leaderboard_path) -> None:
+    """Refuse an input file other than the one tune read, whose digest the
+    leaderboard holds at key."""
+    if _sha256(Path(path)) != digest:
+        raise ValueError(
+            f"{path}: its SHA-256 differs from {key} in {leaderboard_path}; it is not the file tune read"
+        )
 
 
 def validate_config(cfg: PipelineConfig) -> None:
@@ -379,15 +408,19 @@ def stage_tune(cfg: PipelineConfig, features_path, selection_path, leaderboard_p
     kind = _best_kind(per_kind)
     best = per_kind[kind][0]
     winner = ModelSpec(kind, best.hyperparameters, seed=cfg.seed)
-    write_json(leaderboard_path, Leaderboard(Winner(winner, best.mean_accuracy), split, per_kind))
+    inputs = Inputs(_sha256(Path(features_path)), _sha256(Path(selection_path)))
+    write_json(leaderboard_path, Leaderboard(Winner(winner, best.mean_accuracy), split, inputs, per_kind))
     return [Path(leaderboard_path)], {"winner": asjson(winner), "workers": workers, "search_s": search_s}
 
 
 def stage_rfecv(features_path, selection_path, leaderboard_path, rfecv_path):
     """RFECV on the tuned winner over the leaderboard's train split, on tune's
-    folds. Its first step refits the winner on those folds, so its fold
-    scores must equal the winner's fold accuracies."""
+    folds, from the features and selection files tune read. Its first step
+    refits the winner on those folds, so its fold scores must equal the
+    winner's fold accuracies."""
     board = read_json(leaderboard_path, Leaderboard)
+    _check_input(features_path, board.inputs.features_sha256, "inputs.features_sha256", leaderboard_path)
+    _check_input(selection_path, board.inputs.selection_sha256, "inputs.selection_sha256", leaderboard_path)
     winner = board.winner.spec
     train_set, _ = _split(board.split, winner.seed, features_path, _filter_features(selection_path), selection_path)
     tuned = board.per_kind[winner.kind][0].fold_accuracies
@@ -407,10 +440,11 @@ def stage_evaluate(features_path, leaderboard_path, rfecv_path, table_path, roc_
     """Every kind's tuned spec on the held-out test split of the RFECV subset.
 
     Writes the metrics table, optionally one ROC curve per model and the CV
-    winner refitted on the train split. The split and the seed are the
-    leaderboard's.
+    winner as its evaluation job fitted it on the train split. The split, the
+    seed and the features file are the leaderboard's.
     """
     board = read_json(leaderboard_path, Leaderboard)
+    _check_input(features_path, board.inputs.features_sha256, "inputs.features_sha256", leaderboard_path)
     winner = board.winner.spec
     specs = [
         ModelSpec(kind, candidates[0].hyperparameters, seed=winner.seed) for kind, candidates in board.per_kind.items()
@@ -418,7 +452,7 @@ def stage_evaluate(features_path, leaderboard_path, rfecv_path, table_path, roc_
     best_features = read_json(rfecv_path, RfecvResult).best_features
     train_set, test_set = _split(board.split, winner.seed, features_path, best_features, rfecv_path)
     with _stage_pool(len(specs)) as (map_fn, workers):
-        eval_rows = evaluate_all(specs, train_set, test_set, map_fn=map_fn)
+        eval_rows = evaluate_all(specs, train_set, test_set, map_fn=map_fn, keep_model=winner)
     write_metrics_csv(eval_rows, table_path)
     artifacts = [Path(table_path)]
     roc_paths = []
@@ -430,7 +464,10 @@ def stage_evaluate(features_path, leaderboard_path, rfecv_path, table_path, roc_
                 write_roc_csv(row.report.roc_points, p)
                 roc_paths.append(p)
     if best_model_path is not None:
-        save_model(train(winner, train_set.X, train_set.y, feature_names=train_set.feature_names), best_model_path)
+        row = next(row for row in eval_rows if row.spec == winner)
+        if row.error is not None:
+            raise ValueError(f"the CV winner {asjson(winner)} failed to train: {row.error}")
+        save_model(row.model, best_model_path)
         artifacts.append(Path(best_model_path))
     return artifacts + roc_paths, {"workers": workers}
 
@@ -442,10 +479,12 @@ def stage_llm_compare(
 
     Prompts the LLM (per cfg.llm_mode) and the model on each sampled case
     and writes the per-case agreement payload with the prompts; the extras
-    count the ambiguous verdicts and give each case's LLM latency. The split
-    and the seed are the leaderboard's, and the model must be its winner.
+    count the ambiguous verdicts and give each case's LLM latency. The split,
+    the seed and the features file are the leaderboard's, and the model must
+    be its winner.
     """
     board = read_json(leaderboard_path, Leaderboard)
+    _check_input(features_path, board.inputs.features_sha256, "inputs.features_sha256", leaderboard_path)
     model = load_model(model_path)
     if model.spec != board.winner.spec:
         raise ValueError(

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import metrics as _metrics
-from .learners import ModelKind, ModelSpec, share_groups, train, train_folds
+from .learners import ModelKind, ModelSpec, TrainedModel, share_groups, train, train_folds
 from .records import Dataset, rng_from
 
 log = logging.getLogger(__name__)
@@ -251,37 +251,48 @@ def search(
 
 @dataclass(frozen=True)
 class EvalRow:
+    """One table row; ``model`` is the fit it scored if its job kept it."""
+
     name: str
     spec: ModelSpec
     report: Optional[_metrics.MetricsReport]
     error: Optional[str] = None
+    model: Optional[TrainedModel] = field(default=None, compare=False, repr=False)
 
 
 def _eval_row(job) -> EvalRow:
     """One evaluation job: a spec trained on the train set and scored on the
-    test set, or its failure as an error row."""
-    spec, train_set, test_set = job
+    test set, with its model if asked to keep it, or its failure as an error
+    row."""
+    spec, train_set, test_set, keep = job
     try:
-        model = train(spec, train_set.X, train_set.y)
+        model = train(spec, train_set.X, train_set.y, feature_names=train_set.feature_names)
         s = np.asarray(model.score(test_set.X))
         y_pred = (s >= model.decision_threshold).astype(int)
-        return EvalRow(spec.display_name, spec, _metrics.evaluate_predictions(test_set.y, y_pred, scores=s))
+        report = _metrics.evaluate_predictions(test_set.y, y_pred, scores=s)
+        return EvalRow(spec.display_name, spec, report, model=model if keep else None)
     except Exception as exc:  # propagate per-model failure into the table
         return EvalRow(spec.display_name, spec, None, error=str(exc))
 
 
 def evaluate_all(
-    specs: Sequence[ModelSpec], train_set: Dataset, test_set: Dataset, map_fn: Callable = map
+    specs: Sequence[ModelSpec],
+    train_set: Dataset,
+    test_set: Dataset,
+    map_fn: Callable = map,
+    keep_model: Optional[ModelSpec] = None,
 ) -> list[EvalRow]:
     """Train each spec on train_set, evaluate on the held-out test_set; one
-    job per spec, run by ``map_fn`` as in ``cross_validate``.
+    job per spec, run by ``map_fn`` as in ``cross_validate``. The row of the
+    spec equal to ``keep_model`` carries its model; the others' models are
+    not sent back from a pool's workers.
 
     Per-model failures become error rows instead of aborting the table and
     are logged in spec order. Rows are ordered by test accuracy descending.
     """
     if not specs:
         raise ValueError("need at least one model spec")
-    rows = list(map_fn(_eval_row, [(spec, train_set, test_set) for spec in specs]))
+    rows = list(map_fn(_eval_row, [(spec, train_set, test_set, spec == keep_model) for spec in specs]))
     for row in rows:
         if row.error is not None:
             log.error("evaluation failed for %s: %s", row.name, row.error)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rescue_triage import pipeline, tuning
+from rescue_triage import learners, pipeline, tuning
 from rescue_triage.cli import build_parser, main
 from rescue_triage.featselect import RfecvResult, SelectionReport
 from rescue_triage.ingest import IngestConfig
@@ -513,6 +513,67 @@ class TestChainedSubcommands:
         assert str(swapped) in str(err.value) and str(first_step) in str(err.value)
         assert not (tmp_path / "rfecv.json").exists()
 
+    @pytest.mark.parametrize("name,key", [
+        ("features.jsonl", "inputs.features_sha256"), ("selection_report.json", "inputs.selection_sha256"),
+    ])
+    def test_rfecv_refuses_an_input_file_tune_did_not_read(self, chained, tmp_path, name, key):
+        _, _, chain = chained
+        paths = {n: chain / n for n in ("features.jsonl", "selection_report.json")}
+        # the same rows plus a blank line, which the readers skip: only the digest tells the files apart
+        paths[name] = tmp_path / name
+        paths[name].write_text((chain / name).read_text() + "\n")
+        with pytest.raises(ValueError) as err:
+            stage_rfecv(paths["features.jsonl"], paths["selection_report.json"], chain / "leaderboard.json",
+                        tmp_path / "rfecv.json")
+        assert str(err.value) == (f"{paths[name]}: its SHA-256 differs from {key} in {chain / 'leaderboard.json'}; "
+                                  "it is not the file tune read")
+        assert not (tmp_path / "rfecv.json").exists()
+
+    def test_leaderboard_holds_the_digests_of_tunes_inputs(self, chained):
+        _, _, chain = chained
+        inputs = json.loads((chain / "leaderboard.json").read_text())["inputs"]
+        assert inputs == {name: hashlib.sha256((chain / path).read_bytes()).hexdigest() for name, path in (
+            ("features_sha256", "features.jsonl"), ("selection_sha256", "selection_report.json"))}
+
+    def test_evaluate_saves_its_own_fit_of_the_winner(self, chained, tmp_path, monkeypatch):
+        """--save-best writes the winner's model of its evaluation job: each
+        kind is fit exactly once, and the file is the chain's best model."""
+        _, _, chain = chained
+        fits = []
+        real_train = learners.train
+
+        def counting(spec, *args, **kwargs):
+            fits.append(spec.kind)
+            return real_train(spec, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 1)  # fits in this process, where they are counted
+        for owner in (learners, tuning, pipeline):
+            monkeypatch.setattr(owner, "train", counting)
+        argv = [*_COMMANDS["evaluate"](_chain_paths(chain), str(tmp_path / "table.csv")),
+                "--save-best", str(tmp_path / "best_model.json")]
+        assert main(argv) == 0
+        assert sorted(kind.value for kind in fits) == sorted(kind.value for kind in ModelKind)
+        assert (tmp_path / "best_model.json").read_bytes() == (chain / "best_model.json").read_bytes()
+        assert (tmp_path / "table.csv").read_bytes() == (chain / "metrics_table.csv").read_bytes()
+
+    def test_evaluate_refuses_to_save_a_winner_that_failed_to_train(self, chained, tmp_path, monkeypatch):
+        _, _, chain = chained
+        board = read_json(chain / "leaderboard.json", pipeline.Leaderboard)
+        real_train = tuning.train
+
+        def winner_fails(spec, *args, **kwargs):
+            if spec == board.winner.spec:
+                raise ValueError("no luck")
+            return real_train(spec, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(tuning, "train", winner_fails)
+        with pytest.raises(ValueError) as err:
+            pipeline.stage_evaluate(chain / "features.jsonl", chain / "leaderboard.json", chain / "rfecv_report.json",
+                                    tmp_path / "table.csv", best_model_path=tmp_path / "best_model.json")
+        assert str(err.value) == f"the CV winner {asjson(board.winner.spec)} failed to train: no luck"
+        assert list(tmp_path.iterdir()) == [tmp_path / "table.csv"]  # the table, with the winner's row NA
+
     def test_rfecv_runs_on_as_many_folds_as_tune(self, chained):
         run_dir, _, _ = chained
         board = read_json(run_dir / "leaderboard.json", pipeline.Leaderboard)
@@ -725,6 +786,11 @@ def _swap_best_and_worst(board: dict) -> None:
     candidates[0], candidates[-1] = candidates[-1], candidates[0]
 
 
+def _drop_rows(count: int):
+    """A features file without its first count rows: another file than the one tune read."""
+    return lambda text: "".join(text.splitlines(keepends=True)[count:])
+
+
 def _crown_worst_step(report: dict) -> None:
     """Give best_features the features of a step whose mean score is below the best."""
     worst = min(report["steps"], key=lambda step: step["mean_score"])
@@ -788,6 +854,20 @@ CORRUPTED_ARTIFACTS = {
     "winner_spec_without_seed": ("evaluate", "leaderboard.json", _edit_json(lambda d: d["winner"]["spec"].pop("seed")),
                                  "Leaderboard.winner: spec: missing keys ['seed']"),
     "leaderboard_not_json": ("evaluate", "leaderboard.json", lambda text: text[:40], "line "),
+    "candidate_bad_hyperparameter_value": (
+        "evaluate", "leaderboard.json", _edit_json(lambda d: d["per_kind"]["LR"][0]["hyperparameters"].update(l2=-1.0)),
+        "Leaderboard: per_kind.LR[0].hyperparameters: LR: bad value -1.0 for l2 (L2 strength)"),
+    "candidate_unknown_hyperparameter": (
+        "evaluate", "leaderboard.json",
+        _edit_json(lambda d: d["per_kind"]["NB"][0]["hyperparameters"].update(var_flor=1e-9)),
+        "Leaderboard: per_kind.NB[0].hyperparameters: NB: unknown hyperparameters ['var_flor']"),
+    "candidate_missing_hyperparameter": (
+        "evaluate", "leaderboard.json", _edit_json(lambda d: d["per_kind"]["SVM"][1]["hyperparameters"].pop("l2")),
+        "Leaderboard: per_kind.SVM[1].hyperparameters: missing keys ['l2']"),
+    "features_swapped_after_tune_evaluate": ("evaluate", "features.jsonl", _drop_rows(30),
+                                             ": its SHA-256 differs from inputs.features_sha256 in "),
+    "features_swapped_after_tune_llm_compare": ("llm-compare", "features.jsonl", _drop_rows(30),
+                                                ": its SHA-256 differs from inputs.features_sha256 in "),
     "row_without_label": ("select-features", "features.jsonl", _edit_first_row(lambda r: r.pop("label")),
                           ":1: FeatureRow: missing keys ['label']"),
     "row_labelled_psych": ("select-features", "features.jsonl", _edit_first_row(lambda r: r.update(label="psych")),
@@ -823,6 +903,12 @@ CORRUPTED_ARTIFACTS = {
     "rfecv_step_mean_not_its_folds_mean": ("evaluate", "rfecv_report.json",
                                            _edit_json(lambda d: d["steps"][1].update(mean_score=0.123)),
                                            "RfecvResult: steps[1].mean_score: 0.123 is not "),
+    "rfecv_elimination_order_reversed": ("evaluate", "rfecv_report.json",
+                                         _edit_json(lambda d: d["elimination_order"].reverse()),
+                                         "RfecvResult: elimination_order[0]: "),
+    "rfecv_elimination_order_cut": ("evaluate", "rfecv_report.json",
+                                    _edit_json(lambda d: d["elimination_order"].pop()),
+                                    "RfecvResult: elimination_order: "),
     "model_without_state_key": ("llm-compare", "best_model.json", _edit_json(lambda d: d["state"].pop("b1")),
                                 "TrainedModel: state: missing keys ['b1']"),
     "model_unknown_state_key": ("llm-compare", "best_model.json", _edit_json(lambda d: d["state"].update(W3=[])),
@@ -857,6 +943,8 @@ class TestCorruptedArtifacts:
         assert main(_COMMANDS[command]({**_chain_paths(chain), artifact: str(bad)}, str(tmp_path / "out"))) == 2
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and str(bad) in errors[0] and message in errors[0], errors
+        if "inputs." in message:
+            assert errors[0].endswith(f" in {chain / 'leaderboard.json'}; it is not the file tune read"), errors
         assert "Traceback" not in "".join(capfd.readouterr())
         assert list(tmp_path.iterdir()) == [bad]
 

@@ -881,9 +881,11 @@ class TestTrainFolds:
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_one_grouped_fit_protocol(self, kind):
-        """A kind that shares fits has ``fit_folds`` exactly when it has ``share_key``."""
+        """A kind that shares fits has ``fit_folds`` exactly when it has
+        ``share_key``, and then no ``fit``: its group is its one training path."""
         module = learners._KINDS[kind]
         assert hasattr(module, "fit_folds") == hasattr(module, "share_key")
+        assert hasattr(module, "fit_folds") != hasattr(module, "fit")
         assert not hasattr(module, "fit_grid")
 
     def test_mlpc_share_key_groups_learning_rates_only(self):
@@ -1317,38 +1319,60 @@ def _mlp_fit_oracle(params, X, y, rng):
     return net
 
 
+def _mlp_case(seed: int):
+    """A random share group and 1 to 5 folds of 2 to 149 rows, cycling
+    through every (hidden, batch_size) pair and feature count."""
+    rng = np.random.default_rng(seed)
+    hidden, batch_size = [1, 8, 32][seed % 3], [1, 7, 32][seed // 3 % 3]
+    d = seed % 10 + 1
+    group = [{"hidden": hidden, "learning_rate": rate, "epochs": 3, "batch_size": batch_size}
+             for rate in rng.choice([0.01, 0.1, 0.5], rng.integers(1, 4), replace=False).tolist()]
+    sizes = rng.integers(2, 150, rng.integers(1, 6))
+    return group, [(rng.normal(size=(n, d)), rng.integers(0, 2, n)) for n in sizes]
+
+
+def _assert_state_is(got, expected, where):
+    assert type(got.b2) is float
+    for key in ("W1", "b1", "w2", "b2"):
+        assert np.asarray(getattr(got, key)).tobytes() == np.asarray(expected[key]).tobytes(), (where, key)
+
+
 class TestMlp:
     @pytest.mark.parametrize("n", [45, 160, 1275])
     @pytest.mark.parametrize("hidden,learning_rate", [(8, 0.1), (32, 0.01)])
-    def test_fit_identical_to_per_array_loop(self, n, hidden, learning_rate):
+    def test_lone_lane_identical_to_per_array_loop(self, n, hidden, learning_rate):
         rng = np.random.default_rng(n)
         X = rng.normal(size=(n, 10))
         y = rng.integers(0, 2, n)
         params = {"hidden": hidden, "learning_rate": learning_rate, "epochs": 4, "batch_size": 32}
-        got = mlp.fit(params, X, y, np.random.default_rng(7))
-        expected = _mlp_fit_oracle(params, X, y, np.random.default_rng(7))
-        assert type(got.b2) is float
-        for key in ("W1", "b1", "w2", "b2"):
-            assert np.asarray(getattr(got, key)).tobytes() == np.asarray(expected[key]).tobytes(), key
+        [(_, _, got)] = mlp.fit_folds([params], [(X, y)], [np.random.default_rng(7)])
+        _assert_state_is(got, _mlp_fit_oracle(params, X, y, np.random.default_rng(7)), n)
 
-    @pytest.mark.parametrize("hidden", [8, 32])
-    @pytest.mark.parametrize("rates", [[0.01], [0.1], [0.01, 0.1]], ids=str)
-    @pytest.mark.parametrize("sizes", [[160], [45, 64], [45, 64, 70], [70, 33, 96, 64], [64, 96, 45, 70, 33]], ids=str)
-    def test_fit_folds_equals_fit_of_each_lane(self, hidden, rates, sizes):
-        # 1 to 10 (fold, rate) lanes: ragged tails of 13, 6 and 1 rows or none,
-        # and folds of 1, 2 or 3 full batches, listed out of that order
-        rng = np.random.default_rng(len(sizes))
-        folds = [(rng.normal(size=(n, 10)), rng.integers(0, 2, n)) for n in sizes]
-        group = [{"hidden": hidden, "learning_rate": rate, "epochs": 4, "batch_size": 32} for rate in rates]
-        rngs = [np.random.default_rng(7) for _ in folds]
+    @pytest.mark.parametrize("seed", range(48))
+    def test_every_lane_equals_the_per_array_loop(self, seed):
+        # each fold's lanes share its RNG: the oracle of lane (f, i) runs on a fresh copy of it
+        group, folds = _mlp_case(seed)
+        rngs = [np.random.default_rng(seed + f) for f in range(len(folds))]
         lanes = {(f, i): state for f, i, state in mlp.fit_folds(group, folds, rngs)}
         assert sorted(lanes) == [(f, i) for f in range(len(folds)) for i in range(len(group))]
         for (f, i), got in lanes.items():
-            expected = mlp.fit(group[i], *folds[f], np.random.default_rng(7))
-            assert type(got.b2) is float
-            for key in ("W1", "b1", "w2", "b2"):
-                got_bytes, expected_bytes = (np.asarray(getattr(state, key)).tobytes() for state in (got, expected))
-                assert got_bytes == expected_bytes, (f, i, key)
+            _assert_state_is(got, _mlp_fit_oracle(group[i], *folds[f], np.random.default_rng(seed + f)), (f, i))
+
+    def test_cases_cover_the_grid(self):
+        cases = [_mlp_case(seed) for seed in range(48)]
+        specs = [params for group, _ in cases for params in group]
+        assert {p["hidden"] for p in specs} == {1, 8, 32}
+        assert {p["batch_size"] for p in specs} == {1, 7, 32}
+        assert {p["learning_rate"] for p in specs} == {0.01, 0.1, 0.5}
+        assert {len(group) for group, _ in cases} == {1, 2, 3}
+        assert {len(folds) for _, folds in cases} == {1, 2, 3, 4, 5}
+        assert {folds[0][0].shape[1] for _, folds in cases} == set(range(1, 11))
+        assert any(len(group) == len(folds) == 1 for group, folds in cases)  # a lone lane
+        # ragged tails and none, folds of unequal full-batch counts, and folds smaller than one batch
+        lengths = [(len(y), group[0]["batch_size"]) for group, folds in cases for _, y in folds]
+        assert {n % b == 0 for n, b in lengths if b > 1} == {True, False}
+        assert any(len({len(y) // group[0]["batch_size"] for _, y in folds}) > 1 for group, folds in cases)
+        assert any(n < b for n, b in lengths)
 
     def test_zeroed_output_layer_scores_half(self):
         X, y = make_blobs(n=30, d=3, seed=18)

@@ -11,6 +11,7 @@ if str(ROOT) not in sys.path:
 
 from perfbench import layers
 from perfbench.trace import lookup
+from rescue_triage import featselect, learners, pipeline, tuning
 
 
 def test_every_perfbench_wrap_target_resolves_to_a_callable():
@@ -23,3 +24,9 @@ def test_every_perfbench_wrap_target_resolves_to_a_callable():
         if not found:
             missing.append(f"{getattr(owner, '__name__', owner)}.{attr}")
     assert missing == []
+
+
+def test_the_wrapped_train_names_are_the_one_train():
+    """perfbench wraps ``train`` where each module looks it up; all of them
+    are ``learners.train``, so a wrap sees every fit made through that name."""
+    assert pipeline.train is featselect.train is tuning.train is learners.train

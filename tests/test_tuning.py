@@ -3,7 +3,7 @@ import pytest
 
 from rescue_triage.featselect import rfecv
 from rescue_triage.learners import DEFAULT_SEARCH_SPACES, ModelKind, ModelSpec, train
-from rescue_triage.records import Dataset
+from rescue_triage.records import Dataset, asjson
 from rescue_triage.tuning import (
     CvSpec,
     DegenerateFolds,
@@ -287,6 +287,16 @@ class TestEvaluateAll:
         specs = [ModelSpec(kind, seed=3) for kind in ModelKind]
         train_set, test_set = split_train_test(data, 0.8, 1)
         assert evaluate_all(specs, train_set, test_set, pool_map) == evaluate_all(specs, train_set, test_set)
+
+    def test_only_the_kept_specs_row_carries_its_model(self, pool_map):
+        data = dataset(n=120, seed=7)
+        specs = [ModelSpec(kind, seed=3) for kind in ModelKind]
+        train_set, test_set = split_train_test(data, 0.8, 1)
+        rows = evaluate_all(specs, train_set, test_set, pool_map, keep_model=specs[-1])
+        assert [row.model is not None for row in rows] == [row.spec == specs[-1] for row in rows]
+        kept = next(row.model for row in rows if row.model is not None)
+        expected = train(specs[-1], train_set.X, train_set.y, feature_names=train_set.feature_names)
+        assert asjson(kept) == asjson(expected)
 
     def test_csv_formatting(self, tmp_path):
         data = dataset(n=80, seed=9)
