@@ -10,6 +10,7 @@ keeps the subset with the best mean CV score.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -17,9 +18,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 # train stays importable as featselect.train, a name perfbench/layers.py wraps
-from .learners import ModelSpec, train, train_folds  # noqa: F401
+from .learners import ModelSpec, train  # noqa: F401
 from .records import Dataset, FeatureVector, RelevanceScore, TEXT_FEATURE_NAMES, rng_from
-from .tuning import CvSpec, fold_accuracy, fold_chunks, fold_pairs
+from .tuning import CvSpec, cross_validate, fold_accuracy
 
 log = logging.getLogger(__name__)
 
@@ -117,59 +118,44 @@ class RfecvResult:
             )
 
 
-def _fold_drops(job) -> list[tuple[float, np.ndarray]]:
-    """One RFECV job, a chunk of a subset's folds: per fold, the model's
-    validation accuracy, and per feature the accuracy lost when its
-    validation column is permuted."""
-    spec, X, y, chunk, seed = job
-    out = [None] * len(chunk)
-    for f, _, model in train_folds([spec], X, y, [train_idx for _, train_idx, _ in chunk]):
-        fi, _, val_idx = chunk[f]
-        Xv, yv = X[val_idx], y[val_idx]
-        base = fold_accuracy(model, Xv, yv)
-        drops = np.empty(X.shape[1])
-        for j in range(X.shape[1]):
-            rng = rng_from(seed, 7004, X.shape[1], fi, j)
-            Xp = Xv.copy()
-            Xp[:, j] = Xv[rng.permutation(len(Xv)), j]
-            drops[j] = base - fold_accuracy(model, Xp, yv)
-        out[f] = base, drops
-    return out
+def _fold_drops(seed: int, model, X: np.ndarray, y: np.ndarray, fold: int) -> tuple[float, np.ndarray]:
+    """RFECV's ``cross_validate`` scorer, one fold's validation rows: the
+    model's accuracy, and per feature the accuracy lost when its column is
+    permuted."""
+    base = fold_accuracy(model, X, y)
+    drops = np.empty(X.shape[1])
+    for j in range(X.shape[1]):
+        rng = rng_from(seed, 7004, X.shape[1], fold, j)
+        Xp = X.copy()
+        Xp[:, j] = X[rng.permutation(len(X)), j]
+        drops[j] = base - fold_accuracy(model, Xp, y)
+    return base, drops
 
 
 def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec, map_fn: Callable = map, workers: int = 1) -> RfecvResult:
     """Recursive feature elimination driven by permutation importance.
 
-    At each subset size the model is trained per fold; a feature's
-    importance is the mean drop in fold accuracy when its validation
-    column is permuted. The least important feature is removed until one
-    remains. Returns the subset with the best mean CV accuracy (ties go to
-    the smaller subset). Fold layout stays fixed across subset sizes. A
-    subset's ``fold_chunks`` are jobs run by ``map_fn`` on ``workers``, as
-    in ``cross_validate``, so an MLPC subset trains a chunk's folds as
-    lanes of one stacked fit.
+    Each subset size is one ``cross_validate`` call of the spec on that
+    subset, with ``map_fn`` and ``workers`` as there, scoring each fold by
+    ``_fold_drops``. A feature's importance is the mean drop in fold
+    accuracy when its validation column is permuted. The least important
+    feature is removed until one remains. Returns the subset with the best
+    mean CV accuracy (ties go to the smaller subset). Fold layout stays
+    fixed across subset sizes.
     """
     if len(data.feature_names) < 2:
         raise ValueError("rfecv needs at least 2 features")
-    folds = fold_pairs(data.y, cv)
-    chunks = fold_chunks(len(folds), workers)
-
+    score = functools.partial(_fold_drops, cv.seed)
     features = list(data.feature_names)
     steps: list[RfecvStep] = []
     eliminated: list[str] = []
     while features:
-        sub = data.select(features)
-        jobs = [(model_spec, sub.X, sub.y, [(fi, *folds[fi]) for fi in chunk], cv.seed) for chunk in chunks]
-        fold_scores = []
-        drops = np.zeros(len(features))
-        for chunk_drops in map_fn(_fold_drops, jobs):
-            for base, fold_drops in chunk_drops:
-                fold_scores.append(base)
-                drops += fold_drops
-        steps.append(RfecvStep(tuple(features), float(np.mean(fold_scores)), tuple(fold_scores)))
+        [folds] = cross_validate([model_spec], data.select(features), cv, map_fn, workers, score)
+        fold_scores = tuple(base for base, _ in folds)
+        steps.append(RfecvStep(tuple(features), float(np.mean(fold_scores)), fold_scores))
         if len(features) == 1:
             break
-        drops /= len(folds)
+        drops = sum(fold_drops for _, fold_drops in folds) / len(folds)
         weakest = int(np.argmin(drops))
         eliminated.append(features[weakest])
         log.info(

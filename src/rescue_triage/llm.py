@@ -174,12 +174,13 @@ class EndpointConfig:
         return cls(**env)
 
 
-def _post(request: urllib.request.Request, timeout: float) -> tuple[int, bytes]:
-    """(status, body) of one request; an error status is a response here,
+def _post(url: str, data: bytes, timeout: float) -> tuple[int, bytes]:
+    """(status, body) of one JSON POST; an error status is a response here,
     not an exception."""
     import urllib.error
     import urllib.request
 
+    request = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json"}, method="POST")
     try:
         resp = urllib.request.urlopen(request, timeout=timeout)
     except urllib.error.HTTPError as exc:
@@ -196,17 +197,11 @@ def query(prompt: str, cfg: EndpointConfig) -> LlmVerdict:
     """
     # imported here, so runs that never query an endpoint do not pay for them
     import http.client
-    import urllib.request
 
     payload = {"model": cfg.model, "prompt": prompt, "stream": False}
     if cfg.options:
         payload["options"] = dict(cfg.options)
-    request = urllib.request.Request(
-        cfg.base_url.rstrip("/") + "/api/generate",
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
+    url, data = cfg.base_url.rstrip("/") + "/api/generate", json.dumps(payload).encode("utf-8")
 
     last_error: Optional[str] = None
     start = time.perf_counter()
@@ -214,7 +209,7 @@ def query(prompt: str, cfg: EndpointConfig) -> LlmVerdict:
         if attempt:
             time.sleep(cfg.backoff * (2 ** (attempt - 1)))
         try:
-            status, body = _post(request, cfg.timeout)
+            status, body = _post(url, data, cfg.timeout)
         except (OSError, http.client.HTTPException) as exc:  # a read timeout is a bare TimeoutError
             last_error = str(exc)
             continue

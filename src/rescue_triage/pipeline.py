@@ -13,6 +13,7 @@ manifest then lists the stages run so far and the failed one's error.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import logging
 import os
@@ -121,6 +122,8 @@ class PipelineConfig:
             raise ValueError(f"split_ratio must lie strictly between 0 and 1, got {self.split_ratio!r}")
         if self.llm_cases < 1:
             raise ValueError(f"llm_cases must be at least 1, got {self.llm_cases!r}")
+        if self.min_count < 1:
+            raise ValueError(f"min_count must be at least 1, got {self.min_count!r}")
         # the search and fold rules are tuning's; build its specs to apply them
         for name, build in (
             ("search_mode", lambda: SearchSpec(self.search_mode)),
@@ -241,13 +244,16 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _check_input(path, digest: str, key: str, leaderboard_path) -> None:
-    """Refuse an input file other than the one tune read, whose digest the
-    leaderboard holds at key."""
-    if _sha256(Path(path)) != digest:
-        raise ValueError(
-            f"{path}: its SHA-256 differs from {key} in {leaderboard_path}; it is not the file tune read"
-        )
+def _read_board(leaderboard_path, features_path, selection_path=None) -> Leaderboard:
+    """tune's leaderboard, after refusing a features or selection file other
+    than the one tune read, whose digest the leaderboard holds."""
+    board = read_json(leaderboard_path, Leaderboard)
+    for path, key in ((features_path, "features_sha256"), (selection_path, "selection_sha256")):
+        if path is not None and _sha256(Path(path)) != getattr(board.inputs, key):
+            raise ValueError(
+                f"{path}: its SHA-256 differs from inputs.{key} in {leaderboard_path}; it is not the file tune read"
+            )
+    return board
 
 
 def validate_config(cfg: PipelineConfig) -> None:
@@ -344,10 +350,10 @@ def stage_synth(cfg: PipelineConfig, corpus_path, truth_path=None, delimiter: st
     write_jsonl(corpus_path, records, record_to_dict)
     artifacts = [Path(corpus_path)]
     if truth_path is not None:
-        with open(truth_path, "w", encoding="utf-8") as fh:
-            fh.write("case_id,label\n")
-            for r in records:
-                fh.write(f"{r.case_id},{r.label.value}\n")
+        with open(truth_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["case_id", "label"])
+            writer.writerows([r.case_id, r.label.value] for r in records)
         artifacts.append(Path(truth_path))
     mode = "csv" if cfg.input_csvs else "synthetic"
     return artifacts, {"records": len(records), "rejected": len(row_errors), "mode": mode}
@@ -357,10 +363,10 @@ def stage_wordcount(cfg: PipelineConfig, corpus_path, counts_path):
     _, lexicons = _load_lexicons(cfg)
     corpus_tokens = [note_tokens(r.notes) for r in read_jsonl(corpus_path, RescueRecord)]
     counts = word_count(corpus_tokens, lexicons, min_count=cfg.min_count)
-    with open(counts_path, "w", encoding="utf-8") as fh:
-        fh.write("word,count\n")
-        for w, c in counts.items():
-            fh.write(f"{w},{c}\n")
+    with open(counts_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["word", "count"])
+        writer.writerows(counts.items())
     return [Path(counts_path)], {"words": len(counts)}
 
 
@@ -418,9 +424,7 @@ def stage_rfecv(features_path, selection_path, leaderboard_path, rfecv_path):
     folds, from the features and selection files tune read. Its first step
     refits the winner on those folds, so its fold scores must equal the
     winner's fold accuracies."""
-    board = read_json(leaderboard_path, Leaderboard)
-    _check_input(features_path, board.inputs.features_sha256, "inputs.features_sha256", leaderboard_path)
-    _check_input(selection_path, board.inputs.selection_sha256, "inputs.selection_sha256", leaderboard_path)
+    board = _read_board(leaderboard_path, features_path, selection_path)
     winner = board.winner.spec
     train_set, _ = _split(board.split, winner.seed, features_path, _filter_features(selection_path), selection_path)
     tuned = board.per_kind[winner.kind][0].fold_accuracies
@@ -443,8 +447,7 @@ def stage_evaluate(features_path, leaderboard_path, rfecv_path, table_path, roc_
     winner as its evaluation job fitted it on the train split. The split, the
     seed and the features file are the leaderboard's.
     """
-    board = read_json(leaderboard_path, Leaderboard)
-    _check_input(features_path, board.inputs.features_sha256, "inputs.features_sha256", leaderboard_path)
+    board = _read_board(leaderboard_path, features_path)
     winner = board.winner.spec
     specs = [
         ModelSpec(kind, candidates[0].hyperparameters, seed=winner.seed) for kind, candidates in board.per_kind.items()
@@ -483,8 +486,7 @@ def stage_llm_compare(
     the seed and the features file are the leaderboard's, and the model must
     be its winner.
     """
-    board = read_json(leaderboard_path, Leaderboard)
-    _check_input(features_path, board.inputs.features_sha256, "inputs.features_sha256", leaderboard_path)
+    board = _read_board(leaderboard_path, features_path)
     model = load_model(model_path)
     if model.spec != board.winner.spec:
         raise ValueError(

@@ -141,8 +141,9 @@ def fold_pairs(y: np.ndarray, cv: CvSpec) -> list[tuple[np.ndarray, np.ndarray]]
     return pairs
 
 
-def fold_accuracy(model, X: np.ndarray, y: np.ndarray) -> float:
-    """Accuracy of the model's hard predictions on one validation fold."""
+def fold_accuracy(model, X: np.ndarray, y: np.ndarray, fold: Optional[int] = None) -> float:
+    """Accuracy of the model's hard predictions on one validation fold: the
+    default ``cross_validate`` scorer, which has no use for the fold's index."""
     return _metrics.metrics(_metrics.confusion(y, model.predict(X))).accuracy
 
 
@@ -153,43 +154,49 @@ def fold_chunks(folds: int, workers: int) -> list[list[int]]:
     return [chunk.tolist() for chunk in np.array_split(np.arange(folds), min(workers, folds))]
 
 
-def _fold_scores(job) -> list[list[float]]:
-    """One CV job: fit a share group of specs on each of a chunk of folds'
-    training rows; per fold, each model's accuracy on its validation rows."""
-    specs, X, y, pairs = job
-    scores = [[0.0] * len(specs) for _ in pairs]
-    for f, i, model in train_folds(specs, X, y, [train_idx for train_idx, _ in pairs]):
-        val_idx = pairs[f][1]
-        scores[f][i] = fold_accuracy(model, X[val_idx], y[val_idx])
+def _fold_scores(job) -> list[list]:
+    """The one CV job: fit a share group of specs on each of a chunk of
+    folds' training rows; per fold, each model's ``score`` of its validation
+    rows, given the fold's index in ``fold_pairs`` order."""
+    specs, X, y, folds, score = job
+    scores = [[None] * len(specs) for _ in folds]
+    for f, i, model in train_folds(specs, X, y, [train_idx for _, train_idx, _ in folds]):
+        fold, _, val_idx = folds[f]
+        scores[f][i] = score(model, X[val_idx], y[val_idx], fold)
     return scores
 
 
 def cross_validate(
-    specs: Sequence[ModelSpec], data: Dataset, cv: CvSpec, map_fn: Callable = map, workers: int = 1
-) -> list[tuple[float, ...]]:
-    """Per fold, train every spec on the k-1 other folds, evaluate on the
-    held-out one; each spec's fold accuracies, in fold order.
+    specs: Sequence[ModelSpec], data: Dataset, cv: CvSpec, map_fn: Callable = map, workers: int = 1,
+    score: Callable = fold_accuracy,
+) -> list[tuple]:
+    """Per fold, train every spec on the k-1 other folds and score it on the
+    held-out one; each spec's fold scores, in fold order.
 
+    ``score(model, X_val, y_val, fold)`` scores one fold: ``fold_accuracy``
+    for tune's search, accuracy and permutation drops for an RFECV step.
     One job per (``share_groups`` group, ``fold_chunks`` chunk), the chunks
     following the ``workers`` that ``map_fn`` runs the jobs on: the builtin
-    ``map`` here or a process pool's in its workers. A job fits its group on
-    its folds through ``train_folds``, so XGB and MLPC fit a chunk's folds
-    as lanes of one fit. Results are taken in job order, so the scores are
-    the same for any map and any worker count.
+    ``map`` here or a process pool's in its workers, so a pool's ``score``
+    must pickle. A job fits its group on its folds through ``train_folds``,
+    so XGB and MLPC fit a chunk's folds as lanes of one fit. Results are
+    taken in job order, so the scores are the same for any map and any
+    worker count.
     Raises DegenerateFolds when a fold's training side lacks both classes.
     """
     groups = share_groups(specs)
     pairs = fold_pairs(data.y, cv)
     chunks = fold_chunks(len(pairs), workers)
     jobs = [
-        ([specs[i] for i in group], data.X, data.y, [pairs[f] for f in chunk]) for group in groups for chunk in chunks
+        ([specs[i] for i in group], data.X, data.y, [(f, *pairs[f]) for f in chunk], score)
+        for group in groups for chunk in chunks
     ]
-    scores: list[list[float]] = [[] for _ in specs]
+    scores: list[list] = [[] for _ in specs]
     job_groups = [group for group in groups for _ in chunks]
     for group, job_scores in zip(job_groups, map_fn(_fold_scores, jobs)):
         for fold_scores in job_scores:
-            for i, score in zip(group, fold_scores):
-                scores[i].append(score)
+            for i, fold_score in zip(group, fold_scores):
+                scores[i].append(fold_score)
     return [tuple(s) for s in scores]
 
 

@@ -290,6 +290,33 @@ class TestStageCommands:
         _, extra = pipeline.stage_synth(PipelineConfig(generator=default_config(6, 4)), tmp_path / "synth.jsonl")
         assert extra == {"records": 10, "rejected": 0, "mode": "synthetic"}
 
+    COMMA_EXPORT = (
+        "case_id,systolic_bp,respiratory_rate,gcs,circulation,pulse_rhythm,notes,label\n"
+        '"a,1",130,16,15,normal,false,"temp 37,5",psychiatric\n'
+        'b,120,18,14,abnormal,true,"37,5 then 37,5",non_psychiatric\n'
+    )
+
+    @staticmethod
+    def _csv_rows(path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+
+    def test_truth_keeps_a_case_id_with_a_comma_one_field(self, tmp_path):
+        export = tmp_path / "export.csv"
+        export.write_text(self.COMMA_EXPORT)
+        pipeline.stage_synth(PipelineConfig(input_csvs=(str(export),)), tmp_path / "corpus.jsonl", tmp_path / "truth.csv")
+        assert self._csv_rows(tmp_path / "truth.csv") == [
+            ["case_id", "label"], ["a,1", "psychiatric"], ["b", "non_psychiatric"]
+        ]
+
+    def test_word_counts_keep_a_decimal_comma_token_one_field(self, tmp_path):
+        export = tmp_path / "export.csv"
+        export.write_text(self.COMMA_EXPORT)
+        cfg = PipelineConfig(input_csvs=(str(export),), min_count=3)
+        pipeline.stage_synth(cfg, tmp_path / "corpus.jsonl")
+        pipeline.stage_wordcount(cfg, tmp_path / "corpus.jsonl", tmp_path / "word_counts.csv")
+        assert self._csv_rows(tmp_path / "word_counts.csv") == [["word", "count"], ["37,5", "3"]]
+
     def test_select_features(self, work):
         assert main(["select-features", "--in", str(work / "features.jsonl"),
                      "--threshold", "3.0", "--report", str(work / "sel.json")]) == 0
@@ -665,6 +692,7 @@ CONFIG_MISUSE = {
     "rfecv_folds_set": ("run-all", {"rfecv_folds": 3}, "PipelineConfig: unknown keys ['rfecv_folds']"),
     "split_ratio_of_one": ("run-all", {"split_ratio": 1.0}, "PipelineConfig: split_ratio must lie strictly between 0 and 1"),
     "negative_llm_cases": ("run-all", {"llm_cases": -1}, "PipelineConfig: llm_cases must be at least 1, got -1"),
+    "zero_min_count": ("run-all", {"min_count": 0}, "PipelineConfig: min_count must be at least 1, got 0"),
     "negative_endpoint_retries": ("run-all", {"llm_endpoint": {"retries": -1}, "llm_mode": "endpoint"},
                                   "PipelineConfig.llm_endpoint: retries must be at least 0, got -1"),
     "schemeless_endpoint_url": ("run-all", {"llm_endpoint": {"base_url": "localhost:11434"}, "llm_mode": "endpoint"},

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -9,13 +10,16 @@ from hypothesis import strategies as st
 
 from rescue_triage.featselect import (
     SelectionReport,
+    _fold_drops,
     filter_select,
     relative_deviation,
     rfecv,
 )
 from rescue_triage.learners import ModelKind, ModelSpec
 from rescue_triage.records import Dataset, FeatureVector, TEXT_FEATURE_NAMES, asjson, read_json, write_json
-from rescue_triage.tuning import CvSpec, cross_validate
+from rescue_triage.tuning import CvSpec, cross_validate, fold_chunks
+
+from conftest import make_blobs
 
 
 class TestRelativeDeviation:
@@ -179,3 +183,47 @@ class TestRfecv:
         a = rfecv(data, spec, cv)
         b = rfecv(data, spec, cv)
         assert a == b
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_each_step_sends_the_cross_validate_jobs_of_its_subset(self, workers):
+        X, y = make_blobs(n=90, d=4, seed=14)
+        data = Dataset(X, y, ("a", "b", "c", "d"))
+        spec = ModelSpec(ModelKind.MLPC, {"hidden": 8, "learning_rate": 0.1, "epochs": 5}, seed=2)
+        cv = CvSpec(folds=5, seed=8)
+
+        def recorded(run):
+            """run's result on a recording map, and the jobs it sent"""
+            jobs = []
+
+            def recording_map(fn, job_list):
+                jobs.extend(job_list)
+                return map(fn, job_list)
+
+            out = run(recording_map)
+            # a partial compares by identity, so compare its function and arguments
+            return out, [
+                (specs, X.tolist(), y.tolist(), [(f, tr.tolist(), va.tolist()) for f, tr, va in folds],
+                 score.func, score.args)
+                for specs, X, y, folds, score in jobs
+            ]
+
+        result, sent = recorded(lambda map_fn: rfecv(data, spec, cv, map_fn, workers))
+        score = functools.partial(_fold_drops, cv.seed)
+        expected = [
+            recorded(lambda map_fn: cross_validate([spec], data.select(step.features), cv, map_fn, workers, score))[1]
+            for step in result.steps
+        ]
+        assert [len(step_jobs) for step_jobs in expected] == [len(fold_chunks(cv.folds, workers))] * len(result.steps)
+        assert sent == [job for step_jobs in expected for job in step_jobs]
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(ModelKind.LR, seed=1),
+        ModelSpec(ModelKind.KNN, {"k": 5}, seed=2),
+        ModelSpec(ModelKind.MLPC, {"hidden": 8, "learning_rate": 0.1, "epochs": 10}, seed=3),
+    ], ids=lambda spec: spec.kind.value)
+    def test_step_fold_scores_are_the_cross_validated_accuracies(self, spec):
+        X, y = make_blobs(n=90, d=4, seed=15)
+        data = Dataset(X, y, ("a", "b", "c", "d"))
+        cv = CvSpec(folds=4, seed=6)
+        for step in rfecv(data, spec, cv).steps:
+            assert cross_validate([spec], data.select(step.features), cv) == [step.fold_scores]

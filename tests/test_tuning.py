@@ -155,10 +155,24 @@ class TestCrossValidate:
         chunks = fold_chunks(5, workers)
         pairs = fold_pairs(data.y, cv)
         groups = [[specs[0], specs[1]], [specs[2], specs[3]], [specs[4]]]  # hidden 8, hidden 32, NB
-        assert [(job_specs, [tr.tolist() for tr, _ in job_pairs]) for job_specs, _, _, job_pairs in jobs] == [
-            (group, [pairs[f][0].tolist() for f in chunk]) for group in groups for chunk in chunks
+        assert [
+            (job_specs, [(f, tr.tolist(), va.tolist()) for f, tr, va in job_folds])
+            for job_specs, _, _, job_folds, _ in jobs
+        ] == [
+            (group, [(f, pairs[f][0].tolist(), pairs[f][1].tolist()) for f in chunk])
+            for group in groups for chunk in chunks
         ]
+        assert all(score is fold_accuracy for *_, score in jobs)
         assert scores == cross_validate(specs, data, cv)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_a_custom_score_gets_each_folds_index_in_layout_order(self, workers):
+        data = dataset(n=90, d=5, seed=12)
+        cv = CvSpec(folds=5, seed=4)
+        specs = [ModelSpec(ModelKind.XGB, {"n_rounds": 3}, seed=3), ModelSpec(ModelKind.NB, seed=3)]
+        seen = cross_validate(specs, data, cv, map, workers, score=lambda model, X, y, fold: (fold, y.tolist()))
+        expected = tuple((f, data.y[va].tolist()) for f, (_, va) in enumerate(fold_pairs(data.y, cv)))
+        assert seen == [expected, expected]
 
     @pytest.mark.parametrize("workers", [2, 5])
     def test_mlpc_rfecv_is_the_same_for_any_worker_count(self, workers, pool_map):
