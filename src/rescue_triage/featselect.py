@@ -19,8 +19,9 @@ import numpy as np
 
 # train stays importable as featselect.train, a name perfbench/layers.py wraps
 from .learners import ModelSpec, train  # noqa: F401
+from . import tuning
 from .records import Dataset, FeatureVector, RelevanceScore, TEXT_FEATURE_NAMES, rng_from
-from .tuning import CvSpec, cross_validate, fold_accuracy
+from .tuning import CvSpec, fold_accuracy
 
 log = logging.getLogger(__name__)
 
@@ -150,7 +151,8 @@ def rfecv(data: Dataset, model_spec: ModelSpec, cv: CvSpec, map_fn: Callable = m
     steps: list[RfecvStep] = []
     eliminated: list[str] = []
     while features:
-        [folds] = cross_validate([model_spec], data.select(features), cv, map_fn, workers, score)
+        # looked up on ``tuning`` at each call, so a wrap of ``tuning.cross_validate`` sees every step
+        [folds] = tuning.cross_validate([model_spec], data.select(features), cv, map_fn, workers, score)
         fold_scores = tuple(base for base, _ in folds)
         steps.append(RfecvStep(tuple(features), float(np.mean(fold_scores)), fold_scores))
         if len(features) == 1:

@@ -5,9 +5,9 @@ feature rows; ``train_folds(specs, X, y, folds)`` fits several specs on each
 of several CV folds' rows, the one fold loop of tuning and RFECV, sharing
 what a kind can share between them. RF, XGB and MLPC each fit a share group
 on all folds through their module's ``fit_folds``, their only training
-path: RF grows one forest per fold for the group's specs, XGB grows the
-group's (fold, learning rate, depth cap) triples as lanes of one lockstep
-fit, and MLPC trains its (fold, learning rate) pairs as lanes of one
+path: RF grows the folds' trees as one forest for the group's specs, XGB
+grows the group's (fold, learning rate, depth cap) triples as lanes of one
+lockstep fit, and MLPC trains its (fold, learning rate) pairs as lanes of one
 stacked fit. ``train`` of such a kind is a group of one spec on one fold.
 Scores are probability-like values in [0, 1] and predictions threshold them
 at 0.5. A model file holds a ``TrainedModel`` and its kind's ``State``

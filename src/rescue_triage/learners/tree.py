@@ -6,50 +6,32 @@ thresholds are in original feature units; a sample goes left when
 value < threshold, which for a training row is the same as code <= cut.
 
 Split search runs no Python loop per node or feature: each grower splits
-nodes whose splits do not depend on each other in batches, the forest's by
-Gini (``_split_batch``) and boosting's by gradient and hessian
-(``_newton_split``). Both share one histogram step, ``_histograms``: each
-feature has its own run of cells (``StackedBins``, per-feature bins as in
-LightGBM, Ke et al., NeurIPS 2017), filled by one ``bincount`` per statistic
-and summed left of every cut by one cumsum per run width. A node takes the
-first best cut of the first best feature whose gain exceeds ``_EPS_GAIN``,
-and one stable sort, ``_partition``, puts each split node's left rows, then
-its right rows. A batch holds at most ``_BATCH_CELLS`` (2^16) gathered and
+nodes whose splits do not depend on each other in batches, the random
+forest's by Gini (``forest.LockstepForest``) and boosting's by gradient and
+hessian (``_newton_split``). Both count per-feature bins as in LightGBM (Ke
+et al., NeurIPS 2017) with one ``bincount`` and sum them left of each cut
+with cumsums. Boosting's nodes count every feature through ``_histograms``
+(``StackedBins``: each feature has its own run of cells); a forest node
+counts only its sampled features. A node takes the first best cut of the
+first best feature whose gain exceeds ``_EPS_GAIN``, and one stable sort of
+a 16-bit key, ``_partition``, puts each split node's left rows, then its
+right rows. A batch holds at most ``_BATCH_CELLS`` (2^16) gathered and
 histogram cells, about 0.5 MB per int64 array.
 
-* ``LockstepForest`` (random forest) grows all trees of a forest in
-  lockstep. Each step pops one node from every tree's own depth-first stack,
-  so every tree draws its per-node feature sample from its own stream in the
-  same pre-order as a tree grown alone; ``grow_classification_tree`` steps
-  the forest until a given tree is finished. A node is a ``[start, stop)``
-  range of one row array per forest, reordered in place when it splits (as
-  in Louppe's PhD thesis, 2014), and counts only its sampled features'
-  cells. Gini cost with a ``min_samples_leaf`` floor; nodes hold the
-  positive-class fraction. Tree t depends only on its own stream, so a
-  forest grown for more trees than a model keeps gives that model as a
-  prefix. The forest records the deepest depth at which each tree drew,
-  which tells whether a tighter depth cap would have grown the same tree.
-* ``FeatureSampler`` draws the feature samples of one forest step, for all
-  its trees at once, exactly as each tree's
-  ``Generator.choice(d, k, replace=False)`` would: Floyd's algorithm over
-  Lemire-bounded 32-bit draws, then numpy's shuffle, gathered from per-tree
-  buffers of raw generator output (Lemire, "Fast random integer generation
-  in an interval", ACM TOMACS 2019).
-* ``LockstepRound`` (boosting) holds one round's trees of several boosting
-  lanes, one lane per (CV fold, learning rate, depth cap) of a grid fit.
-  Each lane's rows sit at its own offset of one flat stack, so lanes may
-  differ in size, and each splits on its own fold's bins (``StackedBins``);
-  every level of every lane splits in one batch. Boosting draws no random
-  numbers, so each tree grows one level at a time over every feature, and a
-  level is kept as arrays over its nodes. Nodes hold -G / (H + lambda);
-  node sums G and H are ``ndarray.sum`` over the node's rows in row order.
-  ``_preorder`` renumbers every lane's tree to depth-first pre-order at
-  once, a level at a time.
-  ``grow_second_order_tree`` grows every lane's tree on its first call of a
-  round and returns one lane's tree per call.
+``LockstepRound`` (boosting) holds one round's trees of several boosting
+lanes, one lane per (CV fold, learning rate, depth cap) of a grid fit. Each
+lane's rows sit at its own offset of one flat stack, so lanes may differ in
+size, and each splits on its own fold's bins (``StackedBins``); every level
+of every lane splits in one batch. Boosting draws no random numbers, so
+each tree grows one level at a time over every feature, and a level is kept
+as arrays over its nodes. Nodes hold -G / (H + lambda); node sums G and H
+are ``ndarray.sum`` over the node's rows in row order. ``_preorder``
+renumbers every lane's tree to depth-first pre-order at once, a level at a
+time. ``grow_second_order_tree`` grows every lane's tree on its first call
+of a round and returns one lane's tree per call.
 
-Either way, a node's sums and split depend only on its own rows, so which
-trees share a batch changes no tree.
+In both growers a node's sums and split depend only on its own rows and
+fit, so which trees share a batch changes no tree.
 
 ``ensemble_values`` walks all trees of an ensemble together when scoring and
 yields the leaf values block by block, in tree order.
@@ -133,8 +115,7 @@ def bin_columns(X: np.ndarray, n_bins: int) -> Bins:
 
 @dataclass(frozen=True)
 class StackedBins:
-    """The bins of several fits whose lanes grow together (``LockstepRound``),
-    or of one forest's fit (``LockstepForest``).
+    """The bins of several fits whose lanes grow together (``LockstepRound``).
 
     A node's histogram has ``n_cells`` cells: feature f's codes count from
     cell ``offset[f]``, as many cells as the fits give f bins at most, and
@@ -193,17 +174,17 @@ _EPS_GAIN = 1e-12
 _BATCH_CELLS = 1 << 16
 
 
-def _batches(sizes: list[int], per_row: int, per_node: int):
+def _batches(sizes, per_row: int, per_node: int, cap: Optional[int] = None):
     """[lo, hi) ranges of items, each counting size * per_row + per_node
-    cells, that stay within ``_BATCH_CELLS``; a larger item goes alone."""
-    lo, used = 0, 0
-    for i, k in enumerate(sizes):
-        cells = k * per_row + per_node
-        if i > lo and used + cells > _BATCH_CELLS:
-            yield lo, i
-            lo, used = i, 0
-        used += cells
-    yield lo, len(sizes)
+    cells, that stay within ``cap`` cells (``_BATCH_CELLS`` if None); a
+    larger item goes alone."""
+    cap = _BATCH_CELLS if cap is None else cap
+    ends = np.cumsum(np.asarray(sizes, dtype=np.int64) * per_row + per_node)  # cells up to each item's end
+    lo = 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + cap, side="right")))
+        yield lo, hi
+        lo = hi
 
 
 def _histograms(bins: StackedBins, cells: np.ndarray, seg: np.ndarray, m: int, weights) -> np.ndarray:
@@ -221,265 +202,25 @@ def _histograms(bins: StackedBins, cells: np.ndarray, seg: np.ndarray, m: int, w
     return hist
 
 
-def _partition(cat: np.ndarray, cells: np.ndarray, seg: np.ndarray, column: np.ndarray, cut_cell: np.ndarray):
-    """The rows ``cat`` of a batch's split nodes, grouped by one stable sort:
-    each node's left rows (cell ``cells[r, column[node]]`` at most its
-    ``cut_cell``), then its right rows, each keeping their order; and the
-    2 * nodes + 1 bounds of those runs. A node of column -1 does not split."""
+def _partition(cat: np.ndarray, cells: np.ndarray, sizes: np.ndarray, column: np.ndarray, cut_cell: np.ndarray):
+    """The rows ``cat`` of a batch's nodes, node i's in a run of ``sizes[i]``,
+    with the split nodes' rows grouped by one stable sort: each node's left
+    rows (cell ``cells[r, column[i]]`` at most its ``cut_cell[i]``), then its
+    right rows, each keeping their order; and the 2 * nodes + 1 bounds of
+    those runs. A node of column -1 does not split."""
     m, width = len(column), cells.shape[1]
-    chosen = np.take(cells, np.arange(0, cells.size, width) + column[seg])  # each row's cell in its node's column
-    # 2 * node, + 1 if right; the rows of a node that does not split go last
-    side = np.where(column[seg] >= 0, seg * 2 + (chosen > cut_cell[seg]), 2 * m)
-    grouped = np.take(cat, np.argsort(side, kind="stable"))
+    row_column = np.repeat(column, sizes)
+    chosen = np.take(cells, np.arange(0, cells.size, width) + row_column)  # each row's cell in its node's column
+    # 2 * node, + 1 if right; the rows of a node that does not split go last. Every node costs at
+    # least 3 of a batch's ``_BATCH_CELLS`` (2 rows, 1 column, 1 cell), so m <= 2^16 // 3 = 21,845 and
+    # the key fits 16 bits, where numpy's stable argsort is a radix sort
+    side = (chosen > np.repeat(cut_cell, sizes)).astype(np.uint16)
+    side += np.repeat(np.arange(0, 2 * m, 2, dtype=np.uint16), sizes)
+    side[row_column < 0] = 2 * m
+    order = np.argsort(side, kind="stable")
     bounds = np.zeros(2 * m + 1, dtype=np.int64)
     np.cumsum(np.bincount(side, minlength=2 * m + 1)[: 2 * m], out=bounds[1:])
-    return grouped[: bounds[-1]], bounds
-
-
-def _split_batch(bins: StackedBins, cut_cells, y, rows, start, sizes, pos, slots, msl: int):
-    """The best Gini split of every node of a forest step, in batches. Node i
-    holds ``rows[start[i] : start[i] + sizes[i]]``, ``pos[i]`` of them
-    positive; it counts the cells of its features ``slots[i]``, and cut c of
-    feature f reads its left sums at ``cut_cells[f, c]``. A cut costs +inf if
-    a side has under ``msl`` rows; gain is the node's Gini impurity less the
-    cost. The first best cut of the first best slot wins if its gain exceeds
-    ``_EPS_GAIN``, and the node's range of ``rows`` is reordered in place,
-    left rows first. Returns per node the feature (-1 for a leaf), the
-    threshold, and the left child's row count and positives."""
-    n_nodes, n_cells, width = len(sizes), bins.n_cells, slots.shape[1]
-    feature, threshold = np.full(n_nodes, -1, dtype=np.int32), np.zeros(n_nodes)
-    left_rows, left_pos = np.zeros(n_nodes, dtype=np.int64), np.zeros(n_nodes, dtype=np.int64)
-    # Python floats: ``x ** 2`` (libm pow) and numpy's x * x differ in the last bit
-    # for about 1 in 1,300 fractions p / n
-    gini = np.array([1.0 - (p / n) ** 2 - ((n - p) / n) ** 2 for p, n in zip(pos.tolist(), sizes.tolist())])
-    for lo, hi in _batches(sizes.tolist(), width, n_cells + width * cut_cells.shape[1]):
-        k, node, feats = sizes[lo:hi], np.arange(hi - lo), slots[lo:hi]
-        seg = np.repeat(node, k)
-        at = np.repeat(start[lo:hi] - (np.cumsum(k) - k), k) + np.arange(len(seg))  # the batch's places in rows
-        cat = rows[at]
-        cells = bins.cells[cat[:, None], feats[seg]]
-        hist = _histograms(bins, cells, seg, len(k), (None, y[cat]))
-        # (node, slot, cut) sums left of every cut; integers, so exact in any order
-        nl, pl = np.take(hist.reshape(2, -1), cut_cells[feats] + (node * n_cells)[:, None, None], axis=1)
-        kk, p = k[:, None, None], pos[lo:hi, None, None]
-        nr, pr = kk - nl, p - pl
-        gl = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-        gr = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-        cost = (nl * gl + nr * gr) / kk
-        cost[(nl < msl) | (nr < msl)] = np.inf
-        gain = gini[lo:hi, None] - cost.min(axis=2)
-        slot = np.argmax(gain, axis=1)
-        cut = np.argmin(cost[node, slot], axis=1)
-        split = gain[node, slot] > _EPS_GAIN
-        feature[lo:hi] = f = np.where(split, feats[node, slot], -1)
-        threshold[lo:hi] = np.where(split, bins.edges[0, f, cut], 0.0)
-        grouped, bounds = _partition(cat, cells, seg, np.where(split, slot, -1), cut_cells[f, cut])
-        rows[at[split[seg]]] = grouped
-        left_rows[lo:hi], left_pos[lo:hi] = np.diff(bounds)[0::2], pl[node, slot, cut]
-    return feature, threshold, left_rows, left_pos
-
-
-# numpy's ``Generator.choice(d, k, replace=False)`` uses Floyd's algorithm
-# unless d > _FLOYD_MAX_ITEMS and k > d // 50, where it takes a tail shuffle,
-# which FeatureSampler lacks; a forest's k = round(sqrt(d)) never gets there
-_FLOYD_MAX_ITEMS = 10_000
-_U32 = np.uint64(0xFFFFFFFF)
-# samples' worth of 32-bit draws a tree's buffer holds between refills
-_SAMPLES_PER_FILL = 64
-
-
-class FeatureSampler:
-    """Every tree's ``Generator.choice(d, k, replace=False)`` feature samples,
-    drawn for many trees at once and equal to numpy's, draw for draw.
-
-    numpy draws such a sample by Floyd's algorithm: for j = d - k .. d - 1, a
-    value v in [0, j] (no draw when j is 0), taking j instead when v is
-    already in the sample; then it shuffles the sample, swapping slot i with a
-    value in [0, i] for i = k - 1 .. 1. Each value in [0, j] is Lemire's
-    bounded draw, ``(u * (j + 1)) >> 32`` of a 32-bit draw u, redrawn while the
-    low 32 bits of that product fall below ``2^32 mod (j + 1)``. So every
-    sample takes the same draws, one per bound (Floyd's nonzero j, then the
-    shuffle's i), unless a draw is redrawn, at odds below (j + 1) / 2^32:
-    ``sample`` gathers them for all of a step's trees as one array and
-    redraws a row with such a draw one value at a time.
-
-    Tree t's buffer holds the next 32-bit draws of its generator: numpy
-    returns the low half of a 64-bit output first and holds the high half
-    back (``has_uint32``), read once per tree here, when the sampler is made.
-    A generator's later draws are undefined: the sampler reads ahead of it.
-    """
-
-    def __init__(self, rngs: Iterable[np.random.Generator], d: int, k: int):
-        if d > _FLOYD_MAX_ITEMS and k > d // 50:
-            raise ValueError(
-                f"feature sampling draws at most d // 50 of d > {_FLOYD_MAX_ITEMS:,} features, got {k:,} of {d:,}"
-            )
-        self.d, self.k = d, k
-        bounds = [j for j in range(d - k, d) if j] + list(range(k - 1, 0, -1))
-        self.excl = np.array(bounds, dtype=np.uint64) + np.uint64(1)
-        self.threshold = np.uint64(2**32) % self.excl
-        self.width = _SAMPLES_PER_FILL * max(1, len(bounds))
-        self.gens = [rng.bit_generator for rng in rngs]
-        states = [g.state for g in self.gens]
-        self.held = [st["uinteger"] if st["has_uint32"] else None for st in states]
-        self.buf = np.empty((len(self.gens), self.width), dtype=np.uint32)
-        self.pos = np.full(len(self.gens), self.width)  # every buffer used up
-
-    def _refill(self, t: int) -> None:
-        """Move tree t's unread draws to the front of its buffer and fill the rest."""
-        buf, width = self.buf[t], self.width
-        at = width - int(self.pos[t])
-        buf[:at] = buf[width - at :]
-        if self.held[t] is not None:
-            buf[at] = self.held[t]
-            at += 1
-        # each 64-bit output is two draws, low half first
-        new = self.gens[t].random_raw((width - at + 1) // 2).astype("<u8", copy=False).view("<u4")
-        buf[at:] = new[: width - at]
-        self.held[t] = int(new[-1]) if len(new) > width - at else None
-        self.pos[t] = 0
-
-    def _redraw(self, t: int) -> list[int]:
-        """Tree t's next sample's bounded draws, one value at a time."""
-        out = []
-        for excl, threshold in zip(self.excl.tolist(), self.threshold.tolist()):
-            while True:
-                if self.pos[t] == self.width:
-                    self._refill(t)
-                m = int(self.buf[t, self.pos[t]]) * excl
-                self.pos[t] += 1
-                if (m & 0xFFFFFFFF) >= threshold:
-                    break
-            out.append(m >> 32)
-        return out
-
-    def sample(self, trees: np.ndarray) -> np.ndarray:
-        """(len(trees), k) int64: row i is the next sample of tree ``trees[i]``;
-        the trees are distinct."""
-        n_draws = len(self.excl)
-        for t in trees[self.pos[trees] + n_draws > self.width].tolist():
-            self._refill(t)
-        start = self.pos[trees]
-        m = self.buf[trees[:, None], start[:, None] + np.arange(n_draws)].astype(np.uint64) * self.excl
-        draws = (m >> np.uint64(32)).astype(np.int64)
-        self.pos[trees] = start + n_draws
-        for i in np.flatnonzero(((m & _U32) < self.threshold).any(axis=1)).tolist():
-            self.pos[trees[i]] = start[i]
-            draws[i] = self._redraw(int(trees[i]))
-        rows, d, k = np.arange(len(trees)), self.d, self.k
-        out = np.zeros((len(trees), k), dtype=np.int64)
-        col = 0
-        for s, j in enumerate(range(d - k, d)):
-            if j:  # Floyd: the draw, or j when the draw is already taken
-                v = draws[:, col]
-                col += 1
-                out[:, s] = np.where((out[:, :s] == v[:, None]).any(axis=1), j, v)
-        for i in range(k - 1, 0, -1):
-            r = draws[:, col]
-            col += 1
-            swapped = out[rows, r]
-            out[rows, r] = out[:, i]
-            out[:, i] = swapped
-        return out
-
-
-class LockstepForest:
-    """The Gini trees of one random forest, grown in lockstep.
-
-    Tree t grows on the t-th of ``roots`` (its training rows, repeats
-    allowed). Each ``step`` pops one node from every unfinished tree's own
-    depth-first stack and splits the popped nodes with ``_split_batch``. A
-    node splits only below ``max_depth``, when it is impure and has at least
-    ``2 * min_samples_leaf`` rows; only then does its tree's rng draw
-    ``max_features`` candidate features, so each tree draws from its own
-    stream in the same pre-order as a tree grown alone. The draws of a step
-    go through one ``FeatureSampler`` call, and ``deepest_draw[t]`` is the
-    deepest depth at which tree t drew (-1 if it never did).
-
-    The roots lie end to end in ``rows``; a node is a ``[start, stop)`` range
-    of it. ``stack[t, :height[t]]`` is tree t's stack: each pending node's
-    start, stop, positives, depth, and the node whose right child it is (-1
-    if none). Every unfinished tree gets one node per step, so a node's id is
-    the step that popped it: ids are in depth-first pre-order, a left child
-    is its parent + 1, and a tree finished at step s has s + 1 nodes. Node
-    fields are kept in (step, tree) arrays; the trees finished at a step are
-    cut out of them together and held in ``done`` until taken.
-    """
-
-    def __init__(
-        self, bins: Bins, y: np.ndarray, roots: Iterable[np.ndarray], rngs: list[np.random.Generator],
-        max_depth: int, min_samples_leaf: int, max_features: int,
-    ):
-        self.y, self.max_depth, self.msl = y, max_depth, min_samples_leaf
-        roots = list(roots)  # before the sampler: a generator of roots draws them from the same rngs
-        d = bins.codes.shape[1]
-        self.sampler = FeatureSampler(rngs, d, min(max_features, d))
-        self.bins = stack_bins([bins], [0])
-        # each (feature, cut)'s left-sum cell; past a feature's last cut, its last cell: the node's total
-        cuts = np.minimum(np.arange(bins.edges.shape[1] - 1), bins.n_bins[:, None] - 1)
-        self.cut_cells = self.bins.offset[:, None] + cuts
-        self.rows = np.concatenate(roots) if roots else np.zeros(0, dtype=np.int32)
-        sizes = np.array([len(r) for r in roots], dtype=np.int64)
-        self.stack = np.zeros((len(roots), 16, 5), dtype=np.int64)
-        self.stack[:, 0, 0], self.stack[:, 0, 1] = np.cumsum(sizes) - sizes, np.cumsum(sizes)
-        self.stack[:, 0, 2], self.stack[:, 0, 4] = [int(y[r].sum()) for r in roots], -1
-        self.height = np.ones(len(roots), dtype=np.int64)
-        self.deepest_draw = np.full(len(roots), -1)
-        self.live = list(range(len(roots)))
-        self.done: dict[int, TreeArrays] = {}
-        self.n_steps = 0
-        # node fields by (step, tree): feature, threshold, value, right child
-        self.fields = [np.empty((16, len(roots)), dt) for dt in (np.int32, np.float64, np.float64, np.int32)]
-
-    def step(self) -> None:
-        j, trees = self.n_steps, np.array(self.live)
-        self.height[trees] -= 1
-        start, stop, pos, depth, right_of = self.stack[trees, self.height[trees]].T
-        k = stop - start
-        ids = np.flatnonzero((depth < self.max_depth) & (k >= 2 * self.msl) & (pos > 0) & (pos < k))
-        feature, threshold = np.full(len(trees), -1, dtype=np.int32), np.zeros(len(trees))
-        if len(ids):
-            drawing = trees[ids]
-            slots = self.sampler.sample(drawing)
-            self.deepest_draw[drawing] = np.maximum(self.deepest_draw[drawing], depth[ids])
-            with np.errstate(divide="ignore", invalid="ignore"):  # cuts that leave a side empty are never chosen
-                feature[ids], threshold[ids], left_rows, left_pos = _split_batch(
-                    self.bins, self.cut_cells, self.y, self.rows, start[ids], k[ids], pos[ids], slots, self.msl)
-            split = feature[ids] >= 0
-            i, left_rows, left_pos = ids[split], left_rows[split], left_pos[split]
-            t, height = trees[i], self.height[trees[i]]
-            if height.max(initial=0) + 2 > self.stack.shape[1]:  # out of height: double it
-                self.stack = np.concatenate([self.stack, np.empty_like(self.stack)], axis=1)
-            mid, below = start[i] + left_rows, depth[i] + 1
-            self.stack[t, height] = np.stack([mid, stop[i], pos[i] - left_pos, below, np.full(len(i), j)], axis=1)
-            self.stack[t, height + 1] = np.stack([start[i], mid, left_pos, below, np.full(len(i), -1)], axis=1)
-            self.height[t] += 2
-
-        if j == len(self.fields[0]):  # out of steps: double the step capacity
-            self.fields = [np.concatenate([a, np.empty_like(a)]) for a in self.fields]
-        node_feature, node_threshold, node_value, node_right = self.fields
-        node_feature[j, trees], node_threshold[j, trees], node_value[j, trees] = feature, threshold, pos / k
-        node_right[j, trees] = -1
-        is_right = right_of >= 0
-        node_right[right_of[is_right], trees[is_right]] = j
-        self.n_steps = j = j + 1
-
-        alive = self.height[trees] > 0
-        self.live, finished = trees[alive].tolist(), trees[~alive].tolist()
-        if finished:
-            feature, threshold, value, right = (a[:j, finished].T.copy() for a in self.fields)
-            left = np.where(feature >= 0, np.arange(1, j + 1, dtype=np.int32), np.int32(-1))
-            for i, t in enumerate(finished):
-                self.done[t] = TreeArrays(feature[i], threshold[i], left[i], right[i], value[i])
-
-
-def grow_classification_tree(forest: LockstepForest, t: int) -> TreeArrays:
-    """Tree t of ``forest``, taken out of it: the forest steps until tree t is
-    finished. Each step grows every unfinished tree, so taking the trees in
-    any order costs the steps of growing the whole forest once."""
-    while t not in forest.done and forest.live:
-        forest.step()
-    return forest.done.pop(t)
+    return np.take(cat, order[: bounds[-1]]), bounds
 
 
 def _newton_split(bins: StackedBins, cat, sizes, table, gh, G, H, lam: float):
@@ -516,7 +257,7 @@ def _newton_split(bins: StackedBins, cat, sizes, table, gh, G, H, lam: float):
     split = gain[node, best] > _EPS_GAIN
     f = np.where(split, feats[node, best], -1).astype(np.int32)
     threshold = np.where(split, bins.edges[table, f, bins.cut_code[table, best]], 0.0)
-    return (f, threshold, *_partition(cat, cells, seg, f, cut_cell[node, best]))
+    return (f, threshold, *_partition(cat, cells, sizes, f, cut_cell[node, best]))
 
 
 class LockstepRound:
@@ -579,7 +320,7 @@ class LockstepRound:
                 grows = np.flatnonzero(grows)
                 next_cat, next_sizes = [cat[:0]], [sizes[:0]]
                 row_at = [0] + np.cumsum(sizes[grows]).tolist()
-                for lo, hi in _batches(sizes[grows].tolist(), d, d * max_bins) if len(grows) else ():
+                for lo, hi in _batches(sizes[grows], d, d * max_bins):
                     batch = grows[lo:hi]
                     feature[batch], threshold[batch], grouped, bounds = _newton_split(
                         self.bins, rows[row_at[lo] : row_at[hi]], sizes[batch], self.table[lane[batch]],
@@ -641,7 +382,7 @@ def ensemble_values(trees: list[TreeArrays], X: np.ndarray) -> Iterator[tuple[in
     next group.
     """
     X = np.asarray(X, dtype=np.float64)
-    for t0, t1 in _batches([len(t.feature) for t in trees], 1, 0) if trees else ():
+    for t0, t1 in _batches([len(t.feature) for t in trees], 1, 0):
         group = trees[t0:t1]
         sizes = [len(t.feature) for t in group]
         start = np.cumsum([0] + sizes[:-1], dtype=np.int32)

@@ -29,7 +29,7 @@ from rescue_triage.synthgen import default_config, generate, oracle_accuracy
 from rescue_triage.textfeat import _scan, default_lexicons, tokenize
 from rescue_triage.tuning import evaluate_all, split_train_test, write_metrics_csv
 
-from conftest import GOLDEN_PROMPT, REFERENCE_CASES, make_blobs
+from support import GOLDEN_PROMPT, REFERENCE_CASES, make_blobs
 
 # Bayes ceiling of the default synthetic corpus, frozen from the Monte-Carlo
 # oracle (200,000 draws) before any model evaluation was wired up.

@@ -19,7 +19,7 @@ from rescue_triage.learners import ModelKind, ModelSpec
 from rescue_triage.records import Dataset, FeatureVector, TEXT_FEATURE_NAMES, asjson, read_json, write_json
 from rescue_triage.tuning import CvSpec, cross_validate, fold_chunks
 
-from conftest import make_blobs
+from support import make_blobs
 
 
 class TestRelativeDeviation:
@@ -227,3 +227,20 @@ class TestRfecv:
         cv = CvSpec(folds=4, seed=6)
         for step in rfecv(data, spec, cv).steps:
             assert cross_validate([spec], data.select(step.features), cv) == [step.fold_scores]
+
+    def test_a_wrap_of_tuning_cross_validate_sees_every_step(self, monkeypatch):
+        """RFECV looks ``cross_validate`` up on ``tuning`` at each step, so a
+        wrap installed after import (as a tracer's is) counts one call per step."""
+        from rescue_triage import tuning
+
+        calls = []
+
+        def counting(specs, data, *args):
+            calls.append(data.feature_names)
+            return cross_validate(specs, data, *args)
+
+        monkeypatch.setattr(tuning, "cross_validate", counting)
+        X, y = make_blobs(n=90, d=4, seed=15)
+        result = rfecv(Dataset(X, y, ("a", "b", "c", "d")), ModelSpec(ModelKind.LR, seed=1), CvSpec(folds=4, seed=6))
+        assert len(result.steps) == 4
+        assert calls == [step.features for step in result.steps]

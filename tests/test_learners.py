@@ -29,10 +29,10 @@ from rescue_triage.learners.mlp import init_params, loss_and_grads
 from rescue_triage import learners
 from rescue_triage.learners import boosting, forest, knn, mlp, tree
 from rescue_triage.learners.base import binary_columns, stable_sigmoid
-from rescue_triage.records import ConfigError, Dataset, asjson
+from rescue_triage.records import ConfigError, Dataset, asjson, rng_from
 from rescue_triage.tuning import CvSpec, SearchSpec, evaluate_all, search
 
-from conftest import make_blobs
+from support import make_blobs
 
 ALL_KINDS = list(ModelKind)
 SYMMETRIC_KINDS = [ModelKind.NB, ModelKind.LR, ModelKind.SVM, ModelKind.MLPC]
@@ -603,7 +603,7 @@ class TestFeatureSampler:
         schedule = np.random.default_rng(d)
         for k in range(1, d + 1):
             for fill in (1, 3, 64):  # samples per buffer refill: odd widths leave a held half
-                monkeypatch.setattr(tree, "_SAMPLES_PER_FILL", fill)
+                monkeypatch.setattr(forest, "_SAMPLES_PER_FILL", fill)
                 boots = [0, 1, 2, 5, 8, 13]  # bootstrap draws before the first sample: both has_uint32 states
                 streams = [np.random.default_rng([d, k, fill, t]) for t in range(len(boots))]
                 refs = [np.random.default_rng([d, k, fill, t]) for t in range(len(boots))]
@@ -611,7 +611,7 @@ class TestFeatureSampler:
                     rng.integers(0, 50, n)
                     ref.integers(0, 50, n)
                 assert {rng.bit_generator.state["has_uint32"] for rng in streams} == {0, 1}
-                sampler = tree.FeatureSampler(streams, d, k)
+                sampler = forest.FeatureSampler(streams, d, k)
                 for _ in range(60):
                     trees = schedule.permutation(len(boots))[: schedule.integers(1, len(boots) + 1)]
                     got = sampler.sample(trees)
@@ -639,7 +639,7 @@ class TestFeatureSampler:
             assert int(crafted().bit_generator.random_raw()) == stepped
         streams = [np.random.default_rng(3), crafted(), np.random.default_rng(4)]
         refs = [np.random.default_rng(3), crafted(), np.random.default_rng(4)]
-        sampler = tree.FeatureSampler(streams, 5, 3)
+        sampler = forest.FeatureSampler(streams, 5, 3)
         for trees in ([0, 1, 2], [1], [2, 1], [1, 0]):
             got = sampler.sample(np.array(trees))
             assert got.tolist() == [refs[t].choice(5, 3, replace=False).tolist() for t in trees]
@@ -649,31 +649,31 @@ class TestFeatureSampler:
         """Above 10,000 items numpy keeps Floyd's algorithm while k <= d // 50,
         as a forest's k = round(sqrt(d)) is."""
         k = round(math.sqrt(d))
-        sampler = tree.FeatureSampler([np.random.default_rng(s) for s in (1, 2)], d, k)
+        sampler = forest.FeatureSampler([np.random.default_rng(s) for s in (1, 2)], d, k)
         refs = [np.random.default_rng(s) for s in (1, 2)]
         for trees in ([0, 1], [1], [1, 0]):
             got = sampler.sample(np.array(trees))
             assert got.tolist() == [refs[t].choice(d, k, replace=False).tolist() for t in trees]
 
     def test_samples_numpy_would_tail_shuffle_are_refused(self):
-        tree.FeatureSampler([np.random.default_rng(0)], 10_001, 200)
+        forest.FeatureSampler([np.random.default_rng(0)], 10_001, 200)
         with pytest.raises(ValueError, match="at most d // 50 of d > 10,000 features, got 201 of 10,001"):
-            tree.FeatureSampler([np.random.default_rng(0)], 10_001, 201)
+            forest.FeatureSampler([np.random.default_rng(0)], 10_001, 201)
 
 
 class TestLockstepForest:
     def _forest(self, X, y, n_trees=9):
         bins = tree.bin_columns(X, 32)
         rngs = [np.random.default_rng([4, t]) for t in range(n_trees)]
-        roots = [r.integers(0, len(X), len(X)).astype(np.int32) for r in rngs]
-        return tree.LockstepForest(bins, y, roots, rngs, 2**31, 1, 3)
+        roots = [(0, r.integers(0, len(X), len(X)).astype(np.int32)) for r in rngs]
+        return forest.LockstepForest([(bins, y)], roots, rngs, 2**31, 1, 3)
 
     def test_trees_taken_in_any_order_are_the_same(self):
         X, y = _desk_matrix()
         forward = self._forest(X, y)
         backward = self._forest(X, y)
-        ahead = [asjson(tree.grow_classification_tree(forward, t)) for t in range(9)]
-        behind = [asjson(tree.grow_classification_tree(backward, t)) for t in reversed(range(9))]
+        ahead = [asjson(forest.grow_classification_tree(forward, t)) for t in range(9)]
+        behind = [asjson(forest.grow_classification_tree(backward, t)) for t in reversed(range(9))]
         assert ahead == behind[::-1]
         assert not forward.done and not forward.live
         for t in ahead:
@@ -681,11 +681,11 @@ class TestLockstepForest:
             assert np.array_equal(np.array(t["left"])[internal], np.flatnonzero(internal) + 1)
 
     def test_fit_rf_takes_each_tree_through_the_forest_entry_point(self, monkeypatch):
-        taken = []
+        taken, grow = [], forest.grow_classification_tree
 
         def counting(forest_, t):
             taken.append(t)
-            return tree.grow_classification_tree(forest_, t)
+            return grow(forest_, t)
 
         monkeypatch.setattr(forest, "grow_classification_tree", counting)
         X, y = _desk_matrix()
@@ -756,11 +756,11 @@ class TestTrainGrid:
 
     def _grown(self, monkeypatch, space) -> int:
         """Trees grown for one grid fit of ``space`` on the desk rows."""
-        grown = []
+        grown, grow = [], forest.grow_classification_tree
 
         def counting(forest_, t):
             grown.append(t)
-            return tree.grow_classification_tree(forest_, t)
+            return grow(forest_, t)
 
         monkeypatch.setattr(forest, "grow_classification_tree", counting)
         X, y = _desk_matrix()
@@ -1146,7 +1146,7 @@ class _OracleForest:
         self.bins, self.y, self.max_depth, self.msl = bins, y, max_depth, min_samples_leaf
         self.stacks = [[(rows, int(y[rows].sum()), 0, -1, False)] for rows in roots]
         d = bins.codes.shape[1]
-        self.sampler = tree.FeatureSampler(rngs, d, min(max_features, d))
+        self.sampler = forest.FeatureSampler(rngs, d, min(max_features, d))
         self.deepest_draw = np.full(len(self.stacks), -1)
         self.nodes = [[] for _ in self.stacks]  # per tree, per node: [feature, threshold, value, right child]
 
@@ -1202,47 +1202,82 @@ class _OracleForest:
         return out
 
 
-def _forest_case(seed: int) -> dict:
-    """A random forest's inputs: 1 to 12 columns, each continuous (rounded,
-    so values tie), 0/1 or constant; bootstrap roots of 5 to 400 rows."""
-    rng = np.random.default_rng(seed)
-    n, d = rng.integers(5, 401).item(), rng.integers(1, 13).item()
+def _forest_fit(rng, n: int, d: int):
+    """One fit's rows: ``n`` rows of ``d`` columns, each continuous (rounded,
+    so values tie), 0/1 or constant, and their labels."""
     X = rng.normal(size=(n, d)).round(rng.integers(0, 3).item())
     column = rng.integers(0, 3, d)  # 0 continuous, 1 0/1, 2 constant
     X[:, column == 1] = rng.integers(0, 2, (n, np.count_nonzero(column == 1)))
     X[:, column == 2] = 1.5
     y = (X.sum(axis=1) + rng.normal(size=n) > 0).astype(np.int64)
+    return X, y, column
+
+
+def _forest_case(seed: int) -> dict:
+    """A random forest's inputs: 1 to 3 fits of 5 to 400 rows on 1 to 12
+    columns, each fit with its own column kinds and ``n_bins``; each fit's
+    trees have bootstrap roots of 5 to 400 rows."""
+    rng = np.random.default_rng(seed)
+    n, d = rng.integers(5, 401).item(), rng.integers(1, 13).item()
+    X, y, column = _forest_fit(rng, n, d)
     n_trees = rng.integers(1, 9).item()
-    return {
-        "X": X, "y": y, "column": column, "n_bins": [2, 4, 32][rng.integers(3)], "root_sizes": rng.integers(5, 401, n_trees),
+    fits = [{"X": X, "y": y, "column": column, "n_bins": [2, 4, 32][rng.integers(3)],
+             "root_sizes": rng.integers(5, 401, n_trees)}]
+    case = {
         "min_samples_leaf": [1, 3, 7][rng.integers(3)], "max_depth": [None, 1, 3][rng.integers(3)],
-        "max_features": rng.integers(1, d + 1).item(),
+        "max_features": rng.integers(1, d + 1).item(), "fits": fits,
     }
+    for _ in range(rng.integers(0, 3)):
+        X, y, column = _forest_fit(rng, rng.integers(5, 401).item(), d)
+        fits.append({"X": X, "y": y, "column": column, "n_bins": [2, 4, 32][rng.integers(3)],
+                     "root_sizes": rng.integers(5, 401, rng.integers(1, 9).item())})
+    return case
 
 
 def _forest_trees(cls, case: dict, seed: int):
     """``cls``'s forest on the case, its trees in order and its deepest draws;
-    each tree's rng draws its root, then its feature samples."""
-    bins = tree.bin_columns(case["X"], case["n_bins"])
-    rngs = [np.random.default_rng([seed, t]) for t in range(len(case["root_sizes"]))]
-    roots = (r.integers(0, len(case["y"]), size).astype(np.int32) for r, size in zip(rngs, case["root_sizes"]))
+    each tree's rng draws its root, then its feature samples. The
+    ``LockstepForest`` grows every fit's trees as one forest, in a shuffled
+    order; the oracle grows each fit's trees alone."""
+    fits = [(tree.bin_columns(fit["X"], fit["n_bins"]), fit["y"]) for fit in case["fits"]]
+    ids = [(f, t) for f, fit in enumerate(case["fits"]) for t in range(len(fit["root_sizes"]))]
     max_depth = 2**31 if case["max_depth"] is None else case["max_depth"]
-    grown = cls(bins, case["y"], roots, rngs, max_depth, case["min_samples_leaf"], case["max_features"])
+    leaf_and_features = (case["min_samples_leaf"], case["max_features"])
+
+    def grow(ids):
+        rngs = [np.random.default_rng([seed, f, t]) for f, t in ids]
+        roots = ((f, r.integers(0, len(fits[f][1]), case["fits"][f]["root_sizes"][t]).astype(np.int32))
+                 for (f, t), r in zip(ids, rngs))
+        if cls is _OracleForest:
+            [f] = {f for f, _ in ids}
+            return cls(*fits[f], (r for _, r in roots), rngs, max_depth, *leaf_and_features)
+        return cls(fits, roots, rngs, max_depth, *leaf_and_features)
+
     if cls is _OracleForest:
-        return grown.trees(), grown.deepest_draw
-    order = np.random.default_rng(seed).permutation(len(rngs)).tolist()  # taken in any order
-    trees = {t: tree.grow_classification_tree(grown, t) for t in order}
-    return [trees[t] for t in range(len(rngs))], grown.deepest_draw
+        trees, deepest = [], []
+        for f in range(len(fits)):
+            grown = grow([i for i in ids if i[0] == f])
+            trees += grown.trees()
+            deepest += grown.deepest_draw.tolist()
+        return trees, np.array(deepest)
+    shuffled = [ids[i] for i in np.random.default_rng(seed).permutation(len(ids))]
+    grown = grow(shuffled)
+    order = np.random.default_rng(seed + 1).permutation(len(ids)).tolist()  # taken in any order
+    trees = {shuffled[t]: forest.grow_classification_tree(grown, t) for t in order}
+    deepest = dict(zip(shuffled, grown.deepest_draw.tolist()))
+    return [trees[i] for i in ids], np.array([deepest[i] for i in ids])
 
 
 class TestForestOracle:
-    """``LockstepForest`` keeps every node as a range of one row array and
-    splits on per-feature histogram cells; every tree must be the padded
-    oracle's, bit for bit, and so must each tree's deepest draw."""
+    """``LockstepForest`` keeps every node as a range of one row array, grows
+    several fits' trees as one forest and splits each node on its own fit's
+    cells of its sampled features only; every tree must be the padded
+    oracle's on its fit alone, bit for bit, and so must each tree's deepest
+    draw."""
 
     def _assert_matches_the_oracle(self, seed):
         case = _forest_case(seed)
-        got, got_draw = _forest_trees(tree.LockstepForest, case, seed)
+        got, got_draw = _forest_trees(forest.LockstepForest, case, seed)
         want, want_draw = _forest_trees(_OracleForest, case, seed)
         assert got_draw.tolist() == want_draw.tolist()
         for t, (g, w) in enumerate(zip(got, want, strict=True)):
@@ -1260,22 +1295,204 @@ class TestForestOracle:
 
     def test_forest_of_no_trees(self):
         X, y = _desk_matrix()
-        grown = tree.LockstepForest(tree.bin_columns(X, 32), y, iter(()), [], 2**31, 1, 3)
+        grown = forest.LockstepForest([(tree.bin_columns(X, 32), y)], iter(()), [], 2**31, 1, 3)
         assert grown.live == [] and grown.done == {} and len(grown.deepest_draw) == 0
+
+    def test_stacked_rows_are_int32(self):
+        case = _forest_case(2)
+        fits = [(tree.bin_columns(fit["X"], fit["n_bins"]), fit["y"]) for fit in case["fits"]]
+        roots = [(f, np.arange(len(y), dtype=np.int64)) for f, (_, y) in enumerate(fits)]
+        grown = forest.LockstepForest(fits, roots, [np.random.default_rng(f) for f in range(len(fits))], 2**31, 1, 1)
+        assert len(fits) > 1 and grown.rows.dtype == np.int32
+        assert grown.rows.tolist() == list(range(sum(len(y) for _, y in fits)))  # each fit's rows after the last's
 
     def test_cases_cover_the_grid(self):
         cases = [_forest_case(seed) for seed in range(48)]
-        assert {c["n_bins"] for c in cases} == {2, 4, 32}
+        fits = [fit for c in cases for fit in c["fits"]]
+        assert {fit["n_bins"] for fit in fits} == {2, 4, 32}
         assert {c["min_samples_leaf"] for c in cases} == {1, 3, 7}
         assert {c["max_depth"] for c in cases} == {None, 1, 3}
-        assert {c["X"].shape[1] for c in cases} >= {1, 12}
-        assert any((c["column"] == 2).any() for c in cases) and any((c["column"] == 1).any() for c in cases)
-        assert any(c["max_features"] == 1 < c["X"].shape[1] for c in cases)
-        assert any(c["max_features"] == c["X"].shape[1] > 1 for c in cases)
-        sizes = np.concatenate([c["root_sizes"] for c in cases])
+        assert {len(c["fits"]) for c in cases} == {1, 2, 3}
+        assert any(len({fit["n_bins"] for fit in c["fits"]}) > 1 for c in cases)
+        assert {fit["X"].shape[1] for fit in fits} >= {1, 12}
+        assert any((fit["column"] == 2).any() for fit in fits) and any((fit["column"] == 1).any() for fit in fits)
+        # a column constant (one bin) in one fit and not in another of the same forest
+        assert any(len({fit["column"][j] == 2 for fit in c["fits"]}) == 2
+                   for c in cases for j in range(c["fits"][0]["X"].shape[1]))
+        assert any(c["max_features"] == 1 < c["fits"][0]["X"].shape[1] for c in cases)
+        assert any(c["max_features"] == c["fits"][0]["X"].shape[1] > 1 for c in cases)
+        sizes = np.concatenate([fit["root_sizes"] for fit in fits])
         assert sizes.min() < 15 and sizes.max() > 390
         deep = [t for seed, c in enumerate(cases[:8]) for t in _forest_trees(_OracleForest, c, seed)[0]]
         assert max(len(t.feature) for t in deep) > 20  # trees that split many times
+
+
+# The per-fold fit that ``forest.fit_folds`` replaced, kept as its oracle: one
+# forest per fold, grown under the loosest depth cap, then regrown under each
+# tighter cap for the trees that drew a sample at that depth or deeper.
+
+
+def _per_fold_fit_oracle(group, folds, rngs) -> dict:
+    """Each (fold, index into group)'s state."""
+    min_samples_leaf, n_bins = forest.share_key(group[0])
+    need = {}
+    for p in group:
+        cap = forest._cap(p["max_depth"])
+        need[cap] = max(need.get(cap, 0), p["n_trees"])
+    loosest = max(need)
+    states = {}
+    for f, ((X, y), rng) in enumerate(zip(folds, rngs)):
+        seed, bins = int(rng.integers(0, 2**32)), tree.bin_columns(X, n_bins)
+        max_features = max(1, int(round(math.sqrt(X.shape[1]))))
+
+        def grow(tree_ids, max_depth):
+            streams = [rng_from(seed, 101, t) for t in tree_ids]
+            roots = ((0, r.integers(0, len(y), len(y)).astype(np.int32)) for r in streams)
+            grown = forest.LockstepForest([(bins, y)], roots, streams, max_depth, min_samples_leaf, max_features)
+            return [forest.grow_classification_tree(grown, t) for t in range(len(streams))], grown.deepest_draw
+
+        trees, deepest_draw = grow(range(max(need.values())), loosest)
+        forests = {loosest: trees}
+        for cap, n_trees in need.items():
+            if cap != loosest:
+                redo = [t for t in range(n_trees) if deepest_draw[t] >= cap]
+                regrown = dict(zip(redo, grow(redo, cap)[0]))
+                forests[cap] = [regrown.get(t, trees[t]) for t in range(n_trees)]
+        for i, p in enumerate(group):
+            states[f, i] = forest.State(tuple(forests[forest._cap(p["max_depth"])][: p["n_trees"]]))
+    return states
+
+
+def _rf_folds_case(seed: int):
+    """A random share group and 1 to 5 folds of unequal size; a fold that
+    keeps only rows whose first flag is 0 bins that column as one bin."""
+    rng = np.random.default_rng(seed)
+    X, y = _desk_matrix()
+    n_bins, min_samples_leaf = rng.choice([2, 4, 32]).item(), rng.choice([1, 3]).item()
+    group = [
+        {"n_trees": rng.choice([1, 3, 8]).item(), "max_depth": [None, 1, 2, 4][rng.integers(4)],
+         "min_samples_leaf": min_samples_leaf, "n_bins": n_bins}
+        for _ in range(rng.integers(1, 6))
+    ]
+    folds = []
+    for f in range(rng.integers(1, 6)):
+        pool = np.flatnonzero(X[:, 0] == 0) if f == 1 else np.arange(len(y))
+        folds.append(np.sort(rng.choice(pool, rng.integers(30, len(pool) + 1), replace=False)))
+    return group, [(X[rows], y[rows]) for rows in folds]
+
+
+def _fold_rngs(seed: int, n: int) -> list:
+    return [np.random.default_rng([seed, f]) for f in range(n)]
+
+
+class TestForestFolds:
+    """``forest.fit_folds`` grows a chunk's folds as one ``LockstepForest``,
+    each tree on its own fold's rows and bins; every (fold, spec) state must
+    be the per-fold fit's, bit for bit, however the row budget cuts the
+    chunk into forests."""
+
+    def _assert_equals_the_per_fold_fit(self, seed):
+        group, folds = _rf_folds_case(seed)
+        want = _per_fold_fit_oracle(group, folds, _fold_rngs(seed, len(folds)))
+        got = {(f, i): state for f, i, state in forest.fit_folds(group, folds, _fold_rngs(seed, len(folds)))}
+        assert sorted(got) == sorted(want)
+        for key, state in got.items():
+            assert asjson(state) == asjson(want[key]), (key, group[key[1]])
+
+    @pytest.mark.parametrize("seed", range(28))
+    def test_fit_folds_equals_the_per_fold_fit(self, seed):
+        self._assert_equals_the_per_fold_fit(seed)
+
+    @pytest.mark.parametrize("seed", [1, 4, 6, 7])
+    def test_fit_folds_equals_the_per_fold_fit_under_a_small_row_budget(self, seed, monkeypatch):
+        """800 rows, about 8 trees of 100: each case's chunk splits into
+        several forests, and each forest's trees regrow in forests of its own."""
+        monkeypatch.setattr(forest, "_FOREST_ROWS", 800)
+        group, folds = _rf_folds_case(seed)
+        want = _per_fold_fit_oracle(group, folds, _fold_rngs(seed, len(folds)))
+        made = self._constructions(monkeypatch)
+        got = {(f, i): state for f, i, state in forest.fit_folds(group, folds, _fold_rngs(seed, len(folds)))}
+        assert {key: asjson(s) for key, s in got.items()} == {key: asjson(s) for key, s in want.items()}
+        n_trees, caps = max(p["n_trees"] for p in group), {forest._cap(p["max_depth"]) for p in group}
+        shared = list(tree._batches([len(y) for _, y in folds], n_trees, 0, 800))  # folds sharing a forest
+        assert len(shared) > 1 and len(made) == len(shared) * len(caps)
+        assert all(len(m.rows) <= 800 or len(set(m.fit.tolist())) == 1 for m in made)  # or a fold alone
+
+    def _constructions(self, monkeypatch) -> list:
+        """The ``LockstepForest`` each later fit makes, in order."""
+        made = []
+
+        class Counting(forest.LockstepForest):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(forest, "LockstepForest", Counting)
+        return made
+
+    def test_a_chunk_within_the_budget_grows_as_one_forest(self, monkeypatch):
+        X, y = _desk_matrix()
+        folds = [(X[:100], y[:100]), (X[50:], y[50:]), (X[::2], y[::2])]
+        group = [{"n_trees": 20, "max_depth": None, "min_samples_leaf": 1, "n_bins": 32}]
+        made = self._constructions(monkeypatch)
+        list(forest.fit_folds(group, folds, _fold_rngs(0, 3)))
+        assert len(made) == 1 and len(made[0].fit) == 60
+        assert made[0].rows.dtype == np.int32 and len(made[0].rows) == 20 * sum(len(y) for _, y in folds)
+
+    def test_folds_over_the_budget_grow_one_forest_each(self, monkeypatch):
+        X, y = _desk_matrix()
+        folds = [(X[:100], y[:100]), (X[50:], y[50:]), (X[::2], y[::2])]
+        group = [{"n_trees": 20, "max_depth": d, "min_samples_leaf": 1, "n_bins": 32} for d in (None, 2)]
+        # under any fold's 20 bootstrap samples
+        monkeypatch.setattr(forest, "_FOREST_ROWS", 20 * min(len(y) for _, y in folds) - 1)
+        want = _per_fold_fit_oracle(group, folds, _fold_rngs(0, 3))
+        made = self._constructions(monkeypatch)
+        got = {(f, i): state for f, i, state in forest.fit_folds(group, folds, _fold_rngs(0, 3))}
+        # per fold, the loosest cap's forest and the depth-2 cap's regrown one
+        assert [sorted(set(m.fit.tolist())) for m in made] == [[0]] * 6
+        assert [len(m.fit) for m in made[0::2]] == [20] * 3 and all(m.rows.dtype == np.int32 for m in made)
+        assert {key: asjson(s) for key, s in got.items()} == {key: asjson(s) for key, s in want.items()}
+
+    def test_cases_cover_the_grid(self):
+        cases = [_rf_folds_case(seed) for seed in range(28)]
+        specs = [p for group, _ in cases for p in group]
+        assert {p["n_trees"] for p in specs} == {1, 3, 8}
+        assert {p["max_depth"] for p in specs} == {None, 1, 2, 4}
+        assert {p["n_bins"] for p in specs} == {2, 4, 32} and {p["min_samples_leaf"] for p in specs} == {1, 3}
+        assert {len(folds) for _, folds in cases} == {1, 2, 3, 4, 5}
+        assert any(len({forest._cap(p["max_depth"]) for p in group}) > 2 for group, _ in cases)
+        n_bins = [tree.bin_columns(folds[1][0], 32).n_bins for _, folds in cases if len(folds) > 1]
+        assert all(b[0] == 1 for b in n_bins)  # the flag-0 fold's first column has one bin
+        assert len({len(y) for _, folds in cases for _, y in folds}) > 20
+
+
+class TestBatchBounds:
+    def test_largest_batch_keeps_the_partition_key_in_16_bits(self):
+        """The cheapest node either grower batches costs 3 cells (2 rows of 1
+        column, 1 cell), so a batch holds at most 21,845 nodes and
+        ``_partition``'s key, at most 2 * nodes, fits a uint16."""
+        m = max(hi - lo for lo, hi in tree._batches([2] * 100_000, 1, 1))
+        assert m == tree._BATCH_CELLS // 3 == 21_845
+        assert 2 * m < np.iinfo(np.uint16).max
+
+    def test_a_larger_item_goes_alone(self):
+        assert list(tree._batches([1, 5, 1, 1], 1, 0, cap=3)) == [(0, 1), (1, 2), (2, 4)]
+        assert list(tree._batches([], 1, 0)) == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_batches_are_the_greedy_runs(self, seed):
+        """Each batch takes items while they fit, and at least one."""
+        rng = np.random.default_rng(seed)
+        sizes, per_row, per_node = rng.integers(0, 50, rng.integers(1, 200)).tolist(), 3, rng.integers(0, 20).item()
+        cap = rng.integers(1, 400).item()
+        want, lo, used = [], 0, 0
+        for i, k in enumerate(sizes):
+            if i > lo and used + k * per_row + per_node > cap:
+                want.append((lo, i))
+                lo, used = i, 0
+            used += k * per_row + per_node
+        want.append((lo, len(sizes)))
+        assert list(tree._batches(sizes, per_row, per_node, cap)) == want
 
 
 class TestStableSigmoid:

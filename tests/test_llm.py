@@ -29,7 +29,7 @@ from rescue_triage.llm import (
     transcript_verdicts,
 )
 
-from conftest import GOLDEN_PROMPT, REFERENCE_CASES
+from support import GOLDEN_PROMPT, REFERENCE_CASES
 
 
 class TestBuildPrompt:

@@ -34,7 +34,7 @@ from rescue_triage.records import (
     validate_record,
 )
 
-from conftest import REFERENCE_CASES
+from support import REFERENCE_CASES
 
 
 def full_vitals(**overrides):

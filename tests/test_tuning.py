@@ -22,7 +22,7 @@ from rescue_triage.tuning import (
 )
 from rescue_triage.tuning import _draw_candidates
 
-from conftest import make_blobs
+from support import make_blobs
 
 
 def dataset(n=100, d=4, seed=0, **kw):
